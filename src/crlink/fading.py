@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (Accuracy, DEFAULT_ACCURACY, _hyp2f1_series, ln_beta,
-                      reg_lower_gamma)
+                      reg_lower_gamma, reg_upper_gamma)
 
 
 class FadingFamily(enum.Enum):
@@ -51,8 +51,10 @@ class FadingSpec:
     m: float = 1.0
 
     def __post_init__(self):
-        if self.mean_snr <= 0.0:
-            raise ValueError(f"mean_snr must be > 0, got {self.mean_snr}")
+        if not math.isfinite(self.mean_snr) or self.mean_snr <= 0.0:
+            raise ValueError(f"mean_snr must be finite and > 0, got {self.mean_snr}")
+        if not math.isfinite(self.m):
+            raise ValueError(f"shape factor must be finite, got {self.m}")
         if self.family is FadingFamily.NAKAGAMI and self.m < 0.5:
             raise ValueError(f"Nakagami shape factor must be >= 0.5, got {self.m}")
         if self.family is FadingFamily.RAYLEIGH and self.m != 1.0:
@@ -99,6 +101,26 @@ def pdf_direct(spec: FadingSpec, x):
     return _finish(out, scalar)
 
 
+def _log_poisson_head(n: int, y):
+    """ln(e^{-y} Σ_{k<n} y^k/k!) = ln Q(n, y) for integer n, vectorized;
+    -inf where e^{-y} underflows (y > 700)."""
+    out = np.full_like(y, -np.inf)
+    small = y <= 700.0
+    ys = y[small]
+    term = np.ones_like(ys)
+    total = np.ones_like(ys)
+    for k in range(1, n):
+        term = term * ys / k
+        total = total + term
+    # rounding can put the sum a hair above e^{y}; Q never exceeds 1
+    out[small] = np.minimum(np.log(total) - ys, 0.0)
+    return out
+
+
+def _is_integer_shape(m: float) -> bool:
+    return m == round(m) and m <= 60
+
+
 def cdf_direct(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
     """Direct-link SNR CDF: P(m, m·x/γ̄); 1 − e^{−x/γ̄} for m=1."""
     arr, scalar = _prepare(x)
@@ -106,20 +128,23 @@ def cdf_direct(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
     if m == 1.0:
         return _finish(-np.expm1(-arr / g), scalar)
     y = m * arr / g
-    if m == round(m) and m <= 60:
-        # integer shape: 1 - e^{-y} Σ_{k<m} y^k/k!, vectorized
-        n = int(m)
-        out = np.ones_like(y)
-        small = y <= 700.0          # e^{-y} underflows beyond; CDF is 1 there
-        ys = y[small]
-        term = np.ones_like(ys)
-        total = np.ones_like(ys)
-        for k in range(1, n):
-            term = term * ys / k
-            total = total + term
-        out[small] = -np.expm1(-ys + np.log(total))
-        return _finish(out, scalar)
+    if _is_integer_shape(m):
+        return _finish(-np.expm1(_log_poisson_head(int(m), y)), scalar)
     out = np.array([reg_lower_gamma(m, float(v), acc) for v in np.ravel(y)])
+    return _finish(out.reshape(y.shape), scalar)
+
+
+def sf_direct(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
+    """Direct-link SNR survival 1 − CDF = Q(m, m·x/γ̄), computed without
+    cancellation; e^{−x/γ̄} for m=1."""
+    arr, scalar = _prepare(x)
+    m, g = spec.shape, spec.mean_snr
+    if m == 1.0:
+        return _finish(np.exp(-arr / g), scalar)
+    y = m * arr / g
+    if _is_integer_shape(m):
+        return _finish(np.exp(_log_poisson_head(int(m), y)), scalar)
+    out = np.array([reg_upper_gamma(m, float(v), acc) for v in np.ravel(y)])
     return _finish(out.reshape(y.shape), scalar)
 
 
@@ -144,35 +169,39 @@ def pdf_ratio(spec: FadingSpec, x):
     return _finish(out, scalar)
 
 
-def cdf_ratio(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
-    """Gain-ratio SNR CDF via the hypergeometric closed form.
+def _ratio_halves(spec: FadingSpec, x, acc: Accuracy):
+    """Unit-scale ratio CDF at v = min(y, 1/y), y = x/s, and the mask y <= 1.
 
-    Unit scale, y <= 1:  F(y) = w^m · 2F1(m, 1−m; 1+m; w) / (m·B(m,m)) with
-    w = y/(1+y) (the Pfaff-transformed series; w <= 1/2 so it converges
-    fast and terminates for integer m). For y > 1 the exact reflection
-    F(y) = 1 − F(1/y) (exchangeability of the two gains) is used, which
-    keeps the series argument <= 1/2 for every y.
+    F(v) = w^m · 2F1(m, 1−m; 1+m; w) / (m·B(m,m)) with w = v/(1+v) (the
+    Pfaff-transformed series; w <= 1/2 so it converges fast and terminates
+    for integer m). The exact reflection F(y) = 1 − F(1/y)
+    (exchangeability of the two gains) covers y > 1, so F(v) is the CDF
+    below the unit point and the survival above it.
     """
     arr, scalar = _prepare(x)
-    m, s = spec.shape, spec.mean_snr
-    y = arr / s
-    out = np.empty_like(y)
-
-    def unit_cdf(v):
-        w = v / (1.0 + v)
-        series = _hyp2f1_series(m, 1.0 - m, 1.0 + m, w, acc)
-        return np.exp(m * np.log(w) - math.log(m) - ln_beta(m, m)) * series
-
+    m = spec.shape
+    y = arr / spec.mean_snr
     lower = y <= 1.0
-    yl = y[lower]
-    zero = yl == 0.0
-    vals = np.zeros_like(yl)
-    if np.any(~zero):
-        vals[~zero] = unit_cdf(yl[~zero])
-    out[lower] = vals
-    if np.any(~lower):
-        out[~lower] = 1.0 - unit_cdf(1.0 / y[~lower])
-    return _finish(np.clip(out, 0.0, 1.0), scalar)
+    v = np.where(lower, y, 1.0 / np.where(lower, 1.0, y))
+    near = np.zeros_like(v)
+    pos = v > 0.0
+    w = v[pos] / (1.0 + v[pos])
+    series = _hyp2f1_series(m, 1.0 - m, 1.0 + m, w, acc)
+    near[pos] = np.exp(m * np.log(w) - math.log(m) - ln_beta(m, m)) * series
+    return np.clip(near, 0.0, 1.0), lower, scalar
+
+
+def cdf_ratio(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
+    """Gain-ratio SNR CDF via the hypergeometric closed form."""
+    near, lower, scalar = _ratio_halves(spec, x, acc)
+    return _finish(np.where(lower, near, 1.0 - near), scalar)
+
+
+def sf_ratio(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
+    """Gain-ratio SNR survival 1 − CDF; above the unit point it is the
+    series itself, so the power-law tail keeps full relative precision."""
+    near, lower, scalar = _ratio_halves(spec, x, acc)
+    return _finish(np.where(lower, 1.0 - near, near), scalar)
 
 
 @dataclass(frozen=True)
@@ -191,6 +220,12 @@ class SnrDistribution:
         if self.link is LinkKind.DIRECT:
             return cdf_direct(self.spec, x)
         return cdf_ratio(self.spec, x)
+
+    def sf(self, x):
+        """Survival function 1 − CDF, accurate in the upper tail."""
+        if self.link is LinkKind.DIRECT:
+            return sf_direct(self.spec, x)
+        return sf_ratio(self.spec, x)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw effective-SNR samples.

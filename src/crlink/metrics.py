@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from .mud import MudDistribution
 from .numerics import integrate_to_inf
 from .power import ConstellationSet, CutoffSolution, DrPolicy
@@ -25,21 +23,14 @@ class MetricResult:
 
 
 _LOG2E = 1.0 / math.log(2.0)
-# open the integration interval just above the cutoff so the log of the
-# ratio never sees an argument of exactly 1 coming from below
-_EDGE = 1.0 + 1e-12
 
 
 def _rate_integral(dist: MudDistribution, gamma0: float, k: float):
-    lo = gamma0 / k
-
-    def integrand(x):
-        return _LOG2E * np.log(x * k / gamma0) * dist.pdf(x)
-
-    val, err = integrate_to_inf(integrand, lo * _EDGE,
-                                abs_tol=1e-10, rel_tol=1e-9,
-                                split=dist.upper_tail_point())
-    return val, err
+    """∫_t^∞ log₂(x/t) f_max(x) dx with t = γ₀/k; by parts this is
+    log₂e·∫_t^∞ S(x)/x dx. Returns (value, error estimate)."""
+    val, err = integrate_to_inf(lambda x: dist.sf(x) / x, gamma0 / k,
+                                abs_tol=0.0, rel_tol=1e-9)
+    return _LOG2E * val, _LOG2E * err
 
 
 def capacity(dist: MudDistribution, cut: CutoffSolution) -> MetricResult:

@@ -1,7 +1,7 @@
 """Best-of-L selection: order statistics of the strongest user SNR.
 
 With L i.i.d. users the selected SNR is the maximum, with density
-L·f(x)·F(x)^{L-1} and CDF F(x)^L.
+L·f(x)·F(x)^{L-1}, CDF F(x)^L and survival function S(x) = 1 − F(x)^L.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError
 from .fading import SnrDistribution
 
 
@@ -31,20 +30,11 @@ class MudDistribution:
     def cdf(self, x):
         return mud_cdf(self, x)
 
+    def sf(self, x):
+        return mud_sf(self, x)
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return mud_sample(self, rng, n)
-
-    def upper_tail_point(self, tail_prob: float = 1e-3) -> float:
-        """Smallest power-of-two multiple of the mean scale whose upper tail
-        mass is below tail_prob; anchors semi-infinite quadrature so the
-        bulk of this distribution is never skipped over."""
-        x = max(self.base.spec.mean_snr, 1.0)
-        while 1.0 - float(self.cdf(x)) > tail_prob:
-            x *= 2.0
-            if x > 1e300:
-                raise ConvergenceError(
-                    f"upper tail of {self!r} never falls below {tail_prob}")
-        return x
 
 
 def mud_pdf(d: MudDistribution, x):
@@ -61,6 +51,15 @@ def mud_cdf(d: MudDistribution, x):
     if d.num_users == 1:
         return d.base.cdf(x)
     return d.base.cdf(x) ** d.num_users
+
+
+def mud_sf(d: MudDistribution, x):
+    """1 − F(x)^L as −expm1(L·log1p(−Q)) from the base survival Q, so the
+    upper tail keeps full relative precision for any L; Q itself for L=1."""
+    q = d.base.sf(x)
+    if d.num_users == 1:
+        return q
+    return -np.expm1(d.num_users * np.log1p(-q))
 
 
 def mud_sample(d: MudDistribution, rng: np.random.Generator, n: int) -> np.ndarray:

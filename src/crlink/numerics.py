@@ -1,15 +1,16 @@
-"""Adaptive Gauss–Kronrod quadrature and bracketed root finding.
+"""Adaptive Gauss–Kronrod quadrature and a safeguarded Newton root finder.
 
 The integrators expect vectorized integrands (ndarray in, ndarray out) and
-return a (value, error_estimate) pair. Semi-infinite ranges are reduced to
-finite panels with the reciprocal substitution x = c/u on the tail, which
-copes with the power-law tails of the gain-ratio distributions without a
-hand-derived truncation bound.
+return a (value, error_estimate) pair. A semi-infinite range [t, ∞) is
+mapped onto (0, 1] by the single substitution x = t/u (with u = v⁴), which
+turns the power-law tails of the gain-ratio distributions into smooth
+endpoint behavior without a hand-derived truncation bound.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Tuple
 
 import numpy as np
@@ -38,6 +39,8 @@ _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])            # G7 subset of the 15
 _WGL = np.concatenate([_WG[:3], _WG[3:], _WG[2::-1]])     # G7 weights, ascending
 
 _EPS = np.finfo(float).eps
+_X_MIN, _X_MAX = 1e-14, 1e14    # root-finder domain
+_MAX_LOG_STEP = math.log(100.0)
 
 
 def _kronrod_panel(fn, a: float, b: float):
@@ -104,92 +107,82 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 def integrate_to_inf(fn: Callable[[np.ndarray], np.ndarray], a: float,
                      abs_tol: float = 1e-12, rel_tol: float = 1e-10,
-                     max_panels: int = 4000, split: float = 0.0) -> Tuple[float, float]:
+                     max_panels: int = 4000) -> Tuple[float, float]:
     """Adaptive ∫_a^∞ fn(x) dx for a ≥ 0; returns (value, error estimate).
 
-    Integrates [a, c] directly and maps the tail with x = c/u, u ∈ (0,1],
-    so ∫_c^∞ fn = ∫_0^1 fn(c/u)·c/u² du; power-law tails become integrable
-    endpoint behavior at u→0 and are resolved by the same adaptive rule.
-
-    c = max(a+1, split). Pass the integrand's mass scale as `split` when it
-    may lie far above a (for sharply concentrated densities the reciprocal
-    map would otherwise compress the mass into a sliver of u-space that the
-    first panel's nodes straddle without sampling).
+    Maps [a, ∞) onto (0, 1] with x = a/u, u = v⁴, so
+    ∫_a^∞ fn = ∫_0^1 fn(a/v⁴)·4a/v⁵ dv. Power-law tails become smooth
+    endpoint behavior at v → 0. The fourth power keeps mass lying up to
+    ~10⁹·a within reach of the first panel's nodes; mass beyond that
+    weighs less than ~10⁻⁹ relative in a decaying integrand such as a
+    survival function over x². For a = 0, [0, 1] is integrated directly
+    and the map starts at 1.
     """
-    c = max(a + 1.0, split)
+    if a == 0.0:
+        head = integrate(fn, 0.0, 1.0, abs_tol=0.5 * abs_tol,
+                         rel_tol=0.5 * rel_tol, max_panels=max_panels)
+        tail = integrate_to_inf(fn, 1.0, abs_tol=0.5 * abs_tol,
+                                rel_tol=0.5 * rel_tol, max_panels=max_panels)
+        return head[0] + tail[0], head[1] + tail[1]
 
-    def tail(u):
-        u = np.asarray(u, dtype=float)
-        x = c / u
-        return fn(x) * c / (u * u)
+    def mapped(v):
+        v = np.asarray(v, dtype=float)
+        u = v ** 4
+        return fn(a / u) * (4.0 * a / (u * v))
 
-    head_val, head_err = integrate(fn, a, c, abs_tol=0.5 * abs_tol,
-                                   rel_tol=0.5 * rel_tol, max_panels=max_panels,
-                                   initial_panels=8)
-    tail_val, tail_err = integrate(tail, 0.0, 1.0, abs_tol=0.5 * abs_tol,
-                                   rel_tol=0.5 * rel_tol, max_panels=max_panels,
-                                   initial_panels=4)
-    return head_val + tail_val, head_err + tail_err
+    return integrate(mapped, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol,
+                     max_panels=max_panels)
 
 
-def solve_decreasing(g: Callable[[float], float], target: float,
-                     bracket: Tuple[float, float] = (1e-4, 10.0),
-                     expand: float = 4.0,
-                     residual_tol: float = 1e-10,
-                     max_iter: int = 200) -> Tuple[float, float, int]:
-    """Solve g(x) = target for strictly decreasing g on x > 0.
+def solve_decreasing(g: Callable[[float], Tuple[float, float]], target: float,
+                     x0: float = 1.0, rel_tol: float = 1e-10,
+                     max_iter: int = 100) -> Tuple[float, float, int]:
+    """Solve g(x) = target > 0 for positive, strictly decreasing g on
+    [1e-14, 1e14].
 
-    Expands the initial bracket by `expand` until it straddles the target,
-    then alternates secant steps with bisection fallback. Returns
-    (x, residual, iterations) with residual = g(x) − target.
-    Raises NoSolutionError when g stays below target as x → 0⁺.
+    g returns (value, derivative). Newton steps act on ln g against ln x,
+    which is exact for power laws such as 1/x. The tightest bracket seen is
+    kept; a step that leaves it is replaced by the geometric midpoint, and
+    any step moves x by at most a factor of 100. Stops when
+    |g(x) − target| <= rel_tol·target. Returns (x, residual, evaluations)
+    with residual = g(x) − target. Raises NoSolutionError when the root
+    lies outside the domain.
     """
-    lo, hi = bracket
-    g_lo = g(lo)
-    evals = 2
-    while g_lo < target:
-        lo /= expand
-        if lo < 1e-14:
-            raise NoSolutionError(
-                f"constraint stays below target {target} as the cutoff "
-                f"vanishes; limiting value {g_lo} at {lo * expand}"
-            )
-        g_lo = g(lo)
-        evals += 1
-    g_hi = g(hi)
-    while g_hi > target:
-        hi *= expand
-        if hi > 1e14:
-            raise NoSolutionError(
-                f"constraint stays above target {target} as the cutoff "
-                f"grows; value {g_hi} at {hi / expand}"
-            )
-        g_hi = g(hi)
-        evals += 1
-
-    # lo/hi now straddle: g(lo) >= target >= g(hi)
-    x_prev, f_prev = lo, g_lo - target
-    x_cur, f_cur = hi, g_hi - target
-    for it in range(max_iter):
-        if abs(f_cur) <= residual_tol:
-            return x_cur, f_cur, evals + it
-        if f_prev != f_cur:
-            x_new = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
+    lo, hi = 0.0, math.inf
+    x = min(max(x0, _X_MIN), _X_MAX)
+    best = None
+    for evals in range(1, max_iter + 1):
+        val, slope = g(x)
+        res = val - target
+        if best is None or abs(res) < abs(best[1]):
+            best = (x, res)
+        if abs(res) <= rel_tol * target:
+            return x, res, evals
+        if res > 0.0:
+            lo = x
         else:
-            x_new = 0.5 * (lo + hi)
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
-        if x_new <= lo or x_new >= hi or hi - lo <= _EPS * hi:
+            hi = x
+        if hi - lo <= 4.0 * _EPS * hi < math.inf:
             # bracket exhausted at floating-point resolution
-            return x_cur, f_cur, evals + it
-        f_new = g(x_new) - target
-        if f_new > 0.0:
-            lo = x_new
+            return best[0], best[1], evals
+        log_slope = x * slope / val if val > 0.0 else 0.0
+        if log_slope < 0.0:
+            step = (math.log(target) - math.log(val)) / log_slope
+            x_new = x * math.exp(max(-_MAX_LOG_STEP, min(_MAX_LOG_STEP, step)))
         else:
-            hi = x_new
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = x_new, f_new
+            x_new = x * math.exp(_MAX_LOG_STEP if res > 0.0 else -_MAX_LOG_STEP)
+        if lo > 0.0 and hi < math.inf and not lo < x_new < hi:
+            x_new = math.sqrt(lo * hi)
+        if not _X_MIN <= x_new <= _X_MAX:
+            edge = _X_MIN if x_new < _X_MIN else _X_MAX
+            if x == edge:
+                where = "vanishes" if edge == _X_MIN else "grows"
+                raise NoSolutionError(
+                    f"constraint stays {'below' if res < 0.0 else 'above'} "
+                    f"target {target} as the cutoff {where}; value {val} at {x}")
+            x_new = edge
+        x = x_new
     raise ConvergenceError(
-        f"root refinement did not reach |residual| <= {residual_tol} in "
-        f"{max_iter} iterations; last x={x_cur}, residual={f_cur}"
+        f"root refinement did not reach |residual| <= {rel_tol}·{target} in "
+        f"{max_iter} evaluations; last x={x}, residual={best[1]}"
     )

@@ -10,6 +10,10 @@ Every solver enforces its average-power constraint with equality:
 The discrete-rate policy uses one region parameter g*: region j covers
 [M_j·g*, M_{j+1}·g*) and spends (M_j − 1)/g* − 1/(x·K) per unit average
 power, the same g* appearing in the rate mapping and the power law.
+
+Integration by parts puts every constraint on the survival function
+S(x) = 1 − F(x)^L of the selected SNR, so no density enters a quadrature
+and the derivative for the Newton step is closed-form.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from .mud import MudDistribution
-from .numerics import integrate, integrate_to_inf, solve_decreasing
+from .numerics import integrate_to_inf, solve_decreasing
 
 
 class ConstraintMode(enum.Enum):
@@ -90,30 +96,31 @@ class DrPolicy:
     iterations: int
 
 
-_QUAD_ABS = 1e-12
+# relative only: every survival integral is positive
 _QUAD_REL = 1e-11
 
 
-def _waterfill_spent(dist: MudDistribution, gamma0: float, k: float,
-                     split: float = 0.0) -> float:
-    """Average power ∫_{γ₀/k}^∞ (1/γ₀ − 1/(x·k)) f_max(x) dx."""
-
-    def integrand(x):
-        return (1.0 / gamma0 - 1.0 / (x * k)) * dist.pdf(x)
-
-    val, _ = integrate_to_inf(integrand, gamma0 / k,
-                              abs_tol=_QUAD_ABS, rel_tol=_QUAD_REL, split=split)
+def _sf_over_x2(dist: MudDistribution, t: float) -> float:
+    """∫_t^∞ S(x)/x² dx."""
+    val, _ = integrate_to_inf(lambda x: dist.sf(x) / (x * x), t,
+                              abs_tol=0.0, rel_tol=_QUAD_REL)
     return val
+
+
+def _waterfill_spent(dist: MudDistribution, gamma0: float,
+                     k: float) -> Tuple[float, float]:
+    """Average power ∫_t^∞ (1/γ₀ − 1/(x·k)) f_max(x) dx with t = γ₀/k,
+    which is (1/k)∫_t^∞ S(x)/x² dx, and its derivative −S(t)/γ₀²."""
+    t = gamma0 / k
+    return _sf_over_x2(dist, t) / k, -float(dist.sf(t)) / gamma0 ** 2
 
 
 def _solve_waterfill(dist: MudDistribution, c: ConstraintSpec,
                      k: float) -> CutoffSolution:
+    # the spent power never exceeds 1/γ₀, so the root lies at or below 1/budget
     target = c.budget_ratio
-    res_tol = 1e-10 * max(1.0, target)
-    split = dist.upper_tail_point()
     g0, residual, iters = solve_decreasing(
-        lambda g: _waterfill_spent(dist, g, k, split), target,
-        residual_tol=res_tol)
+        lambda g: _waterfill_spent(dist, g, k), target, x0=1.0 / target)
     return CutoffSolution(gamma0=g0, residual=residual, iterations=iters)
 
 
@@ -133,45 +140,43 @@ def solve_cutoff_cr(dist: MudDistribution, c: ConstraintSpec,
 
 
 def _dr_spent(dist: MudDistribution, gamma_star: float,
-              sizes: Sequence[int], k: float, split: float = 0.0) -> float:
-    """Average power of the discrete-rate policy at a given region parameter."""
-    total = 0.0
-    active = sizes[1:]
-    for j, mj in enumerate(active):
-        lo = mj * gamma_star
-        coeff = (mj - 1.0) / gamma_star
+              sizes: Sequence[int], k: float) -> Tuple[float, float]:
+    """Average power of the discrete-rate policy at a given region
+    parameter, and its derivative in g*.
 
-        def integrand(x, _c=coeff):
-            return (_c - 1.0 / (x * k)) * dist.pdf(x)
-
-        if j + 1 < len(active):
-            hi = active[j + 1] * gamma_star
-            val, _ = integrate(integrand, lo, hi,
-                               abs_tol=_QUAD_ABS, rel_tol=_QUAD_REL)
-        else:
-            val, _ = integrate_to_inf(integrand, lo,
-                                      abs_tol=_QUAD_ABS, rel_tol=_QUAD_REL,
-                                      split=split)
-        total += val
-    return total
+    With edges b_j = M_j·g*, c_j = (M_j − 1)/g* and region probabilities
+    P_j = S(b_j) − S(b_{j+1}), the power is
+    Σ_j c_j·P_j − (1/k)∫_{b₁}^∞ f_max(x)/x dx, and by parts
+    ∫_{b₁}^∞ f_max/x = S(b₁)/b₁ − ∫_{b₁}^∞ S/x². The derivative needs
+    f_max only at the edges: dP_j/dg* = M_{j+1}·f(b_{j+1}) − M_j·f(b_j),
+    and the last integral contributes f(b₁)/(k·g*).
+    """
+    m = np.asarray(sizes[1:], dtype=float)
+    edges = m * gamma_star
+    b1 = edges[0]
+    c = (m - 1.0) / gamma_star
+    s_edge = dist.sf(edges)
+    probs = -np.diff(s_edge, append=0.0)
+    tail = s_edge[0] / b1 - _sf_over_x2(dist, b1)
+    spent = float(np.dot(c, probs)) - tail / k
+    mf = np.append(m * dist.pdf(edges), 0.0)
+    slope = (float(np.dot(c, mf[1:] - mf[:-1]) - np.dot(c, probs) / gamma_star)
+             + mf[0] / (m[0] * k * gamma_star))
+    return spent, slope
 
 
 def solve_dr_policy(dist: MudDistribution, c: ConstraintSpec,
                     cset: ConstellationSet) -> DrPolicy:
     """Find the region parameter g* spending exactly the power budget, then
     tabulate region edges and selection probabilities."""
+    # the spent power never exceeds (M_max − 1)/g*, which bounds the root
     k = cset.k
     target = c.budget_ratio
-    res_tol = 1e-10 * max(1.0, target)
-    split = dist.upper_tail_point()
     gs, residual, iters = solve_decreasing(
-        lambda g: _dr_spent(dist, g, cset.sizes, k, split), target,
-        bracket=(1e-6, 10.0), residual_tol=res_tol)
-
+        lambda g: _dr_spent(dist, g, cset.sizes, k), target,
+        x0=(cset.sizes[-1] - 1.0) / target)
     boundaries = tuple(mj * gs for mj in cset.sizes[1:])
-    cdf_vals = [float(dist.cdf(b)) for b in boundaries]
-    probs = [cdf_vals[j + 1] - cdf_vals[j] for j in range(len(cdf_vals) - 1)]
-    probs.append(1.0 - cdf_vals[-1])
+    probs = -np.diff(dist.sf(np.array(boundaries)), append=0.0)
     return DrPolicy(gamma_star=gs, boundaries=boundaries,
-                    region_probs=tuple(probs), residual=residual,
-                    iterations=iters)
+                    region_probs=tuple(float(p) for p in probs),
+                    residual=residual, iterations=iters)

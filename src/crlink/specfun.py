@@ -100,20 +100,36 @@ def _upper_gamma_cf(a: float, x: float, acc: Accuracy) -> float:
     )
 
 
+def _check_gamma_args(name: str, a: float, x: float) -> None:
+    if a <= 0.0:
+        raise ValueError(f"{name} requires a > 0, got a={a}")
+    if x < 0.0:
+        raise ValueError(f"{name} requires x >= 0, got x={x}")
+
+
 def reg_lower_gamma(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     """Regularized lower incomplete gamma P(a,x) = γ(a,x)/Γ(a), in [0,1].
 
     Series for x < a+1, continued fraction otherwise.
     """
-    if a <= 0.0:
-        raise ValueError(f"reg_lower_gamma requires a > 0, got a={a}")
-    if x < 0.0:
-        raise ValueError(f"reg_lower_gamma requires x >= 0, got x={x}")
+    _check_gamma_args("reg_lower_gamma", a, x)
     if x == 0.0:
         return 0.0
     if x < a + 1.0:
         return _lower_gamma_series(a, x, acc)
     return 1.0 - _upper_gamma_cf(a, x, acc)
+
+
+def reg_upper_gamma(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+    """Regularized upper incomplete gamma Q(a,x) = 1 − P(a,x), in [0,1].
+
+    The continued fraction for x ≥ a+1 keeps full relative precision deep
+    in the tail, where 1 − P(a,x) would cancel.
+    """
+    _check_gamma_args("reg_upper_gamma", a, x)
+    if x < a + 1.0:
+        return 1.0 - _lower_gamma_series(a, x, acc)
+    return _upper_gamma_cf(a, x, acc)
 
 
 def exp_integral_e1(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:

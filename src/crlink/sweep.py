@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -55,9 +56,23 @@ class SweepConfig:
             raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
         if self.mode == "osa" and self.axis == "q_av_db":
             raise ValueError("the interference axis applies to sharing mode only")
+        for key, vals in (("axis_range", self.axis_range), ("m", self.m_values),
+                          ("p_av_db", (self.p_av_db,)),
+                          ("q_av_db", (self.q_av_db,)),
+                          ("ber_target", (self.ber_target,))):
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"{key} must be finite, got {vals}")
         start, stop, step = self.axis_range
         if step <= 0 or stop < start:
             raise ValueError(f"bad axis_range {self.axis_range}")
+        counts = tuple(self.num_users) + (
+            self.axis_range if self.axis == "num_users" else ())
+        if not all(float(n).is_integer() for n in counts):
+            raise ValueError(f"user counts must be whole numbers, got "
+                             f"num_users={self.num_users}, "
+                             f"axis_range={self.axis_range}")
+        object.__setattr__(self, "num_users",
+                           tuple(int(n) for n in self.num_users))
         if not self.num_users or any(n < 1 for n in self.num_users):
             raise ValueError(f"num_users must be positive, got {self.num_users}")
         if not self.m_values or any(m < 0.5 for m in self.m_values):
@@ -238,7 +253,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
     if "m" in kwargs:
         kwargs["m_values"] = tuple(float(v) for v in _as_list(kwargs.pop("m")))
     if "num_users" in kwargs:
-        kwargs["num_users"] = tuple(int(v) for v in _as_list(kwargs["num_users"]))
+        kwargs["num_users"] = tuple(_as_list(kwargs["num_users"]))
     if "axis_range" in kwargs:
         rng = list(kwargs["axis_range"])
         if len(rng) == 2:

@@ -26,6 +26,13 @@ def test_spec_validation():
         FadingSpec(FadingFamily.RAYLEIGH, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("mean_snr,m", [(math.nan, 1.0), (math.inf, 1.0),
+                                         (1.0, math.nan), (1.0, math.inf)])
+def test_spec_rejects_non_finite(mean_snr, m):
+    with pytest.raises(ValueError, match="finite"):
+        FadingSpec(FadingFamily.NAKAGAMI, mean_snr, m)
+
+
 def test_pdf_direct_rayleigh_origin():
     assert pdf_direct(rayleigh(1.0), 0.0) == 1.0
     assert abs(pdf_direct(rayleigh(2.0), 0.0) - 0.5) < 1e-15

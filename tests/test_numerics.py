@@ -68,7 +68,7 @@ def test_empty_interval():
 
 
 def test_solve_decreasing_reciprocal():
-    x, residual, iters = solve_decreasing(lambda t: 1.0 / t, 3.0)
+    x, residual, iters = solve_decreasing(lambda t: (1.0 / t, -1.0 / t ** 2), 3.0)
     assert abs(x - 1.0 / 3.0) < 1e-10
     assert abs(residual) <= 1e-10
     assert iters > 0
@@ -77,10 +77,10 @@ def test_solve_decreasing_reciprocal():
 def test_solve_decreasing_expands_bracket():
     # roots far outside the initial bracket on both sides; the contract is
     # on the residual, so translate it through g' for the position check
-    x, res, _ = solve_decreasing(lambda t: 1.0 / t, 2e4)
+    x, res, _ = solve_decreasing(lambda t: (1.0 / t, -1.0 / t ** 2), 2e4)
     assert abs(res) <= 1e-10
     assert abs(x - 5e-5) < 1e-12
-    x, res, _ = solve_decreasing(lambda t: 1.0 / t, 2e-4)
+    x, res, _ = solve_decreasing(lambda t: (1.0 / t, -1.0 / t ** 2), 2e-4)
     assert abs(res) <= 1e-10
     assert abs(x - 5e3) < 1e-10 * 5e3 ** 2
 
@@ -88,4 +88,4 @@ def test_solve_decreasing_expands_bracket():
 def test_solve_decreasing_no_solution():
     # bounded above by 1, can never reach 2
     with pytest.raises(NoSolutionError):
-        solve_decreasing(lambda t: math.exp(-t), 2.0)
+        solve_decreasing(lambda t: (math.exp(-t), -math.exp(-t)), 2.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 from scipy import special as sp
+from scipy.optimize import brentq
 
 from crlink.fading import LinkKind, SnrDistribution, nakagami, rayleigh
 from crlink.mud import MudDistribution
@@ -208,7 +209,7 @@ def test_dr_spent_monotone_in_gamma_star():
     cset = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
     dist = _direct(mean=10.0)
     grid = np.geomspace(0.05, 20.0, 12)
-    spent = [_dr_spent(dist, g, cset.sizes, cset.k) for g in grid]
+    spent = [_dr_spent(dist, g, cset.sizes, cset.k)[0] for g in grid]
     assert all(b < a for a, b in zip(spent, spent[1:]))
 
 
@@ -220,3 +221,61 @@ def test_dr_policy_ratio_link():
     assert abs(pol.residual) <= 1e-8
     outage = float(dist.cdf(pol.boundaries[0]))
     assert abs(sum(pol.region_probs) + outage - 1.0) <= 1e-9
+
+
+def _scipy_survival_solve(scale, L, m, budget, k):
+    """Cutoffs from scipy alone: betainc survival, quad, brentq.
+
+    Ratio link, S(x) = 1 − (1 − Q(x))^L; water-filling power
+    (1/k)∫_{g/k}^∞ S/x² dx and discrete-rate power in survival form.
+    """
+    def surv(x):
+        q = sp.betainc(m, m, scale / (scale + x))
+        return -math.expm1(L * math.log1p(-q)) if q < 1.0 else 1.0
+
+    def tail_int(t):
+        # [t, c] directly, then x = c/u on (0, 1]
+        c = max(2.0 * t, 8.0 * scale)
+        opts = dict(epsabs=0.0, epsrel=1e-12, limit=400)
+        head = sp_integrate.quad(lambda x: surv(x) / x ** 2, t, c, **opts)[0]
+        tail = sp_integrate.quad(lambda u: surv(c / u), 0.0, 1.0, **opts)[0]
+        return head + tail / c
+
+    def root(spent):
+        lo, hi = 1.0, 10.0
+        while spent(lo) < budget:
+            lo /= 4.0
+        while spent(hi) > budget:
+            hi *= 4.0
+        return brentq(lambda g: spent(g) - budget, lo, hi,
+                      xtol=1e-300, rtol=1e-15)
+
+    sizes = (4, 8, 16, 64)
+
+    def dr_spent(gs):
+        s = [surv(mj * gs) for mj in sizes] + [0.0]
+        probs = [s[j] - s[j + 1] for j in range(len(sizes))]
+        b1 = sizes[0] * gs
+        direct = math.fsum((mj - 1.0) / gs * p for mj, p in zip(sizes, probs))
+        return direct - (s[0] / b1 - tail_int(b1)) / k
+
+    return (root(tail_int),
+            root(lambda g: tail_int(g / k) / k),
+            root(dr_spent))
+
+
+def test_small_budget_solves_to_budget_relative_residual():
+    # Q/P = 1e-3 at a 20 dB ratio-link scale: the residual is held to
+    # 1e-10 of the budget, and all three roots match a scipy-only solve
+    budget = 1e-3
+    dist = _ratio(scale=100.0, L=1, m=1.0)
+    c = ConstraintSpec(ConstraintMode.INTERFERENCE_POWER, budget)
+    cset = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
+    cut = solve_cutoff(dist, c)
+    cut_cr = solve_cutoff_cr(dist, c, cset.k)
+    pol = solve_dr_policy(dist, c, cset)
+    for sol in (cut, cut_cr, pol):
+        assert abs(sol.residual) <= 1e-10 * budget
+    ref = _scipy_survival_solve(100.0, 1, 1.0, budget, cset.k)
+    for got, want in zip((cut.gamma0, cut_cr.gamma0, pol.gamma_star), ref):
+        assert abs(got - want) <= 1e-9 * want

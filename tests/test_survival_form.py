@@ -1,0 +1,75 @@
+"""The survival-function form behind the solvers and rate metrics.
+
+Integration by parts moves every policy integral from the selection
+density f_max = L·f·F^(L−1) onto S = 1 − F^L. Each identity is checked
+against the density form built from `integrate` and `mud_pdf` alone, and
+each closed-form Newton derivative against a central difference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from crlink.fading import LinkKind, SnrDistribution, nakagami
+from crlink.metrics import _rate_integral
+from crlink.mud import MudDistribution, mud_pdf
+from crlink.numerics import integrate
+from crlink.power import ConstellationSet, _dr_spent, _waterfill_spent
+
+K = 0.6
+GAMMA0 = 0.7
+CSET = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
+CASES = [(link, m, L) for link in (LinkKind.DIRECT, LinkKind.RATIO)
+         for m in (0.5, 1.0, 1.5, 2.0) for L in (1, 5, 15)]
+
+
+def _dist(link, m, L):
+    return MudDistribution(SnrDistribution(nakagami(m, 1.0), link), L)
+
+
+def _density_form(dist, weight, t):
+    """∫_t^∞ weight(x)·f_max(x) dx: [t, c] directly, x = c/u beyond."""
+    c = max(2.0 * t, 8.0)
+    opts = dict(abs_tol=0.0, rel_tol=1e-13, initial_panels=8)
+    head, _ = integrate(lambda x: weight(x) * mud_pdf(dist, x), t, c, **opts)
+
+    def tail(u):
+        x = c / u
+        return weight(x) * mud_pdf(dist, x) * c / (u * u)
+
+    rest, _ = integrate(tail, 0.0, 1.0, **opts)
+    return head + rest
+
+
+@pytest.mark.parametrize("link,m,L", CASES)
+def test_survival_identities_match_density_form(link, m, L):
+    dist = _dist(link, m, L)
+    t = GAMMA0 / K
+    power = _density_form(dist, lambda x: 1.0 / GAMMA0 - 1.0 / (x * K), t)
+    assert abs(_waterfill_spent(dist, GAMMA0, K)[0] - power) <= 1e-10 * power
+    rate = _density_form(dist, lambda x: np.log2(x / t), t)
+    assert abs(_rate_integral(dist, GAMMA0, K)[0] - rate) <= 1e-10 * rate
+
+
+def _central(fn, x, h):
+    return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("link,m,L", CASES[::2])
+def test_newton_derivatives_match_central_differences(link, m, L):
+    dist = _dist(link, m, L)
+    for g in (0.3, 1.0, 4.0):
+        exact = _waterfill_spent(dist, g, K)[1]
+        approx = _central(lambda x: _waterfill_spent(dist, x, K)[0], g, 1e-4 * g)
+        assert exact < 0.0
+        assert abs(exact - approx) <= 1e-6 * abs(exact)
+    for gs in (0.05, 0.5, 3.0):
+        exact = _dr_spent(dist, gs, CSET.sizes, CSET.k)[1]
+        approx = _central(lambda x: _dr_spent(dist, x, CSET.sizes, CSET.k)[0],
+                          gs, 1e-4 * gs)
+        assert exact < 0.0
+        assert abs(exact - approx) <= 1e-6 * abs(exact)
+    # the water-filling derivative is −S(t)/γ₀², no quadrature involved
+    assert math.isclose(_waterfill_spent(dist, 2.0, K)[1],
+                        -float(dist.sf(2.0 / K)) / 4.0, rel_tol=1e-15)

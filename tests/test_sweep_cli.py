@@ -17,8 +17,9 @@ from crlink.metrics import (capacity, spectral_efficiency_cr,
 from crlink.mud import MudDistribution
 from crlink.power import (ConstellationSet, ConstraintMode, ConstraintSpec,
                           solve_cutoff, solve_cutoff_cr, solve_dr_policy)
-from crlink.sweep import (SweepConfig, SweepResult, db_to_linear, emit_csv,
-                          load_config, render_csv, run_sweep)
+from crlink.sweep import (SweepConfig, SweepResult, config_from_dict,
+                          db_to_linear, emit_csv, load_config, render_csv,
+                          run_sweep)
 
 
 def small_cfg(**kw):
@@ -203,3 +204,24 @@ def test_cli_selftest():
         rc = main(["selftest"])
     assert rc == 0
     assert "12/12 checks passed" in buf.getvalue()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("p_av_db", float("nan")),
+    ("q_av_db", float("inf")),
+    ("m", float("nan")),
+    ("ber_target", float("nan")),
+    ("axis_range", [0, float("inf"), 1]),
+    ("num_users", [2.7]),
+])
+def test_config_rejects_bad_values_at_load(key, value):
+    # caught when the config is read, with the key named, never per point
+    raw = {"mode": "ss", "axis": "p_av_db", "axis_range": [0, 4, 2],
+           "num_users": [1, 5], "m": 1.0, key: value}
+    with pytest.raises(ValueError, match=key):
+        config_from_dict(raw)
+
+
+def test_config_rejects_fractional_user_axis():
+    with pytest.raises(ValueError, match="whole numbers"):
+        small_cfg(axis="num_users", axis_range=(1.0, 5.0, 1.5))
