@@ -13,7 +13,7 @@ from .fading import (FadingFamily, FadingSpec, LinkKind, SnrDistribution,
                      cdf_ratio, nakagami, rayleigh)
 from .metrics import capacity, spectral_efficiency_cr, spectral_efficiency_dr
 from .mud import MudDistribution
-from .oracle import McConfig, mc_capacity, mc_power_check, mc_se_dr
+from .oracle import MIN_SAMPLES, McConfig, mc_point, mc_power_check
 from .power import (ConstellationSet, ConstraintMode, ConstraintSpec,
                     power_loss_factor, solve_cutoff, solve_cutoff_cr,
                     solve_dr_policy)
@@ -106,26 +106,32 @@ def cmd_validate(args) -> int:
         cut = solve_cutoff(dist, constraint)
         cut_cr = solve_cutoff_cr(dist, constraint, cset.k)
         pol = solve_dr_policy(dist, constraint, cset)
-        checks = [
-            ("capacity", capacity(dist, cut).value,
-             mc_capacity(dist, cut, cfg)),
-            ("se_cr", spectral_efficiency_cr(dist, cut_cr, cset.k).value,
-             mc_capacity(dist, cut_cr, cfg, k=cset.k)),
-            ("se_dr", spectral_efficiency_dr(dist, pol, cset).value,
-             mc_se_dr(dist, pol, cset, cfg)),
-            ("power", constraint.budget_ratio,
-             mc_power_check(dist, cut, cfg)),
-            ("power_dr", constraint.budget_ratio,
-             mc_power_check(dist, pol, cfg, cset=cset)),
-        ]
-        for name, analytic, est in checks:
-            sig = abs(est.value - analytic) / est.stderr if est.stderr else 0.0
+        analytic = {
+            "capacity": capacity(dist, cut).value,
+            "se_cr": spectral_efficiency_cr(dist, cut_cr, cset.k).value,
+            "se_dr": spectral_efficiency_dr(dist, pol, cset).value,
+            "power": constraint.budget_ratio,
+            "power_dr": constraint.budget_ratio,
+        }
+        est = mc_point(dist, cut, cut_cr, pol, cset, cfg)
+        for name, ref in analytic.items():
+            e = est[name]
+            gap = abs(e.value - ref)
+            # a zero stderr passes only on an exact match (McEstimate.within)
+            sig = gap / e.stderr if e.stderr else (0.0 if gap == 0.0 else math.inf)
             good = sig <= 3.0
             ok = ok and good
-            print(f"{label:<28}{name:<10}{analytic:>12.6f}{est.value:>12.6f}"
+            print(f"{label:<28}{name:<10}{ref:>12.6f}{e.value:>12.6f}"
                   f"{sig:>9.2f}" + ("" if good else "  FAIL"))
     print("validation " + ("passed" if ok else "FAILED"))
     return 0 if ok else 1
+
+
+def _samples(text: str) -> int:
+    n = int(text)
+    if n < MIN_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be >= 1e5, got {n}")
+    return n
 
 
 def _check(results, label, cond):
@@ -214,14 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--ber", type=float, default=1e-3)
     pp.add_argument("--sizes", default="0,4,8,16,64")
     pp.add_argument("--mc", action="store_true", help="add oracle columns")
-    pp.add_argument("--mc-samples", type=int, default=1_000_000)
+    pp.add_argument("--mc-samples", type=_samples, default=1_000_000,
+                    help="draws per oracle estimate (>= 1e5, default 1e6)")
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("-o", "--output", help="CSV path (default: stdout)")
     pp.set_defaults(func=cmd_point)
 
     vp = sub.add_parser("validate",
                         help="compare analytic metrics against the Monte Carlo oracle")
-    vp.add_argument("--samples", type=int, default=1_000_000)
+    vp.add_argument("--samples", type=_samples, default=1_000_000,
+                    help="draws per operating point, shared by its five "
+                         "estimates (>= 1e5, default 1e6)")
     vp.add_argument("--seed", type=int, default=7)
     vp.set_defaults(func=cmd_validate)
 

@@ -244,4 +244,6 @@ class SnrDistribution:
             if not np.any(bad):
                 break
             den[bad] = rng.gamma(m, 1.0, size=int(np.count_nonzero(bad)))
-        return self.spec.mean_snr * num / den
+        # (s·num)/den in place, the same operations in the same order
+        np.multiply(num, self.spec.mean_snr, out=num)
+        return np.divide(num, den, out=num)

@@ -63,9 +63,9 @@ def validate_against_oracle(dist: MudDistribution, policy, metric_kind: str,
                             cset: Optional[ConstellationSet] = None) -> float:
     """Relative gap |MC − analytic|/analytic between the Monte Carlo
     estimator and the analytic pipeline for one metric."""
-    from .oracle import McConfig, mc_capacity, mc_se_dr
+    from .oracle import MIN_SAMPLES, McConfig, mc_capacity, mc_se_dr
 
-    if samples < 10 ** 5:
+    if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= 1e5, got {samples}")
     cfg = McConfig(samples=samples, seed=seed)
     if metric_kind == "capacity":

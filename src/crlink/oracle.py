@@ -3,19 +3,26 @@
 Per draw: sample the best-of-L SNR, apply the solved policy, average. No
 quadrature or root finding is shared with the analytic side, so agreement
 is a genuine cross-check. Streams come from PCG64 seeded through
-SeedSequence; batch totals are combined with exact summation.
+SeedSequence; batch totals are combined with exact summation. One stream
+feeds every per-draw map of an operating point (mc_point), so the five
+estimates cost one set of draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .mud import MudDistribution
 from .power import ConstellationSet, CutoffSolution, DrPolicy
+
+
+# fewest draws per estimate accepted from a user: below this a 3-sigma band
+# is too loose to check anything
+MIN_SAMPLES = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -41,18 +48,7 @@ class McEstimate:
         return abs(self.value - reference) <= n_sigma * self.stderr
 
 
-def _accumulate(dist: MudDistribution, cfg: McConfig, per_draw) -> McEstimate:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    sums, sqsums = [], []
-    remaining = cfg.samples
-    while remaining > 0:
-        n = min(cfg.batch, remaining)
-        x = dist.sample(rng, n)
-        v = per_draw(x)
-        sums.append(float(np.sum(v)))
-        sqsums.append(float(np.sum(v * v)))
-        remaining -= n
-    n = cfg.samples
+def _estimate(sums, sqsums, n: int) -> McEstimate:
     mean = math.fsum(sums) / n
     if n > 1:
         var = max(0.0, (math.fsum(sqsums) - n * mean * mean) / (n - 1))
@@ -62,17 +58,26 @@ def _accumulate(dist: MudDistribution, cfg: McConfig, per_draw) -> McEstimate:
     return McEstimate(value=mean, stderr=stderr, samples=n)
 
 
-def mc_capacity(dist: MudDistribution, cut: CutoffSolution, cfg: McConfig,
-                k: float = 1.0) -> McEstimate:
-    """Mean of log₂(x·k/γ₀) over draws above the transmission threshold
-    γ₀/k; k=1 estimates capacity, k<1 the continuous-rate efficiency."""
-    g0 = cut.gamma0
-    thr = g0 / k
-
-    def per_draw(x):
-        return np.where(x > thr, np.log2(np.maximum(x, thr) * k / g0), 0.0)
-
-    return _accumulate(dist, cfg, per_draw)
+def _accumulate(dist: MudDistribution, cfg: McConfig, maps,
+                pol: Optional[DrPolicy] = None) -> List[McEstimate]:
+    """Draw cfg.samples best-of-L SNRs batch by batch and average every
+    per-draw map over the same draws. Each map takes (x, region), where
+    region is the discrete-rate region index of pol (computed once per
+    batch, None without pol)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    sums = [[] for _ in maps]
+    sqsums = [[] for _ in maps]
+    remaining = cfg.samples
+    while remaining > 0:
+        n = min(cfg.batch, remaining)
+        x = dist.sample(rng, n)
+        region = None if pol is None else _region_index(pol, x)
+        for per_draw, s, q in zip(maps, sums, sqsums):
+            v = per_draw(x, region)
+            s.append(float(np.sum(v)))
+            q.append(float(np.sum(v * v)))
+        remaining -= n
+    return [_estimate(s, q, cfg.samples) for s, q in zip(sums, sqsums)]
 
 
 def _region_index(pol: DrPolicy, x: np.ndarray) -> np.ndarray:
@@ -80,15 +85,52 @@ def _region_index(pol: DrPolicy, x: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.asarray(pol.boundaries), x, side="right")
 
 
+def _rate_map(cut: CutoffSolution, k: float):
+    """log₂(x·k/γ₀) above the transmission threshold γ₀/k, else 0."""
+    g0 = cut.gamma0
+    thr = g0 / k
+    return lambda x, _: np.where(x > thr, np.log2(np.maximum(x, thr) * k / g0),
+                                 0.0)
+
+
+def _bits_map(cset: ConstellationSet):
+    """log₂(M_j) in region j (0 in outage)."""
+    bits = np.array([0.0] + [math.log2(m) for m in cset.sizes[1:]])
+    return lambda x, region: bits[region]
+
+
+def _power_map(policy, k: float = 1.0,
+               cset: Optional[ConstellationSet] = None):
+    """Normalized transmit power of a solved policy: 1/γ₀ − 1/(x·k) above
+    the cutoff for a water-filling policy, (M_j − 1)/g* − 1/(x·K) in
+    region j for a discrete-rate one."""
+    if isinstance(policy, CutoffSolution):
+        g0 = policy.gamma0
+        thr = g0 / k
+        return lambda x, _: np.where(
+            x > thr, 1.0 / g0 - 1.0 / (np.maximum(x, thr) * k), 0.0)
+    if isinstance(policy, DrPolicy):
+        if cset is None:
+            raise ValueError("discrete-rate power check needs the constellation set")
+        kk = cset.k
+        coeff = np.array([0.0] + [(m - 1.0) / policy.gamma_star
+                                  for m in cset.sizes[1:]])
+        return lambda x, region: np.where(
+            region > 0, coeff[region] - 1.0 / (x * kk), 0.0)
+    raise TypeError(f"unsupported policy type {type(policy).__name__}")
+
+
+def mc_capacity(dist: MudDistribution, cut: CutoffSolution, cfg: McConfig,
+                k: float = 1.0) -> McEstimate:
+    """Mean of log₂(x·k/γ₀) over draws above the transmission threshold
+    γ₀/k; k=1 estimates capacity, k<1 the continuous-rate efficiency."""
+    return _accumulate(dist, cfg, [_rate_map(cut, k)])[0]
+
+
 def mc_se_dr(dist: MudDistribution, pol: DrPolicy, cset: ConstellationSet,
              cfg: McConfig) -> McEstimate:
     """Mean of log₂(M_j) with j the region of each draw."""
-    bits = np.array([0.0] + [math.log2(m) for m in cset.sizes[1:]])
-
-    def per_draw(x):
-        return bits[_region_index(pol, x)]
-
-    return _accumulate(dist, cfg, per_draw)
+    return _accumulate(dist, cfg, [_bits_map(cset)], pol)[0]
 
 
 def mc_power_check(dist: MudDistribution, policy, cfg: McConfig,
@@ -97,26 +139,22 @@ def mc_power_check(dist: MudDistribution, policy, cfg: McConfig,
     """Average per-draw normalized power of a solved policy; must land on
     the budget ratio. Pass k for the continuous-rate cutoff, cset for a
     discrete-rate policy."""
-    if isinstance(policy, CutoffSolution):
-        g0 = policy.gamma0
-        thr = g0 / k
+    per_draw = _power_map(policy, k, cset)
+    pol = policy if isinstance(policy, DrPolicy) else None
+    return _accumulate(dist, cfg, [per_draw], pol)[0]
 
-        def per_draw(x):
-            return np.where(x > thr, 1.0 / g0 - 1.0 / (np.maximum(x, thr) * k), 0.0)
 
-        return _accumulate(dist, cfg, per_draw)
-
-    if isinstance(policy, DrPolicy):
-        if cset is None:
-            raise ValueError("discrete-rate power check needs the constellation set")
-        kk = cset.k
-        coeff = np.array([0.0] + [(m - 1.0) / policy.gamma_star
-                                  for m in cset.sizes[1:]])
-
-        def per_draw(x):
-            idx = _region_index(policy, x)
-            return np.where(idx > 0, coeff[idx] - 1.0 / (x * kk), 0.0)
-
-        return _accumulate(dist, cfg, per_draw)
-
-    raise TypeError(f"unsupported policy type {type(policy).__name__}")
+def mc_point(dist: MudDistribution, cut: CutoffSolution,
+             cut_cr: CutoffSolution, pol: DrPolicy, cset: ConstellationSet,
+             cfg: McConfig) -> Dict[str, McEstimate]:
+    """Capacity, continuous- and discrete-rate efficiency, and the power
+    of the capacity and discrete-rate policies, all from one stream of
+    draws. Each equals the matching single-estimate call bit for bit."""
+    maps = {
+        "capacity": _rate_map(cut, 1.0),
+        "se_cr": _rate_map(cut_cr, cset.k),
+        "se_dr": _bits_map(cset),
+        "power": _power_map(cut),
+        "power_dr": _power_map(pol, cset=cset),
+    }
+    return dict(zip(maps, _accumulate(dist, cfg, list(maps.values()), pol)))

@@ -19,9 +19,9 @@ import numpy as np
 import yaml
 
 from .fading import FadingFamily, FadingSpec, LinkKind, SnrDistribution
-from .metrics import (capacity, spectral_efficiency_cr, spectral_efficiency_dr,
-                      validate_against_oracle)
+from .metrics import capacity, spectral_efficiency_cr, spectral_efficiency_dr
 from .mud import MudDistribution
+from .oracle import MIN_SAMPLES, McConfig, mc_point
 from .power import (ConstellationSet, ConstraintMode, ConstraintSpec,
                     solve_cutoff, solve_cutoff_cr, solve_dr_policy)
 
@@ -78,7 +78,7 @@ class SweepConfig:
         if not self.m_values or any(m < 0.5 for m in self.m_values):
             raise ValueError(f"shape factors must be >= 0.5, got {self.m_values}")
         ConstellationSet(self.constellations, self.ber_target)  # validates both
-        if self.mc_samples < 10 ** 5:
+        if self.mc_samples < MIN_SAMPLES:
             raise ValueError(f"mc_samples must be >= 1e5, got {self.mc_samples}")
 
     def axis_values(self) -> List[float]:
@@ -156,16 +156,18 @@ def evaluate_point(cfg: SweepConfig, axis_value: float, ns: int, m: float,
         row.gamma_star_dr = pol.gamma_star
 
         if cfg.mc_validate:
-            row.mc_cap_rel = validate_against_oracle(
-                dist, cut, "capacity", cfg.mc_samples, seed=mc_seed)
-            row.mc_cr_rel = validate_against_oracle(
-                dist, cut_cr, "se_cr", cfg.mc_samples, seed=mc_seed,
-                k=cset.k)
-            row.mc_dr_rel = validate_against_oracle(
-                dist, pol, "se_dr", cfg.mc_samples, seed=mc_seed, cset=cset)
+            est = mc_point(dist, cut, cut_cr, pol, cset,
+                           McConfig(samples=cfg.mc_samples, seed=mc_seed))
+            row.mc_cap_rel = _rel_gap(est["capacity"].value, row.capacity)
+            row.mc_cr_rel = _rel_gap(est["se_cr"].value, row.se_cr)
+            row.mc_dr_rel = _rel_gap(est["se_dr"].value, row.se_dr)
     except Exception as exc:                 # record, keep sweeping
         row.error = f"{type(exc).__name__}: {exc}"
     return row
+
+
+def _rel_gap(value: float, analytic: float) -> float:
+    return abs(value - analytic) / max(analytic, 1e-300)
 
 
 def _eval_args(args) -> SweepRow:

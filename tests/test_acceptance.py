@@ -21,7 +21,7 @@ from crlink.metrics import (capacity, spectral_efficiency_cr,
                             spectral_efficiency_dr)
 from crlink.mud import MudDistribution, mud_pdf
 from crlink.numerics import integrate, integrate_to_inf
-from crlink.oracle import McConfig, mc_capacity, mc_power_check, mc_se_dr
+from crlink.oracle import McConfig, mc_point
 from crlink.power import (ConstellationSet, ConstraintMode, ConstraintSpec,
                           power_loss_factor, solve_cutoff, solve_cutoff_cr,
                           solve_dr_policy)
@@ -186,18 +186,14 @@ def test_c7_oracle_agreement():
         cut_cr = solve_cutoff_cr(dist, constraint, CSET.k)
         pol = solve_dr_policy(dist, constraint, CSET)
 
-        est = mc_capacity(dist, cut, cfg)
-        assert est.within(capacity(dist, cut).value), (mode, m, ns, "capacity")
-        est = mc_capacity(dist, cut_cr, cfg, k=CSET.k)
-        assert est.within(
+        est = mc_point(dist, cut, cut_cr, pol, CSET, cfg)
+        assert est["capacity"].within(capacity(dist, cut).value), (mode, m, ns, "capacity")
+        assert est["se_cr"].within(
             spectral_efficiency_cr(dist, cut_cr, CSET.k).value), (mode, m, ns, "se_cr")
-        est = mc_se_dr(dist, pol, CSET, cfg)
-        assert est.within(
+        assert est["se_dr"].within(
             spectral_efficiency_dr(dist, pol, CSET).value), (mode, m, ns, "se_dr")
-        est = mc_power_check(dist, cut, cfg)
-        assert est.within(constraint.budget_ratio), (mode, m, ns, "power")
-        est = mc_power_check(dist, pol, cfg, cset=CSET)
-        assert est.within(constraint.budget_ratio), (mode, m, ns, "power_dr")
+        assert est["power"].within(constraint.budget_ratio), (mode, m, ns, "power")
+        assert est["power_dr"].within(constraint.budget_ratio), (mode, m, ns, "power_dr")
     print(f"criterion 7 PASS: Monte Carlo ({samples} samples) matches capacity, "
           f"Se_CR, Se_DR and the power budget within 3 sigma at "
           f"{len(ORACLE_POINTS)} representative points")

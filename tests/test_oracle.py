@@ -8,7 +8,8 @@ import pytest
 from crlink.fading import LinkKind, SnrDistribution, nakagami
 from crlink.metrics import capacity, spectral_efficiency_dr
 from crlink.mud import MudDistribution
-from crlink.oracle import McConfig, mc_capacity, mc_power_check, mc_se_dr
+from crlink.oracle import (McConfig, mc_capacity, mc_point, mc_power_check,
+                           mc_se_dr)
 from crlink.power import (ConstellationSet, ConstraintMode, ConstraintSpec,
                           CutoffSolution, DrPolicy, power_loss_factor,
                           solve_cutoff, solve_cutoff_cr, solve_dr_policy)
@@ -136,3 +137,30 @@ def test_batch_size_changes_grouping_only():
     a = mc_capacity(dist, cut, McConfig(samples=3 * 10 ** 5, seed=5, batch=10 ** 5))
     b = mc_capacity(dist, cut, McConfig(samples=3 * 10 ** 5, seed=5, batch=7919))
     assert abs(a.value - b.value) < 6.0 * a.stderr
+
+
+@pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
+@pytest.mark.parametrize("L", [1, 5])
+def test_mc_point_equals_single_estimates(link, L):
+    # one shared stream gives each estimate bit for bit, including a batch
+    # that does not divide the sample count
+    dist = MudDistribution(SnrDistribution(nakagami(2.0, 10.0), link), L)
+    constraint = TX if link is LinkKind.DIRECT else ConstraintSpec(
+        ConstraintMode.INTERFERENCE_POWER, 0.1)
+    cut = solve_cutoff(dist, constraint)
+    cut_cr = solve_cutoff_cr(dist, constraint, CSET.k)
+    pol = solve_dr_policy(dist, constraint, CSET)
+    cfg = McConfig(samples=3 * 10 ** 5, seed=31, batch=7919)
+    est = mc_point(dist, cut, cut_cr, pol, CSET, cfg)
+    single = {
+        "capacity": mc_capacity(dist, cut, cfg),
+        "se_cr": mc_capacity(dist, cut_cr, cfg, k=CSET.k),
+        "se_dr": mc_se_dr(dist, pol, CSET, cfg),
+        "power": mc_power_check(dist, cut, cfg),
+        "power_dr": mc_power_check(dist, pol, cfg, cset=CSET),
+    }
+    assert list(est) == list(single)
+    for name, want in single.items():
+        got = est[name]
+        assert got.value == want.value and got.stderr == want.stderr, name
+        assert got.samples == want.samples == cfg.samples

@@ -18,8 +18,8 @@ from crlink.mud import MudDistribution
 from crlink.power import (ConstellationSet, ConstraintMode, ConstraintSpec,
                           solve_cutoff, solve_cutoff_cr, solve_dr_policy)
 from crlink.sweep import (SweepConfig, SweepResult, config_from_dict,
-                          db_to_linear, emit_csv, load_config, render_csv,
-                          run_sweep)
+                          db_to_linear, emit_csv, evaluate_point, load_config,
+                          render_csv, run_sweep)
 
 
 def small_cfg(**kw):
@@ -225,3 +225,64 @@ def test_config_rejects_bad_values_at_load(key, value):
 def test_config_rejects_fractional_user_axis():
     with pytest.raises(ValueError, match="whole numbers"):
         small_cfg(axis="num_users", axis_range=(1.0, 5.0, 1.5))
+
+
+def test_cli_validate_rejects_too_few_samples(capsys):
+    # one draw used to print sigma 0.00 everywhere and pass: its stderr is inf
+    for n in ("1", "99999"):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--samples", n])
+        assert exc.value.code == 2
+        assert "--samples: must be >= 1e5" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["point", "--mode", "osa", "--mc", "--mc-samples", "10"])
+
+
+def test_cli_validate_zero_stderr_passes_only_exact_match(monkeypatch):
+    # a zero stderr used to read as sigma 0 and pass whatever the gap
+    import crlink.cli as cli
+    from crlink.oracle import McEstimate
+
+    def constant(dist, cut, cut_cr, pol, cset, cfg):
+        names = ("capacity", "se_cr", "se_dr", "power", "power_dr")
+        return dict.fromkeys(names, McEstimate(0.1, 0.0, cfg.samples))
+    monkeypatch.setattr(cli, "mc_point", constant)
+    with redirect_stdout(io.StringIO()) as out:
+        rc = main(["validate", "--samples", "100000"])
+    assert rc == 1
+    lines = out.getvalue().splitlines()
+    fails = [ln for ln in lines if ln.endswith("FAIL")]
+    assert all(ln.split()[-2] == "inf" for ln in fails)
+    # 0.1 is exactly the power budget at the two ss points with q=0
+    exact = [ln for ln in lines[2:-1] if not ln.endswith("FAIL")]
+    assert len(exact) == 4 and len(fails) == 26
+    assert all(ln.split()[-3:] == ["0.100000", "0.100000", "0.00"] for ln in exact)
+
+
+def _count_draws(monkeypatch):
+    import crlink.mud as mud
+    draws = []
+    real = mud.mud_sample
+
+    def counted(d, rng, n):
+        draws.append(n)
+        return real(d, rng, n)
+    monkeypatch.setattr(mud, "mud_sample", counted)
+    return draws
+
+
+def test_one_oracle_stream_per_point(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    with redirect_stdout(io.StringIO()) as out:
+        rc = main(["validate", "--samples", "100000", "--seed", "3"])
+    assert rc == 0
+    points = sum(" capacity " in line for line in out.getvalue().splitlines())
+    assert points == 6
+    assert sum(draws) == points * 10 ** 5
+
+    draws.clear()
+    cfg = SweepConfig(mode="osa", axis="p_av_db", axis_range=(10.0, 10.0, 1.0),
+                      num_users=(3,), mc_validate=True, mc_samples=2 * 10 ** 5)
+    row = evaluate_point(cfg, 10.0, 3, 1.0, mc_seed=5)
+    assert not row.error and row.mc_dr_rel is not None
+    assert sum(draws) == cfg.mc_samples
