@@ -4,31 +4,29 @@ cognitive-radio links over Rayleigh and Nakagami-m fading."""
 __version__ = "0.1.0"
 
 from .exceptions import ConvergenceError, NoSolutionError
-from .fading import (FadingFamily, FadingSpec, LinkKind, SnrDistribution,
-                     nakagami, rayleigh)
+from .fading import (FadingSpec, LinkKind, SnrDistribution, nakagami,
+                     rayleigh)
 from .metrics import (MetricResult, capacity, spectral_efficiency_cr,
-                      spectral_efficiency_dr, validate_against_oracle)
+                      spectral_efficiency_dr)
 from .mud import MudDistribution, mud_cdf, mud_pdf, mud_sample
 from .oracle import (McConfig, McEstimate, mc_capacity, mc_power_check,
                      mc_se_dr)
-from .power import (ConstellationSet, ConstraintMode, ConstraintSpec,
-                    CutoffSolution, DrPolicy, power_loss_factor, solve_cutoff,
-                    solve_cutoff_cr, solve_dr_policy)
-from .specfun import (Accuracy, exp_integral_e1, hyp2f1, ln_beta, log_gamma,
-                      reg_lower_gamma)
+from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
+                    power_loss_factor, solve_cutoff, solve_cutoff_cr,
+                    solve_dr_policy)
+from .specfun import exp_integral_e1, ln_beta, reg_lower_gamma
 from .sweep import (SweepConfig, SweepResult, SweepRow, db_to_linear,
                     emit_csv, evaluate_point, load_config, run_sweep)
 
 __all__ = [
-    "Accuracy", "ConstellationSet", "ConstraintMode", "ConstraintSpec",
-    "ConvergenceError", "CutoffSolution", "DrPolicy", "FadingFamily",
-    "FadingSpec", "LinkKind", "McConfig", "McEstimate", "MetricResult",
-    "MudDistribution", "NoSolutionError", "SnrDistribution", "SweepConfig",
-    "SweepResult", "SweepRow", "capacity", "db_to_linear", "emit_csv",
-    "evaluate_point", "exp_integral_e1", "hyp2f1", "ln_beta", "load_config",
-    "log_gamma", "mc_capacity", "mc_power_check", "mc_se_dr", "mud_cdf",
-    "mud_pdf", "mud_sample", "nakagami", "power_loss_factor", "rayleigh",
-    "reg_lower_gamma", "run_sweep", "solve_cutoff", "solve_cutoff_cr",
-    "solve_dr_policy", "spectral_efficiency_cr", "spectral_efficiency_dr",
-    "validate_against_oracle",
+    "ConstellationSet", "ConstraintSpec", "ConvergenceError",
+    "CutoffSolution", "DrPolicy", "FadingSpec", "LinkKind", "McConfig",
+    "McEstimate", "MetricResult", "MudDistribution", "NoSolutionError",
+    "SnrDistribution", "SweepConfig", "SweepResult", "SweepRow", "capacity",
+    "db_to_linear", "emit_csv", "evaluate_point", "exp_integral_e1",
+    "ln_beta", "load_config", "mc_capacity", "mc_power_check", "mc_se_dr",
+    "mud_cdf", "mud_pdf", "mud_sample", "nakagami", "power_loss_factor",
+    "rayleigh", "reg_lower_gamma", "run_sweep", "solve_cutoff",
+    "solve_cutoff_cr", "solve_dr_policy", "spectral_efficiency_cr",
+    "spectral_efficiency_dr",
 ]

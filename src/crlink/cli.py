@@ -9,17 +9,14 @@ import sys
 import yaml
 
 from . import __version__
-from .fading import (FadingFamily, FadingSpec, LinkKind, SnrDistribution,
-                     cdf_ratio, nakagami, rayleigh)
-from .metrics import capacity, spectral_efficiency_cr, spectral_efficiency_dr
-from .mud import MudDistribution
+from .fading import cdf_ratio, nakagami
+from .metrics import capacity, spectral_efficiency_cr
 from .oracle import MIN_SAMPLES, McConfig, mc_point, mc_power_check
-from .power import (ConstellationSet, ConstraintMode, ConstraintSpec,
-                    power_loss_factor, solve_cutoff, solve_cutoff_cr,
-                    solve_dr_policy)
+from .power import (ConstellationSet, power_loss_factor, solve_cutoff,
+                    solve_cutoff_cr)
 from .specfun import exp_integral_e1
-from .sweep import (SweepConfig, db_to_linear, emit_csv, load_config,
-                    render_csv, run_sweep)
+from .sweep import (SweepConfig, build_point, emit_csv, load_config,
+                    render_csv, run_sweep, solve_point)
 
 
 def _parse_set(values):
@@ -53,8 +50,7 @@ def cmd_point(args) -> int:
         mode=args.mode, axis=axis, axis_range=(anchor, anchor, 1.0),
         num_users=(args.ns,), m_values=(args.m,),
         p_av_db=args.p_av_db, q_av_db=args.q_av_db,
-        ber_target=args.ber,
-        constellations=tuple(int(s) for s in args.sizes.split(",")),
+        ber_target=args.ber, constellations=args.sizes,
         mc_validate=args.mc, mc_samples=args.mc_samples, seed=args.seed,
         output=args.output or "-")
     res = run_sweep(cfg)
@@ -79,20 +75,13 @@ _VALIDATE_POINTS = (
 )
 
 
-def _build_point(mode, m, ns, p_db, q_db):
-    spec = FadingSpec(FadingFamily.NAKAGAMI, db_to_linear(p_db), m)
-    if mode == "osa":
-        link = LinkKind.DIRECT
-        constraint = ConstraintSpec(ConstraintMode.TRANSMIT_POWER, 1.0)
-    else:
-        link = LinkKind.RATIO
-        constraint = ConstraintSpec(ConstraintMode.INTERFERENCE_POWER,
-                                    db_to_linear(q_db) / db_to_linear(p_db))
-    return MudDistribution(SnrDistribution(spec, link), ns), constraint
+# perfbench/freeze.py builds the validation points through this name
+_build_point = build_point
+
+_CSET = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
 
 
 def cmd_validate(args) -> int:
-    cset = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
     cfg = McConfig(samples=args.samples, seed=args.seed)
     print(f"oracle validation: {args.samples} samples per estimate, "
           f"seed {args.seed}, 3-sigma bands")
@@ -100,20 +89,14 @@ def cmd_validate(args) -> int:
     print(header)
     ok = True
     for mode, m, ns, p_db, q_db in _VALIDATE_POINTS:
-        dist, constraint = _build_point(mode, m, ns, p_db, q_db)
+        dist, constraint = build_point(mode, m, ns, p_db, q_db)
         label = f"{mode} m={m:g} ns={ns} p={p_db:g}" + (
             f" q={q_db:g}" if q_db is not None else "")
-        cut = solve_cutoff(dist, constraint)
-        cut_cr = solve_cutoff_cr(dist, constraint, cset.k)
-        pol = solve_dr_policy(dist, constraint, cset)
-        analytic = {
-            "capacity": capacity(dist, cut).value,
-            "se_cr": spectral_efficiency_cr(dist, cut_cr, cset.k).value,
-            "se_dr": spectral_efficiency_dr(dist, pol, cset).value,
-            "power": constraint.budget_ratio,
-            "power_dr": constraint.budget_ratio,
-        }
-        est = mc_point(dist, cut, cut_cr, pol, cset, cfg)
+        sol = solve_point(dist, constraint, _CSET)
+        budget = constraint.budget_ratio
+        analytic = {"capacity": sol.capacity, "se_cr": sol.se_cr,
+                    "se_dr": sol.se_dr, "power": budget, "power_dr": budget}
+        est = mc_point(dist, sol.cut, sol.cut_cr, sol.pol, _CSET, cfg)
         for name, ref in analytic.items():
             e = est[name]
             gap = abs(e.value - ref)
@@ -134,6 +117,13 @@ def _samples(text: str) -> int:
     return n
 
 
+def _sizes(text: str) -> tuple:
+    sizes = [float(s) for s in text.split(",")]
+    if not all(s.is_integer() for s in sizes):
+        raise argparse.ArgumentTypeError(f"must be whole numbers, got {text}")
+    return tuple(int(s) for s in sizes)
+
+
 def _check(results, label, cond):
     results.append((label, bool(cond)))
     print(("ok    " if cond else "FAIL  ") + label)
@@ -145,9 +135,8 @@ def cmd_selftest(args) -> int:
     _check(results, "power-loss factor matches closed form",
            abs(k - 1.5 / math.log(200.0)) < 1e-12)
 
-    dist = MudDistribution(
-        SnrDistribution(rayleigh(1.0), LinkKind.DIRECT), 1)
-    c1 = ConstraintSpec(ConstraintMode.TRANSMIT_POWER, 1.0)
+    # Rayleigh fading, unit mean SNR, a single user and a unit budget
+    dist, c1 = build_point("osa", 1.0, 1, 0.0, None)
     cut = solve_cutoff(dist, c1)
     _check(results, "unit-budget cutoff in [0.39, 0.40]",
            0.39 <= cut.gamma0 <= 0.40)
@@ -161,27 +150,22 @@ def cmd_selftest(args) -> int:
            cut_cr1.gamma0 == cut.gamma0
            and spectral_efficiency_cr(dist, cut_cr1, 1.0).value == cap.value)
 
-    naka = MudDistribution(
-        SnrDistribution(nakagami(1.0, 1.0), LinkKind.DIRECT), 1)
-    cut_n = solve_cutoff(naka, c1)
+    # the Rayleigh constraint in closed form: e^{−γ₀}/γ₀ − E1(γ₀) = 1
+    g0 = cut.gamma0
     _check(results, "shape factor 1 reproduces Rayleigh cutoff",
-           abs(cut_n.gamma0 - cut.gamma0) < 1e-9)
+           abs(math.exp(-g0) / g0 - exp_integral_e1(g0) - 1.0) < 1e-9)
 
     for m in (0.5, 2.0):
         _check(results, f"gain-ratio CDF symmetry at unit point (m={m:g})",
                abs(cdf_ratio(nakagami(m, 1.0), 1.0) - 0.5) < 1e-9)
 
-    cset = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
     for mode, m, ns, p_db, q_db in (("osa", 1.0, 5, 10.0, None),
                                     ("ss", 2.0, 5, 10.0, 0.0)):
-        d, constraint = _build_point(mode, m, ns, p_db, q_db)
-        cc = capacity(d, solve_cutoff(d, constraint)).value
-        scr = spectral_efficiency_cr(
-            d, solve_cutoff_cr(d, constraint, cset.k), cset.k).value
-        pol = solve_dr_policy(d, constraint, cset)
-        sdr = spectral_efficiency_dr(d, pol, cset).value
+        d, constraint = build_point(mode, m, ns, p_db, q_db)
+        sol = solve_point(d, constraint, _CSET)
         _check(results, f"metric ordering at {mode} m={m:g} ns={ns}",
-               cc >= scr >= sdr >= 0.0)
+               sol.capacity >= sol.se_cr >= sol.se_dr >= 0.0)
+        pol = sol.pol
         _check(results, f"region probabilities sum to one at {mode} m={m:g}",
                abs(sum(pol.region_probs) + float(d.cdf(pol.boundaries[0])) - 1.0) < 1e-9)
 
@@ -218,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--p-av-db", type=float, default=0.0)
     pp.add_argument("--q-av-db", type=float, default=0.0)
     pp.add_argument("--ber", type=float, default=1e-3)
-    pp.add_argument("--sizes", default="0,4,8,16,64")
+    pp.add_argument("--sizes", type=_sizes, default="0,4,8,16,64",
+                    help="constellation sizes, leading 0 for outage")
     pp.add_argument("--mc", action="store_true", help="add oracle columns")
     pp.add_argument("--mc-samples", type=_samples, default=1_000_000,
                     help="draws per oracle estimate (>= 1e5, default 1e6)")

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (Accuracy, DEFAULT_ACCURACY, _hyp2f1_series, ln_beta,
-                      reg_lower_gamma, reg_upper_gamma)
-
-
-class FadingFamily(enum.Enum):
-    RAYLEIGH = "rayleigh"
-    NAKAGAMI = "nakagami"
+from .specfun import _hyp2f1_series, ln_beta, reg_lower_gamma, reg_upper_gamma
 
 
 class LinkKind(enum.Enum):
@@ -39,14 +33,13 @@ class LinkKind(enum.Enum):
 
 @dataclass(frozen=True)
 class FadingSpec:
-    """Fading family, Nakagami shape factor m, and linear-scale mean SNR.
+    """Linear-scale mean SNR and Nakagami shape factor m (m = 1 is Rayleigh).
 
     For the ratio link, mean_snr is the scale s applied to the unit gain
     ratio (the constants of the interference geometry folded into one
     number); the ratio variable itself has no finite mean for m <= 1.
     """
 
-    family: FadingFamily
     mean_snr: float
     m: float = 1.0
 
@@ -55,23 +48,21 @@ class FadingSpec:
             raise ValueError(f"mean_snr must be finite and > 0, got {self.mean_snr}")
         if not math.isfinite(self.m):
             raise ValueError(f"shape factor must be finite, got {self.m}")
-        if self.family is FadingFamily.NAKAGAMI and self.m < 0.5:
+        if self.m < 0.5:
             raise ValueError(f"Nakagami shape factor must be >= 0.5, got {self.m}")
-        if self.family is FadingFamily.RAYLEIGH and self.m != 1.0:
-            raise ValueError("Rayleigh admits no shape factor other than 1")
 
     @property
     def shape(self) -> float:
-        """Effective Gamma shape: 1 for Rayleigh, m for Nakagami."""
-        return 1.0 if self.family is FadingFamily.RAYLEIGH else self.m
+        """Gamma shape of the SNR law, the Nakagami m."""
+        return self.m
 
 
 def rayleigh(mean_snr: float) -> FadingSpec:
-    return FadingSpec(FadingFamily.RAYLEIGH, mean_snr)
+    return nakagami(1.0, mean_snr)
 
 
 def nakagami(m: float, mean_snr: float) -> FadingSpec:
-    return FadingSpec(FadingFamily.NAKAGAMI, mean_snr, m)
+    return FadingSpec(mean_snr, m)
 
 
 def _prepare(x):
@@ -121,7 +112,7 @@ def _is_integer_shape(m: float) -> bool:
     return m == round(m) and m <= 60
 
 
-def cdf_direct(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
+def cdf_direct(spec: FadingSpec, x):
     """Direct-link SNR CDF: P(m, m·x/γ̄); 1 − e^{−x/γ̄} for m=1."""
     arr, scalar = _prepare(x)
     m, g = spec.shape, spec.mean_snr
@@ -130,11 +121,11 @@ def cdf_direct(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
     y = m * arr / g
     if _is_integer_shape(m):
         return _finish(-np.expm1(_log_poisson_head(int(m), y)), scalar)
-    out = np.array([reg_lower_gamma(m, float(v), acc) for v in np.ravel(y)])
+    out = np.array([reg_lower_gamma(m, float(v)) for v in np.ravel(y)])
     return _finish(out.reshape(y.shape), scalar)
 
 
-def sf_direct(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
+def sf_direct(spec: FadingSpec, x):
     """Direct-link SNR survival 1 − CDF = Q(m, m·x/γ̄), computed without
     cancellation; e^{−x/γ̄} for m=1."""
     arr, scalar = _prepare(x)
@@ -144,7 +135,7 @@ def sf_direct(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
     y = m * arr / g
     if _is_integer_shape(m):
         return _finish(np.exp(_log_poisson_head(int(m), y)), scalar)
-    out = np.array([reg_upper_gamma(m, float(v), acc) for v in np.ravel(y)])
+    out = np.array([reg_upper_gamma(m, float(v)) for v in np.ravel(y)])
     return _finish(out.reshape(y.shape), scalar)
 
 
@@ -169,7 +160,7 @@ def pdf_ratio(spec: FadingSpec, x):
     return _finish(out, scalar)
 
 
-def _ratio_halves(spec: FadingSpec, x, acc: Accuracy):
+def _ratio_halves(spec: FadingSpec, x):
     """Unit-scale ratio CDF at v = min(y, 1/y), y = x/s, and the mask y <= 1.
 
     F(v) = w^m · 2F1(m, 1−m; 1+m; w) / (m·B(m,m)) with w = v/(1+v) (the
@@ -186,21 +177,21 @@ def _ratio_halves(spec: FadingSpec, x, acc: Accuracy):
     near = np.zeros_like(v)
     pos = v > 0.0
     w = v[pos] / (1.0 + v[pos])
-    series = _hyp2f1_series(m, 1.0 - m, 1.0 + m, w, acc)
+    series = _hyp2f1_series(m, 1.0 - m, 1.0 + m, w)
     near[pos] = np.exp(m * np.log(w) - math.log(m) - ln_beta(m, m)) * series
     return np.clip(near, 0.0, 1.0), lower, scalar
 
 
-def cdf_ratio(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
+def cdf_ratio(spec: FadingSpec, x):
     """Gain-ratio SNR CDF via the hypergeometric closed form."""
-    near, lower, scalar = _ratio_halves(spec, x, acc)
+    near, lower, scalar = _ratio_halves(spec, x)
     return _finish(np.where(lower, near, 1.0 - near), scalar)
 
 
-def sf_ratio(spec: FadingSpec, x, acc: Accuracy = DEFAULT_ACCURACY):
+def sf_ratio(spec: FadingSpec, x):
     """Gain-ratio SNR survival 1 − CDF; above the unit point it is the
     series itself, so the power-law tail keeps full relative precision."""
-    near, lower, scalar = _ratio_halves(spec, x, acc)
+    near, lower, scalar = _ratio_halves(spec, x)
     return _finish(np.where(lower, 1.0 - near, near), scalar)
 
 

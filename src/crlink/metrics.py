@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .mud import MudDistribution
 from .numerics import integrate_to_inf
@@ -55,32 +55,3 @@ def spectral_efficiency_dr(dist: MudDistribution, pol: DrPolicy,
     bits = [math.log2(m) for m in cset.sizes[1:]]
     val = math.fsum(b * p for b, p in zip(bits, pol.region_probs))
     return MetricResult(val, 0.0, pol)
-
-
-def validate_against_oracle(dist: MudDistribution, policy, metric_kind: str,
-                            samples: int, seed: int = 0,
-                            k: Optional[float] = None,
-                            cset: Optional[ConstellationSet] = None) -> float:
-    """Relative gap |MC − analytic|/analytic between the Monte Carlo
-    estimator and the analytic pipeline for one metric."""
-    from .oracle import MIN_SAMPLES, McConfig, mc_capacity, mc_se_dr
-
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"samples must be >= 1e5, got {samples}")
-    cfg = McConfig(samples=samples, seed=seed)
-    if metric_kind == "capacity":
-        analytic = capacity(dist, policy).value
-        est = mc_capacity(dist, policy, cfg)
-    elif metric_kind == "se_cr":
-        if k is None:
-            raise ValueError("se_cr validation needs the power-loss factor k")
-        analytic = spectral_efficiency_cr(dist, policy, k).value
-        est = mc_capacity(dist, policy, cfg, k=k)
-    elif metric_kind == "se_dr":
-        if cset is None:
-            raise ValueError("se_dr validation needs the constellation set")
-        analytic = spectral_efficiency_dr(dist, policy, cset).value
-        est = mc_se_dr(dist, policy, cset, cfg)
-    else:
-        raise ValueError(f"unknown metric_kind {metric_kind!r}")
-    return abs(est.value - analytic) / max(analytic, 1e-300)

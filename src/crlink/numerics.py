@@ -41,6 +41,9 @@ _WGL = np.concatenate([_WG[:3], _WG[3:], _WG[2::-1]])     # G7 weights, ascendin
 _EPS = np.finfo(float).eps
 _X_MIN, _X_MAX = 1e-14, 1e14    # root-finder domain
 _MAX_LOG_STEP = math.log(100.0)
+_SOLVE_REL = 1e-10              # root-finder stop: |g(x) − target| / target
+_MAX_EVALS = 100                # root-finder evaluation budget
+_MAX_PANELS = 4000              # quadrature panel budget
 
 
 def _kronrod_panel(fn, a: float, b: float):
@@ -61,30 +64,21 @@ def _kronrod_panel(fn, a: float, b: float):
 
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              abs_tol: float = 1e-12, rel_tol: float = 1e-10,
-              max_panels: int = 4000, initial_panels: int = 1) -> Tuple[float, float]:
+              abs_tol: float = 1e-12,
+              rel_tol: float = 1e-10) -> Tuple[float, float]:
     """Adaptive ∫_a^b fn(x) dx; returns (value, error estimate).
 
     Worst-panel bisection until the summed error estimate meets
     max(abs_tol, rel_tol·|value|). Integrable endpoint singularities are
     fine (the rule is open); raises ConvergenceError at the panel budget.
-    initial_panels > 1 pre-splits the range so narrow interior features
-    cannot hide between the nodes of a single wide panel.
     """
     if b <= a:
         return 0.0, 0.0
-    edges = np.linspace(a, b, initial_panels + 1)
-    heap = []
-    total_val = total_err = 0.0
-    for pa, pb in zip(edges, edges[1:]):
-        val, err = _kronrod_panel(fn, float(pa), float(pb))
-        heap.append((-err, float(pa), float(pb), val, err))
-        total_val += val
-        total_err += err
-    heapq.heapify(heap)
-    panels = initial_panels
+    total_val, total_err = _kronrod_panel(fn, a, b)
+    heap = [(-total_err, a, b, total_val, total_err)]
+    panels = 1
     while total_err > max(abs_tol, rel_tol * abs(total_val)):
-        if panels >= max_panels:
+        if panels >= _MAX_PANELS:
             raise ConvergenceError(
                 f"quadrature did not reach tolerance on [{a}, {b}]: "
                 f"value={total_val}, error={total_err}, panels={panels}"
@@ -106,8 +100,8 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 def integrate_to_inf(fn: Callable[[np.ndarray], np.ndarray], a: float,
-                     abs_tol: float = 1e-12, rel_tol: float = 1e-10,
-                     max_panels: int = 4000) -> Tuple[float, float]:
+                     abs_tol: float = 1e-12,
+                     rel_tol: float = 1e-10) -> Tuple[float, float]:
     """Adaptive ∫_a^∞ fn(x) dx for a ≥ 0; returns (value, error estimate).
 
     Maps [a, ∞) onto (0, 1] with x = a/u, u = v⁴, so
@@ -119,10 +113,8 @@ def integrate_to_inf(fn: Callable[[np.ndarray], np.ndarray], a: float,
     and the map starts at 1.
     """
     if a == 0.0:
-        head = integrate(fn, 0.0, 1.0, abs_tol=0.5 * abs_tol,
-                         rel_tol=0.5 * rel_tol, max_panels=max_panels)
-        tail = integrate_to_inf(fn, 1.0, abs_tol=0.5 * abs_tol,
-                                rel_tol=0.5 * rel_tol, max_panels=max_panels)
+        head = integrate(fn, 0.0, 1.0, 0.5 * abs_tol, 0.5 * rel_tol)
+        tail = integrate_to_inf(fn, 1.0, 0.5 * abs_tol, 0.5 * rel_tol)
         return head[0] + tail[0], head[1] + tail[1]
 
     def mapped(v):
@@ -130,13 +122,11 @@ def integrate_to_inf(fn: Callable[[np.ndarray], np.ndarray], a: float,
         u = v ** 4
         return fn(a / u) * (4.0 * a / (u * v))
 
-    return integrate(mapped, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol,
-                     max_panels=max_panels)
+    return integrate(mapped, 0.0, 1.0, abs_tol, rel_tol)
 
 
 def solve_decreasing(g: Callable[[float], Tuple[float, float]], target: float,
-                     x0: float = 1.0, rel_tol: float = 1e-10,
-                     max_iter: int = 100) -> Tuple[float, float, int]:
+                     x0: float = 1.0) -> Tuple[float, float, int]:
     """Solve g(x) = target > 0 for positive, strictly decreasing g on
     [1e-14, 1e14].
 
@@ -144,19 +134,19 @@ def solve_decreasing(g: Callable[[float], Tuple[float, float]], target: float,
     which is exact for power laws such as 1/x. The tightest bracket seen is
     kept; a step that leaves it is replaced by the geometric midpoint, and
     any step moves x by at most a factor of 100. Stops when
-    |g(x) − target| <= rel_tol·target. Returns (x, residual, evaluations)
+    |g(x) − target| <= 1e-10·target. Returns (x, residual, evaluations)
     with residual = g(x) − target. Raises NoSolutionError when the root
     lies outside the domain.
     """
     lo, hi = 0.0, math.inf
     x = min(max(x0, _X_MIN), _X_MAX)
     best = None
-    for evals in range(1, max_iter + 1):
+    for evals in range(1, _MAX_EVALS + 1):
         val, slope = g(x)
         res = val - target
         if best is None or abs(res) < abs(best[1]):
             best = (x, res)
-        if abs(res) <= rel_tol * target:
+        if abs(res) <= _SOLVE_REL * target:
             return x, res, evals
         if res > 0.0:
             lo = x
@@ -183,6 +173,6 @@ def solve_decreasing(g: Callable[[float], Tuple[float, float]], target: float,
             x_new = edge
         x = x_new
     raise ConvergenceError(
-        f"root refinement did not reach |residual| <= {rel_tol}·{target} in "
-        f"{max_iter} evaluations; last x={x}, residual={best[1]}"
+        f"root refinement did not reach |residual| <= {_SOLVE_REL}·{target} in "
+        f"{_MAX_EVALS} evaluations; last x={x}, residual={best[1]}"
     )

@@ -44,8 +44,9 @@ class McEstimate:
     stderr: float
     samples: int
 
-    def within(self, reference: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.value - reference) <= n_sigma * self.stderr
+    def within(self, reference: float) -> bool:
+        """True when reference lies within 3 standard errors."""
+        return abs(self.value - reference) <= 3.0 * self.stderr
 
 
 def _estimate(sums, sqsums, n: int) -> McEstimate:

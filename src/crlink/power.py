@@ -18,7 +18,6 @@ and the derivative for the Newton step is closed-form.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -29,14 +28,10 @@ from .mud import MudDistribution
 from .numerics import integrate_to_inf, solve_decreasing
 
 
-class ConstraintMode(enum.Enum):
-    TRANSMIT_POWER = "transmit"        # opportunistic access
-    INTERFERENCE_POWER = "interference"  # spectrum sharing
-
-
 @dataclass(frozen=True)
 class ConstraintSpec:
-    mode: ConstraintMode
+    """Average power budget: 1 for transmit power, Q/P for interference."""
+
     budget_ratio: float = 1.0
 
     def __post_init__(self):

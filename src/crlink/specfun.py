@@ -1,47 +1,22 @@
 """Self-contained special functions backing the fading laws and capacity integrals.
 
 All routines are pure functions of their arguments and are safe to call
-concurrently. Evaluation control (relative tolerance, term budget) is bundled
-in :class:`Accuracy`; the defaults are ample for double precision.
+concurrently. Every series and continued fraction stops at relative
+tolerance REL_TOL or raises ConvergenceError after MAX_TERMS terms; both are
+ample for double precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConvergenceError
 
 EULER_GAMMA = 0.5772156649015328606
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Series/continued-fraction evaluation control.
-
-    rel_tol must sit in (0, 1e-3); max_terms must be at least 50.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1e-3:
-            raise ValueError(f"rel_tol must be in (0, 1e-3), got {self.rel_tol}")
-        if self.max_terms < 50:
-            raise ValueError(f"max_terms must be >= 50, got {self.max_terms}")
-
-
-DEFAULT_ACCURACY = Accuracy()
-
-
-def log_gamma(a: float) -> float:
-    """ln Γ(a) for a > 0."""
-    if a <= 0.0:
-        raise ValueError(f"log_gamma requires a > 0, got {a}")
-    return math.lgamma(a)
+REL_TOL = 1e-12
+MAX_TERMS = 500
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -51,7 +26,7 @@ def ln_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _lower_gamma_series(a: float, x: float, acc: Accuracy) -> float:
+def _lower_gamma_series(a: float, x: float) -> float:
     """P(a,x) by the ascending series; reliable for x < a + 1.
 
     P(a,x) = x^a e^{-x} / Γ(a+1) · Σ_{n≥0} x^n / ((a+1)...(a+n))
@@ -61,18 +36,18 @@ def _lower_gamma_series(a: float, x: float, acc: Accuracy) -> float:
     term = 1.0
     total = 1.0
     denom = a
-    for _ in range(acc.max_terms):
+    for _ in range(MAX_TERMS):
         denom += 1.0
         term *= x / denom
         total += term
-        if term < acc.rel_tol * total:
+        if term < REL_TOL * total:
             return total * math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
     raise ConvergenceError(
-        f"lower-gamma series did not converge: a={a}, x={x}, max_terms={acc.max_terms}"
+        f"lower-gamma series did not converge: a={a}, x={x}, max_terms={MAX_TERMS}"
     )
 
 
-def _upper_gamma_cf(a: float, x: float, acc: Accuracy) -> float:
+def _upper_gamma_cf(a: float, x: float) -> float:
     """Q(a,x) = 1 − P(a,x) by the Legendre continued fraction (modified Lentz);
     reliable for x ≥ a + 1."""
     tiny = 1e-300
@@ -80,7 +55,7 @@ def _upper_gamma_cf(a: float, x: float, acc: Accuracy) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, acc.max_terms + 1):
+    for i in range(1, MAX_TERMS + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -92,11 +67,11 @@ def _upper_gamma_cf(a: float, x: float, acc: Accuracy) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < acc.rel_tol:
+        if abs(delta - 1.0) < REL_TOL:
             return h * math.exp(a * math.log(x) - x - math.lgamma(a))
     raise ConvergenceError(
         f"upper-gamma continued fraction did not converge: a={a}, x={x}, "
-        f"max_terms={acc.max_terms}"
+        f"max_terms={MAX_TERMS}"
     )
 
 
@@ -107,7 +82,7 @@ def _check_gamma_args(name: str, a: float, x: float) -> None:
         raise ValueError(f"{name} requires x >= 0, got x={x}")
 
 
-def reg_lower_gamma(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a,x) = γ(a,x)/Γ(a), in [0,1].
 
     Series for x < a+1, continued fraction otherwise.
@@ -116,11 +91,11 @@ def reg_lower_gamma(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> flo
     if x == 0.0:
         return 0.0
     if x < a + 1.0:
-        return _lower_gamma_series(a, x, acc)
-    return 1.0 - _upper_gamma_cf(a, x, acc)
+        return _lower_gamma_series(a, x)
+    return 1.0 - _upper_gamma_cf(a, x)
 
 
-def reg_upper_gamma(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a,x) = 1 − P(a,x), in [0,1].
 
     The continued fraction for x ≥ a+1 keeps full relative precision deep
@@ -128,11 +103,11 @@ def reg_upper_gamma(a: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> flo
     """
     _check_gamma_args("reg_upper_gamma", a, x)
     if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x, acc)
-    return _upper_gamma_cf(a, x, acc)
+        return 1.0 - _lower_gamma_series(a, x)
+    return _upper_gamma_cf(a, x)
 
 
-def exp_integral_e1(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def exp_integral_e1(x: float) -> float:
     """Exponential integral E1(x) = ∫_x^∞ e^{−t}/t dt for x > 0.
 
     Power series for x ≤ 1, continued fraction (modified Lentz) beyond.
@@ -143,13 +118,13 @@ def exp_integral_e1(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         # E1(x) = −γ − ln x + Σ_{k≥1} (−1)^{k+1} x^k / (k·k!)
         total = -EULER_GAMMA - math.log(x)
         term = 1.0
-        for k in range(1, acc.max_terms + 1):
+        for k in range(1, MAX_TERMS + 1):
             term *= -x / k
             total -= term / k
-            if abs(term) / k < acc.rel_tol * max(abs(total), 1e-300):
+            if abs(term) / k < REL_TOL * max(abs(total), 1e-300):
                 return total
         raise ConvergenceError(
-            f"E1 series did not converge: x={x}, max_terms={acc.max_terms}"
+            f"E1 series did not converge: x={x}, max_terms={MAX_TERMS}"
         )
     # E1(x) = e^{−x} · 1/(x+1− 1/(x+3− 4/(x+5− 9/(...)))), a_k = −k²
     tiny = 1e-300
@@ -157,7 +132,7 @@ def exp_integral_e1(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for k in range(1, acc.max_terms + 1):
+    for k in range(1, MAX_TERMS + 1):
         ak = -(k * k)
         b += 2.0
         d = ak * d + b
@@ -169,14 +144,14 @@ def exp_integral_e1(x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < acc.rel_tol:
+        if abs(delta - 1.0) < REL_TOL:
             return h * math.exp(-x)
     raise ConvergenceError(
-        f"E1 continued fraction did not converge: x={x}, max_terms={acc.max_terms}"
+        f"E1 continued fraction did not converge: x={x}, max_terms={MAX_TERMS}"
     )
 
 
-def _hyp2f1_series(a: float, b: float, c: float, w, acc: Accuracy):
+def _hyp2f1_series(a: float, b: float, c: float, w):
     """Σ_n (a)_n (b)_n / ((c)_n n!) wⁿ for array/scalar w with 0 ≤ w < 1.
 
     Terminates early where every element has converged; terminating
@@ -185,31 +160,13 @@ def _hyp2f1_series(a: float, b: float, c: float, w, acc: Accuracy):
     w = np.asarray(w, dtype=float)
     total = np.ones_like(w)
     term = np.ones_like(w)
-    for n in range(acc.max_terms):
+    for n in range(MAX_TERMS):
         factor = (a + n) * (b + n) / ((c + n) * (n + 1.0))
         term = term * factor * w
         total = total + term
-        if np.all(np.abs(term) <= acc.rel_tol * np.maximum(np.abs(total), 1e-300)):
+        if np.all(np.abs(term) <= REL_TOL * np.maximum(np.abs(total), 1e-300)):
             return total
     raise ConvergenceError(
         f"2F1 series did not converge: a={a}, b={b}, c={c}, "
-        f"max |w|={float(np.max(np.abs(w)))}, max_terms={acc.max_terms}"
+        f"max |w|={float(np.max(np.abs(w)))}, max_terms={MAX_TERMS}"
     )
-
-
-def hyp2f1(a: float, b: float, c: float, z: float,
-           acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Gauss hypergeometric ₂F₁(a,b;c;z) on the branch z ≤ 0, c > 0.
-
-    The Pfaff transformation ₂F₁(a,b;c;z) = (1−z)^{−a} ₂F₁(a, c−b; c; z/(z−1))
-    maps z ∈ (−∞, 0] onto a series argument in [0, 1).
-    """
-    if c <= 0.0:
-        raise ValueError(f"hyp2f1 requires c > 0, got c={c}")
-    if z > 0.0:
-        raise ValueError(f"hyp2f1 implements only z <= 0, got z={z}")
-    if z == 0.0:
-        return 1.0
-    w = z / (z - 1.0)
-    series = float(_hyp2f1_series(a, c - b, c, w, acc))
-    return (1.0 - z) ** (-a) * series

@@ -11,18 +11,19 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import yaml
 
-from .fading import FadingFamily, FadingSpec, LinkKind, SnrDistribution
+from .fading import LinkKind, SnrDistribution, nakagami
 from .metrics import capacity, spectral_efficiency_cr, spectral_efficiency_dr
 from .mud import MudDistribution
 from .oracle import MIN_SAMPLES, McConfig, mc_point
-from .power import (ConstellationSet, ConstraintMode, ConstraintSpec,
+from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
                     solve_cutoff, solve_cutoff_cr, solve_dr_policy)
 
 _MODES = ("osa", "ss")
@@ -31,6 +32,14 @@ _AXES = ("p_av_db", "q_av_db", "num_users")
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
+
+
+def _whole_numbers(key: str, vals) -> Tuple[int, ...]:
+    """vals as ints; a fraction, a boolean or a non-number fails naming key."""
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and float(v).is_integer() for v in vals):
+        raise ValueError(f"{key} takes whole numbers only, got {vals}")
+    return tuple(int(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -65,21 +74,25 @@ class SweepConfig:
         start, stop, step = self.axis_range
         if step <= 0 or stop < start:
             raise ValueError(f"bad axis_range {self.axis_range}")
-        counts = tuple(self.num_users) + (
-            self.axis_range if self.axis == "num_users" else ())
-        if not all(float(n).is_integer() for n in counts):
-            raise ValueError(f"user counts must be whole numbers, got "
-                             f"num_users={self.num_users}, "
-                             f"axis_range={self.axis_range}")
+        if self.axis == "num_users":
+            _whole_numbers("axis_range", self.axis_range)
         object.__setattr__(self, "num_users",
-                           tuple(int(n) for n in self.num_users))
+                           _whole_numbers("num_users", self.num_users))
         if not self.num_users or any(n < 1 for n in self.num_users):
             raise ValueError(f"num_users must be positive, got {self.num_users}")
         if not self.m_values or any(m < 0.5 for m in self.m_values):
             raise ValueError(f"shape factors must be >= 0.5, got {self.m_values}")
+        object.__setattr__(self, "constellations",
+                           _whole_numbers("constellations", self.constellations))
         ConstellationSet(self.constellations, self.ber_target)  # validates both
-        if self.mc_samples < MIN_SAMPLES:
-            raise ValueError(f"mc_samples must be >= 1e5, got {self.mc_samples}")
+        for key, low in (("mc_samples", MIN_SAMPLES), ("seed", 0)):
+            (value,) = _whole_numbers(key, (getattr(self, key),))
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
+            object.__setattr__(self, key, value)
+        if not isinstance(self.mc_validate, bool):
+            raise ValueError(f"mc_validate must be true or false, "
+                             f"got {self.mc_validate!r}")
 
     def axis_values(self) -> List[float]:
         start, stop, step = self.axis_range
@@ -114,16 +127,49 @@ class SweepResult:
 
 
 def _grid(cfg: SweepConfig) -> List[Tuple[float, int, float]]:
-    points = []
-    for v in cfg.axis_values():
-        if cfg.axis == "num_users":
-            for m in cfg.m_values:
-                points.append((float(v), int(v), m))
-        else:
-            for ns in cfg.num_users:
-                for m in cfg.m_values:
-                    points.append((float(v), ns, m))
-    return points
+    values = cfg.axis_values()
+    if cfg.axis == "num_users":
+        return [(float(v), v, m) for v in values for m in cfg.m_values]
+    return [(float(v), ns, m) for v in values for ns in cfg.num_users
+            for m in cfg.m_values]
+
+
+def build_point(mode: str, m: float, ns: int, p_db: float,
+                q_db: Optional[float]) -> Tuple[MudDistribution, ConstraintSpec]:
+    """The best-of-ns SNR law and the power budget of one operating point.
+
+    osa: direct link with mean SNR p_db and a unit transmit-power budget.
+    ss: gain-ratio link with scale p_db and the interference budget Q/P.
+    """
+    spec = nakagami(m, db_to_linear(p_db))
+    if mode == "osa":
+        link, budget = LinkKind.DIRECT, 1.0
+    else:
+        link, budget = LinkKind.RATIO, db_to_linear(q_db) / db_to_linear(p_db)
+    return MudDistribution(SnrDistribution(spec, link), ns), ConstraintSpec(budget)
+
+
+class PointSolution(NamedTuple):
+    """Solved policies of one operating point and their metrics."""
+
+    cut: CutoffSolution
+    cut_cr: CutoffSolution
+    pol: DrPolicy
+    capacity: float
+    se_cr: float
+    se_dr: float
+
+
+def solve_point(dist: MudDistribution, constraint: ConstraintSpec,
+                cset: ConstellationSet) -> PointSolution:
+    """The capacity, continuous-rate and discrete-rate policies of one
+    operating point and their three metrics."""
+    cut = solve_cutoff(dist, constraint)
+    cut_cr = solve_cutoff_cr(dist, constraint, cset.k)
+    pol = solve_dr_policy(dist, constraint, cset)
+    return PointSolution(cut, cut_cr, pol, capacity(dist, cut).value,
+                         spectral_efficiency_cr(dist, cut_cr, cset.k).value,
+                         spectral_efficiency_dr(dist, pol, cset).value)
 
 
 def evaluate_point(cfg: SweepConfig, axis_value: float, ns: int, m: float,
@@ -133,30 +179,14 @@ def evaluate_point(cfg: SweepConfig, axis_value: float, ns: int, m: float,
     try:
         p_db = axis_value if cfg.axis == "p_av_db" else cfg.p_av_db
         q_db = axis_value if cfg.axis == "q_av_db" else cfg.q_av_db
-        spec = FadingSpec(FadingFamily.NAKAGAMI, db_to_linear(p_db), m)
-        if cfg.mode == "osa":
-            link = LinkKind.DIRECT
-            constraint = ConstraintSpec(ConstraintMode.TRANSMIT_POWER, 1.0)
-        else:
-            link = LinkKind.RATIO
-            budget = db_to_linear(q_db) / db_to_linear(p_db)
-            constraint = ConstraintSpec(ConstraintMode.INTERFERENCE_POWER, budget)
-        dist = MudDistribution(SnrDistribution(spec, link), ns)
+        dist, constraint = build_point(cfg.mode, m, ns, p_db, q_db)
         cset = ConstellationSet(cfg.constellations, cfg.ber_target)
-
-        cut = solve_cutoff(dist, constraint)
-        cut_cr = solve_cutoff_cr(dist, constraint, cset.k)
-        pol = solve_dr_policy(dist, constraint, cset)
-
-        row.capacity = capacity(dist, cut).value
-        row.se_cr = spectral_efficiency_cr(dist, cut_cr, cset.k).value
-        row.se_dr = spectral_efficiency_dr(dist, pol, cset).value
-        row.gamma0_cap = cut.gamma0
-        row.gamma0_cr = cut_cr.gamma0
-        row.gamma_star_dr = pol.gamma_star
-
+        sol = solve_point(dist, constraint, cset)
+        row.capacity, row.se_cr, row.se_dr = sol.capacity, sol.se_cr, sol.se_dr
+        row.gamma0_cap, row.gamma0_cr, row.gamma_star_dr = (
+            sol.cut.gamma0, sol.cut_cr.gamma0, sol.pol.gamma_star)
         if cfg.mc_validate:
-            est = mc_point(dist, cut, cut_cr, pol, cset,
+            est = mc_point(dist, sol.cut, sol.cut_cr, sol.pol, cset,
                            McConfig(samples=cfg.mc_samples, seed=mc_seed))
             row.mc_cap_rel = _rel_gap(est["capacity"].value, row.capacity)
             row.mc_cr_rel = _rel_gap(est["se_cr"].value, row.se_cr)
@@ -264,7 +294,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
             raise ValueError(f"axis_range needs [start, stop, step], got {rng}")
         kwargs["axis_range"] = tuple(float(v) for v in rng)
     if "constellations" in kwargs:
-        kwargs["constellations"] = tuple(int(v) for v in kwargs["constellations"])
+        kwargs["constellations"] = tuple(_as_list(kwargs["constellations"]))
     return SweepConfig(**kwargs)
 
 

@@ -22,13 +22,12 @@ from crlink.metrics import (capacity, spectral_efficiency_cr,
 from crlink.mud import MudDistribution, mud_pdf
 from crlink.numerics import integrate, integrate_to_inf
 from crlink.oracle import McConfig, mc_point
-from crlink.power import (ConstellationSet, ConstraintMode, ConstraintSpec,
-                          power_loss_factor, solve_cutoff, solve_cutoff_cr,
-                          solve_dr_policy)
+from crlink.power import (ConstellationSet, ConstraintSpec, power_loss_factor,
+                          solve_cutoff, solve_cutoff_cr, solve_dr_policy)
 from crlink.sweep import db_to_linear, load_config, run_sweep
 
 CSET = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
-TX = ConstraintSpec(ConstraintMode.TRANSMIT_POWER, 1.0)
+TX = ConstraintSpec(1.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -39,7 +38,7 @@ def _point(mode, m, ns, p_db, q_db=None):
         return dist, TX
     budget = db_to_linear(q_db) / db_to_linear(p_db)
     dist = MudDistribution(SnrDistribution(spec, LinkKind.RATIO), ns)
-    return dist, ConstraintSpec(ConstraintMode.INTERFERENCE_POWER, budget)
+    return dist, ConstraintSpec(budget)
 
 
 def _metrics_triplet(dist, constraint):

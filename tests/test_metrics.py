@@ -7,13 +7,14 @@ from scipy import special as sp
 
 from crlink.fading import LinkKind, SnrDistribution, nakagami, rayleigh
 from crlink.metrics import (capacity, spectral_efficiency_cr,
-                            spectral_efficiency_dr, validate_against_oracle)
+                            spectral_efficiency_dr)
 from crlink.mud import MudDistribution
-from crlink.power import (ConstellationSet, ConstraintMode, ConstraintSpec,
-                          CutoffSolution, DrPolicy, power_loss_factor,
-                          solve_cutoff, solve_cutoff_cr, solve_dr_policy)
+from crlink.oracle import McConfig, mc_capacity, mc_se_dr
+from crlink.power import (ConstellationSet, ConstraintSpec, CutoffSolution,
+                          DrPolicy, power_loss_factor, solve_cutoff,
+                          solve_cutoff_cr, solve_dr_policy)
 
-TX = ConstraintSpec(ConstraintMode.TRANSMIT_POWER, 1.0)
+TX = ConstraintSpec(1.0)
 CSET = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
 K = power_loss_factor(1e-3)
 
@@ -98,7 +99,7 @@ def test_cr_gap_bounded_by_penalty_bits():
     bound = math.log2(1.0 / K)
     gaps = []
     for budget in (1.0, 10.0, 100.0):
-        c = ConstraintSpec(ConstraintMode.TRANSMIT_POWER, budget)
+        c = ConstraintSpec(budget)
         cap = capacity(dist, solve_cutoff(dist, c)).value
         se = spectral_efficiency_cr(dist, solve_cutoff_cr(dist, c, K), K).value
         gaps.append(cap - se)
@@ -126,8 +127,8 @@ def test_dr_zero_when_all_outage():
 @pytest.mark.parametrize("dist,constraint", [
     (_direct(mean=10.0, L=1), TX),
     (_direct(mean=10.0, L=5, m=2.0), TX),
-    (_ratio(scale=10.0, L=5), ConstraintSpec(ConstraintMode.INTERFERENCE_POWER, 0.1)),
-    (_ratio(scale=10.0, L=15, m=2.0), ConstraintSpec(ConstraintMode.INTERFERENCE_POWER, 1.0)),
+    (_ratio(scale=10.0, L=5), ConstraintSpec(0.1)),
+    (_ratio(scale=10.0, L=15, m=2.0), ConstraintSpec(1.0)),
 ])
 def test_metric_ordering(dist, constraint):
     cap, se_cr, se_dr = _all_three(dist, constraint)
@@ -136,8 +137,7 @@ def test_metric_ordering(dist, constraint):
 
 @pytest.mark.parametrize("maker,constraint", [
     (_direct, TX),
-    (lambda L: _ratio(scale=10.0, L=L, m=2.0),
-     ConstraintSpec(ConstraintMode.INTERFERENCE_POWER, 0.5)),
+    (lambda L: _ratio(scale=10.0, L=L, m=2.0), ConstraintSpec(0.5)),
 ])
 def test_monotone_in_users(maker, constraint):
     prev = None
@@ -153,7 +153,7 @@ def test_monotone_in_budget():
     dist = _ratio(scale=10.0, L=5)
     prev = None
     for budget in (0.05, 0.2, 1.0, 5.0):
-        c = ConstraintSpec(ConstraintMode.INTERFERENCE_POWER, budget)
+        c = ConstraintSpec(budget)
         vals = _all_three(dist, c)
         if prev is not None:
             assert all(v >= p for v, p in zip(vals, prev))
@@ -170,23 +170,14 @@ def test_nakagami_m1_equals_rayleigh_metrics():
 def test_validate_against_oracle_capacity():
     dist = _direct(mean=10.0, L=2)
     cut = solve_cutoff(dist, TX)
-    rel = validate_against_oracle(dist, cut, "capacity", 10 ** 6, seed=5)
-    assert rel < 0.01
+    analytic = capacity(dist, cut).value
+    est = mc_capacity(dist, cut, McConfig(samples=10 ** 6, seed=5))
+    assert abs(est.value - analytic) / analytic < 0.01
 
 
 def test_validate_against_oracle_se_dr():
     dist = _direct(mean=10.0, L=5)
     pol = solve_dr_policy(dist, TX, CSET)
-    rel = validate_against_oracle(dist, pol, "se_dr", 10 ** 6, seed=6, cset=CSET)
-    assert rel < 0.01
-
-
-def test_validate_against_oracle_guards():
-    dist = _direct()
-    cut = solve_cutoff(dist, TX)
-    with pytest.raises(ValueError):
-        validate_against_oracle(dist, cut, "capacity", 10 ** 4)
-    with pytest.raises(ValueError):
-        validate_against_oracle(dist, cut, "se_cr", 10 ** 5)   # k missing
-    with pytest.raises(ValueError):
-        validate_against_oracle(dist, cut, "nonsense", 10 ** 5)
+    analytic = spectral_efficiency_dr(dist, pol, CSET).value
+    est = mc_se_dr(dist, pol, CSET, McConfig(samples=10 ** 6, seed=6))
+    assert abs(est.value - analytic) / analytic < 0.01

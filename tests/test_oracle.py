@@ -10,11 +10,11 @@ from crlink.metrics import capacity, spectral_efficiency_dr
 from crlink.mud import MudDistribution
 from crlink.oracle import (McConfig, mc_capacity, mc_point, mc_power_check,
                            mc_se_dr)
-from crlink.power import (ConstellationSet, ConstraintMode, ConstraintSpec,
-                          CutoffSolution, DrPolicy, power_loss_factor,
-                          solve_cutoff, solve_cutoff_cr, solve_dr_policy)
+from crlink.power import (ConstellationSet, ConstraintSpec, CutoffSolution,
+                          DrPolicy, power_loss_factor, solve_cutoff,
+                          solve_cutoff_cr, solve_dr_policy)
 
-TX = ConstraintSpec(ConstraintMode.TRANSMIT_POWER, 1.0)
+TX = ConstraintSpec(1.0)
 CSET = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
 
 
@@ -145,8 +145,7 @@ def test_mc_point_equals_single_estimates(link, L):
     # one shared stream gives each estimate bit for bit, including a batch
     # that does not divide the sample count
     dist = MudDistribution(SnrDistribution(nakagami(2.0, 10.0), link), L)
-    constraint = TX if link is LinkKind.DIRECT else ConstraintSpec(
-        ConstraintMode.INTERFERENCE_POWER, 0.1)
+    constraint = TX if link is LinkKind.DIRECT else ConstraintSpec(0.1)
     cut = solve_cutoff(dist, constraint)
     cut_cr = solve_cutoff_cr(dist, constraint, CSET.k)
     pol = solve_dr_policy(dist, constraint, CSET)

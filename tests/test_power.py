@@ -11,11 +11,11 @@ from scipy.optimize import brentq
 
 from crlink.fading import LinkKind, SnrDistribution, nakagami, rayleigh
 from crlink.mud import MudDistribution
-from crlink.power import (ConstellationSet, ConstraintMode, ConstraintSpec,
-                          power_loss_factor, solve_cutoff, solve_cutoff_cr,
-                          solve_dr_policy, _dr_spent)
+from crlink.power import (ConstellationSet, ConstraintSpec, power_loss_factor,
+                          solve_cutoff, solve_cutoff_cr, solve_dr_policy,
+                          _dr_spent)
 
-TX = ConstraintSpec(ConstraintMode.TRANSMIT_POWER, 1.0)
+TX = ConstraintSpec(1.0)
 
 
 def _direct(mean=1.0, L=1, m=1.0):
@@ -71,7 +71,7 @@ def test_constellation_set_validation():
 
 def test_constraint_spec_validation():
     with pytest.raises(ValueError):
-        ConstraintSpec(ConstraintMode.TRANSMIT_POWER, 0.0)
+        ConstraintSpec(0.0)
 
 
 def test_rayleigh_unit_budget_cutoff():
@@ -97,7 +97,7 @@ def test_rayleigh_unit_budget_cutoff():
 def test_cutoff_monotone_in_budget():
     prev = None
     for budget in (0.5, 1.0, 2.0, 10.0):
-        c = ConstraintSpec(ConstraintMode.TRANSMIT_POWER, budget)
+        c = ConstraintSpec(budget)
         g0 = solve_cutoff(_direct(), c).gamma0
         if prev is not None:
             assert g0 < prev
@@ -132,7 +132,7 @@ def test_cutoff_grows_with_users():
     (_ratio(scale=10.0, L=5, m=2.0), 0.1),
 ])
 def test_constraint_equality_reevaluated_independently(dist, budget):
-    c = ConstraintSpec(ConstraintMode.INTERFERENCE_POWER, budget)
+    c = ConstraintSpec(budget)
     cut = solve_cutoff(dist, c)
     assert abs(_spent_scipy(dist, cut.gamma0) - budget) <= 1e-8
     k = power_loss_factor(1e-3)
@@ -216,7 +216,7 @@ def test_dr_spent_monotone_in_gamma_star():
 def test_dr_policy_ratio_link():
     cset = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
     dist = _ratio(scale=10.0, L=5, m=2.0)
-    c = ConstraintSpec(ConstraintMode.INTERFERENCE_POWER, 0.5)
+    c = ConstraintSpec(0.5)
     pol = solve_dr_policy(dist, c, cset)
     assert abs(pol.residual) <= 1e-8
     outage = float(dist.cdf(pol.boundaries[0]))
@@ -269,7 +269,7 @@ def test_small_budget_solves_to_budget_relative_residual():
     # 1e-10 of the budget, and all three roots match a scipy-only solve
     budget = 1e-3
     dist = _ratio(scale=100.0, L=1, m=1.0)
-    c = ConstraintSpec(ConstraintMode.INTERFERENCE_POWER, budget)
+    c = ConstraintSpec(budget)
     cset = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
     cut = solve_cutoff(dist, c)
     cut_cr = solve_cutoff_cr(dist, c, cset.k)

@@ -10,16 +10,16 @@ import pytest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-from crlink.cli import main
-from crlink.fading import FadingFamily, FadingSpec, LinkKind, SnrDistribution
+from crlink.cli import _VALIDATE_POINTS, _build_point, main
+from crlink.fading import FadingSpec, LinkKind, SnrDistribution
 from crlink.metrics import (capacity, spectral_efficiency_cr,
                             spectral_efficiency_dr)
 from crlink.mud import MudDistribution
-from crlink.power import (ConstellationSet, ConstraintMode, ConstraintSpec,
-                          solve_cutoff, solve_cutoff_cr, solve_dr_policy)
+from crlink.power import (ConstellationSet, ConstraintSpec, solve_cutoff,
+                          solve_cutoff_cr, solve_dr_policy)
 from crlink.sweep import (SweepConfig, SweepResult, config_from_dict,
                           db_to_linear, emit_csv, evaluate_point, load_config,
-                          render_csv, run_sweep)
+                          render_csv, run_sweep, solve_point)
 
 
 def small_cfg(**kw):
@@ -72,9 +72,9 @@ def test_single_point_matches_library_composition():
     cfg = small_cfg(axis_range=(10.0, 10.0, 1.0), num_users=(5,))
     row = run_sweep(cfg).rows[0]
 
-    spec = FadingSpec(FadingFamily.NAKAGAMI, db_to_linear(10.0), 1.0)
+    spec = FadingSpec(db_to_linear(10.0), 1.0)
     dist = MudDistribution(SnrDistribution(spec, LinkKind.DIRECT), 5)
-    constraint = ConstraintSpec(ConstraintMode.TRANSMIT_POWER, 1.0)
+    constraint = ConstraintSpec(1.0)
     cset = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
     cut = solve_cutoff(dist, constraint)
     cut_cr = solve_cutoff_cr(dist, constraint, cset.k)
@@ -86,6 +86,22 @@ def test_single_point_matches_library_composition():
     assert row.gamma0_cap == cut.gamma0
     assert row.gamma0_cr == cut_cr.gamma0
     assert row.gamma_star_dr == pol.gamma_star
+
+
+def test_validate_points_match_sweep_rows():
+    # validate and the sweep build and solve an operating point one way
+    cset = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
+    for mode, m, ns, p_db, q_db in _VALIDATE_POINTS:
+        sol = solve_point(*_build_point(mode, m, ns, p_db, q_db), cset)
+        cfg = SweepConfig(mode=mode, axis="p_av_db",
+                          axis_range=(p_db, p_db, 1.0),
+                          q_av_db=0.0 if q_db is None else q_db)
+        row = evaluate_point(cfg, p_db, ns, m)
+        assert row.error == ""
+        assert (row.capacity, row.se_cr, row.se_dr) == (
+            sol.capacity, sol.se_cr, sol.se_dr)
+        assert (row.gamma0_cap, row.gamma0_cr, row.gamma_star_dr) == (
+            sol.cut.gamma0, sol.cut_cr.gamma0, sol.pol.gamma_star)
 
 
 def test_emit_csv_contract(tmp_path):
@@ -213,6 +229,12 @@ def test_cli_selftest():
     ("ber_target", float("nan")),
     ("axis_range", [0, float("inf"), 1]),
     ("num_users", [2.7]),
+    ("constellations", [0, 4, 8.7, 16, 64]),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("seed", True),
+    ("mc_samples", 150000.5),
+    ("mc_validate", "yes_please"),
 ])
 def test_config_rejects_bad_values_at_load(key, value):
     # caught when the config is read, with the key named, never per point
@@ -220,6 +242,24 @@ def test_config_rejects_bad_values_at_load(key, value):
            "num_users": [1, 5], "m": 1.0, key: value}
     with pytest.raises(ValueError, match=key):
         config_from_dict(raw)
+
+
+def test_config_takes_whole_floats_as_ints():
+    cfg = config_from_dict({"mode": "osa", "axis": "p_av_db",
+                            "axis_range": [0, 4, 2], "seed": 4.0,
+                            "mc_samples": 2.0e5,
+                            "constellations": [0, 4.0, 16]})
+    assert (cfg.seed, cfg.mc_samples, cfg.constellations) == (4, 200000, (0, 4, 16))
+    assert all(type(v) is int for v in (cfg.seed, cfg.mc_samples,
+                                        *cfg.constellations))
+
+
+def test_cli_point_rejects_fractional_sizes(capsys):
+    # used to die with a bare int() traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["point", "--mode", "osa", "--sizes", "0,4,8.5"])
+    assert exc.value.code == 2
+    assert "--sizes: must be whole numbers" in capsys.readouterr().err
 
 
 def test_config_rejects_fractional_user_axis():
