@@ -8,9 +8,8 @@ from .fading import (FadingSpec, LinkKind, SnrDistribution, nakagami,
                      rayleigh)
 from .metrics import (MetricResult, capacity, spectral_efficiency_cr,
                       spectral_efficiency_dr)
-from .mud import MudDistribution, mud_cdf, mud_pdf, mud_sample
-from .oracle import (McConfig, McEstimate, mc_capacity, mc_power_check,
-                     mc_se_dr)
+from .mud import MudDistribution
+from .oracle import McConfig, McEstimate, mc_capacity
 from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
                     power_loss_factor, solve_cutoff, solve_cutoff_cr,
                     solve_dr_policy)
@@ -24,8 +23,7 @@ __all__ = [
     "McEstimate", "MetricResult", "MudDistribution", "NoSolutionError",
     "SnrDistribution", "SweepConfig", "SweepResult", "SweepRow", "capacity",
     "db_to_linear", "emit_csv", "evaluate_point", "exp_integral_e1",
-    "ln_beta", "load_config", "mc_capacity", "mc_power_check", "mc_se_dr",
-    "mud_cdf", "mud_pdf", "mud_sample", "nakagami", "power_loss_factor",
+    "ln_beta", "load_config", "mc_capacity", "nakagami", "power_loss_factor",
     "rayleigh", "reg_lower_gamma", "run_sweep", "solve_cutoff",
     "solve_cutoff_cr", "solve_dr_policy", "spectral_efficiency_cr",
     "spectral_efficiency_dr",

@@ -11,7 +11,7 @@ import yaml
 from . import __version__
 from .fading import cdf_ratio, nakagami
 from .metrics import capacity, spectral_efficiency_cr
-from .oracle import MIN_SAMPLES, McConfig, mc_point, mc_power_check
+from .oracle import MIN_SAMPLES, McConfig, mc_point
 from .power import (ConstellationSet, power_loss_factor, solve_cutoff,
                     solve_cutoff_cr)
 from .specfun import exp_integral_e1
@@ -46,13 +46,16 @@ def cmd_sweep(args) -> int:
 def cmd_point(args) -> int:
     axis = "p_av_db" if args.mode == "osa" else "q_av_db"
     anchor = args.p_av_db if args.mode == "osa" else args.q_av_db
-    cfg = SweepConfig(
-        mode=args.mode, axis=axis, axis_range=(anchor, anchor, 1.0),
-        num_users=(args.ns,), m_values=(args.m,),
-        p_av_db=args.p_av_db, q_av_db=args.q_av_db,
-        ber_target=args.ber, constellations=args.sizes,
-        mc_validate=args.mc, mc_samples=args.mc_samples, seed=args.seed,
-        output=args.output or "-")
+    try:
+        cfg = SweepConfig(
+            mode=args.mode, axis=axis, axis_range=(anchor, anchor, 1.0),
+            num_users=(args.ns,), m_values=(args.m,),
+            p_av_db=args.p_av_db, q_av_db=args.q_av_db,
+            ber_target=args.ber, constellations=args.sizes,
+            mc_validate=args.mc, mc_samples=args.mc_samples, seed=args.seed,
+            output=args.output or "-")
+    except ValueError as exc:
+        args.parser.error(str(exc))
     res = run_sweep(cfg)
     text = render_csv(res)
     if cfg.output == "-":
@@ -82,7 +85,10 @@ _CSET = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
 
 
 def cmd_validate(args) -> int:
-    cfg = McConfig(samples=args.samples, seed=args.seed)
+    try:
+        cfg = McConfig(samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     print(f"oracle validation: {args.samples} samples per estimate, "
           f"seed {args.seed}, 3-sigma bands")
     header = f"{'point':<28}{'metric':<10}{'analytic':>12}{'mc':>12}{'sigmas':>9}"
@@ -169,7 +175,9 @@ def cmd_selftest(args) -> int:
         _check(results, f"region probabilities sum to one at {mode} m={m:g}",
                abs(sum(pol.region_probs) + float(d.cdf(pol.boundaries[0])) - 1.0) < 1e-9)
 
-    mc = mc_power_check(dist, cut, McConfig(samples=200_000, seed=1))
+    sol = solve_point(dist, c1, _CSET)
+    mc = mc_point(dist, sol.cut, sol.cut_cr, sol.pol, _CSET,
+                  McConfig(samples=200_000, seed=1))["power"]
     _check(results, "sampled policy power hits the unit budget (3 sigma)",
            mc.within(1.0))
 
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="draws per oracle estimate (>= 1e5, default 1e6)")
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("-o", "--output", help="CSV path (default: stdout)")
-    pp.set_defaults(func=cmd_point)
+    pp.set_defaults(func=cmd_point, parser=pp)
 
     vp = sub.add_parser("validate",
                         help="compare analytic metrics against the Monte Carlo oracle")
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="draws per operating point, shared by its five "
                          "estimates (>= 1e5, default 1e6)")
     vp.add_argument("--seed", type=int, default=7)
-    vp.set_defaults(func=cmd_validate)
+    vp.set_defaults(func=cmd_validate, parser=vp)
 
     st = sub.add_parser("selftest", help="run the built-in invariant checks")
     st.set_defaults(func=cmd_selftest)

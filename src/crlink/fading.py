@@ -113,11 +113,9 @@ def _is_integer_shape(m: float) -> bool:
 
 
 def cdf_direct(spec: FadingSpec, x):
-    """Direct-link SNR CDF: P(m, m·x/γ̄); 1 − e^{−x/γ̄} for m=1."""
+    """Direct-link SNR CDF: P(m, m·x/γ̄)."""
     arr, scalar = _prepare(x)
     m, g = spec.shape, spec.mean_snr
-    if m == 1.0:
-        return _finish(-np.expm1(-arr / g), scalar)
     y = m * arr / g
     if _is_integer_shape(m):
         return _finish(-np.expm1(_log_poisson_head(int(m), y)), scalar)
@@ -127,11 +125,9 @@ def cdf_direct(spec: FadingSpec, x):
 
 def sf_direct(spec: FadingSpec, x):
     """Direct-link SNR survival 1 − CDF = Q(m, m·x/γ̄), computed without
-    cancellation; e^{−x/γ̄} for m=1."""
+    cancellation."""
     arr, scalar = _prepare(x)
     m, g = spec.shape, spec.mean_snr
-    if m == 1.0:
-        return _finish(np.exp(-arr / g), scalar)
     y = m * arr / g
     if _is_integer_shape(m):
         return _finish(np.exp(_log_poisson_head(int(m), y)), scalar)

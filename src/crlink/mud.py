@@ -38,18 +38,14 @@ class MudDistribution:
 
 
 def mud_pdf(d: MudDistribution, x):
-    """L·f(x)·F(x)^{L-1}; collapses exactly to the base pdf for L=1."""
-    if d.num_users == 1:
-        return d.base.pdf(x)
+    """L·f(x)·F(x)^{L-1}; exactly the base pdf for L=1."""
     f = d.base.pdf(x)
     F = d.base.cdf(x)
     return d.num_users * f * F ** (d.num_users - 1)
 
 
 def mud_cdf(d: MudDistribution, x):
-    """F(x)^L; collapses exactly to the base CDF for L=1."""
-    if d.num_users == 1:
-        return d.base.cdf(x)
+    """F(x)^L; exactly the base CDF for L=1."""
     return d.base.cdf(x) ** d.num_users
 
 
@@ -64,7 +60,5 @@ def mud_sf(d: MudDistribution, x):
 
 def mud_sample(d: MudDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws of the best-of-L SNR: columnwise maximum of L base draws."""
-    if d.num_users == 1:
-        return d.base.sample(rng, n)
     draws = d.base.sample(rng, (d.num_users, n))
     return draws.max(axis=0)

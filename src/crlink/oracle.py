@@ -24,6 +24,9 @@ from .power import ConstellationSet, CutoffSolution, DrPolicy
 # is too loose to check anything
 MIN_SAMPLES = 10 ** 5
 
+# base draws per batch: one (L, batch) float64 array stays within 32 MB
+_MAX_BASE_DRAWS = 4_000_000
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -36,6 +39,8 @@ class McConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -64,13 +69,15 @@ def _accumulate(dist: MudDistribution, cfg: McConfig, maps,
     """Draw cfg.samples best-of-L SNRs batch by batch and average every
     per-draw map over the same draws. Each map takes (x, region), where
     region is the discrete-rate region index of pol (computed once per
-    batch, None without pol)."""
+    batch, None without pol). A batch holds at most _MAX_BASE_DRAWS base
+    draws, so memory stays bounded at any number of users."""
+    batch = min(cfg.batch, max(1, _MAX_BASE_DRAWS // dist.num_users))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     sums = [[] for _ in maps]
     sqsums = [[] for _ in maps]
     remaining = cfg.samples
     while remaining > 0:
-        n = min(cfg.batch, remaining)
+        n = min(batch, remaining)
         x = dist.sample(rng, n)
         region = None if pol is None else _region_index(pol, x)
         for per_draw, s, q in zip(maps, sums, sqsums):
@@ -100,25 +107,23 @@ def _bits_map(cset: ConstellationSet):
     return lambda x, region: bits[region]
 
 
-def _power_map(policy, k: float = 1.0,
-               cset: Optional[ConstellationSet] = None):
-    """Normalized transmit power of a solved policy: 1/γ₀ − 1/(x·k) above
-    the cutoff for a water-filling policy, (M_j − 1)/g* − 1/(x·K) in
-    region j for a discrete-rate one."""
-    if isinstance(policy, CutoffSolution):
-        g0 = policy.gamma0
-        thr = g0 / k
-        return lambda x, _: np.where(
-            x > thr, 1.0 / g0 - 1.0 / (np.maximum(x, thr) * k), 0.0)
-    if isinstance(policy, DrPolicy):
-        if cset is None:
-            raise ValueError("discrete-rate power check needs the constellation set")
-        kk = cset.k
-        coeff = np.array([0.0] + [(m - 1.0) / policy.gamma_star
-                                  for m in cset.sizes[1:]])
-        return lambda x, region: np.where(
-            region > 0, coeff[region] - 1.0 / (x * kk), 0.0)
-    raise TypeError(f"unsupported policy type {type(policy).__name__}")
+def _power_map(cut: CutoffSolution, k: float):
+    """Normalized transmit power 1/γ₀ − 1/(x·k) of a water-filling policy
+    above its transmission threshold γ₀/k, else 0."""
+    g0 = cut.gamma0
+    thr = g0 / k
+    return lambda x, _: np.where(
+        x > thr, 1.0 / g0 - 1.0 / (np.maximum(x, thr) * k), 0.0)
+
+
+def _dr_power_map(pol: DrPolicy, cset: ConstellationSet):
+    """Normalized transmit power (M_j − 1)/g* − 1/(x·K) of a discrete-rate
+    policy in region j (0 in outage)."""
+    kk = cset.k
+    coeff = np.array([0.0] + [(m - 1.0) / pol.gamma_star
+                              for m in cset.sizes[1:]])
+    return lambda x, region: np.where(
+        region > 0, coeff[region] - 1.0 / (x * kk), 0.0)
 
 
 def mc_capacity(dist: MudDistribution, cut: CutoffSolution, cfg: McConfig,
@@ -128,34 +133,17 @@ def mc_capacity(dist: MudDistribution, cut: CutoffSolution, cfg: McConfig,
     return _accumulate(dist, cfg, [_rate_map(cut, k)])[0]
 
 
-def mc_se_dr(dist: MudDistribution, pol: DrPolicy, cset: ConstellationSet,
-             cfg: McConfig) -> McEstimate:
-    """Mean of log₂(M_j) with j the region of each draw."""
-    return _accumulate(dist, cfg, [_bits_map(cset)], pol)[0]
-
-
-def mc_power_check(dist: MudDistribution, policy, cfg: McConfig,
-                   k: float = 1.0,
-                   cset: Optional[ConstellationSet] = None) -> McEstimate:
-    """Average per-draw normalized power of a solved policy; must land on
-    the budget ratio. Pass k for the continuous-rate cutoff, cset for a
-    discrete-rate policy."""
-    per_draw = _power_map(policy, k, cset)
-    pol = policy if isinstance(policy, DrPolicy) else None
-    return _accumulate(dist, cfg, [per_draw], pol)[0]
-
-
 def mc_point(dist: MudDistribution, cut: CutoffSolution,
              cut_cr: CutoffSolution, pol: DrPolicy, cset: ConstellationSet,
              cfg: McConfig) -> Dict[str, McEstimate]:
     """Capacity, continuous- and discrete-rate efficiency, and the power
     of the capacity and discrete-rate policies, all from one stream of
-    draws. Each equals the matching single-estimate call bit for bit."""
+    draws. Each equals the estimate of its map alone bit for bit."""
     maps = {
         "capacity": _rate_map(cut, 1.0),
         "se_cr": _rate_map(cut_cr, cset.k),
         "se_dr": _bits_map(cset),
-        "power": _power_map(cut),
-        "power_dr": _power_map(pol, cset=cset),
+        "power": _power_map(cut, 1.0),
+        "power_dr": _dr_power_map(pol, cset),
     }
     return dict(zip(maps, _accumulate(dist, cfg, list(maps.values()), pol)))

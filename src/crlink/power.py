@@ -19,6 +19,7 @@ and the derivative for the Newton step is closed-form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -28,6 +29,18 @@ from .mud import MudDistribution
 from .numerics import integrate_to_inf, solve_decreasing
 
 
+def _is_number(v) -> bool:
+    """A real number that is not a boolean."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _whole_numbers(key: str, vals) -> Tuple[int, ...]:
+    """vals as ints; a fraction, a boolean or a non-number fails naming key."""
+    if not all(_is_number(v) and float(v).is_integer() for v in vals):
+        raise ValueError(f"{key} takes whole numbers only, got {vals}")
+    return tuple(int(v) for v in vals)
+
+
 @dataclass(frozen=True)
 class ConstraintSpec:
     """Average power budget: 1 for transmit power, Q/P for interference."""
@@ -35,8 +48,9 @@ class ConstraintSpec:
     budget_ratio: float = 1.0
 
     def __post_init__(self):
-        if self.budget_ratio <= 0.0:
-            raise ValueError(f"budget_ratio must be > 0, got {self.budget_ratio}")
+        if not math.isfinite(self.budget_ratio) or self.budget_ratio <= 0.0:
+            raise ValueError(f"budget_ratio must be finite and > 0, "
+                             f"got {self.budget_ratio}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +78,7 @@ class ConstellationSet:
     target_ber: float
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = _whole_numbers("sizes", self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) < 2 or sizes[0] != 0:
             raise ValueError("sizes must start with 0 and offer at least one constellation")
@@ -110,28 +124,22 @@ def _waterfill_spent(dist: MudDistribution, gamma0: float,
     return _sf_over_x2(dist, t) / k, -float(dist.sf(t)) / gamma0 ** 2
 
 
-def _solve_waterfill(dist: MudDistribution, c: ConstraintSpec,
-                     k: float) -> CutoffSolution:
-    # the spent power never exceeds 1/γ₀, so the root lies at or below 1/budget
-    target = c.budget_ratio
-    g0, residual, iters = solve_decreasing(
-        lambda g: _waterfill_spent(dist, g, k), target, x0=1.0 / target)
-    return CutoffSolution(gamma0=g0, residual=residual, iterations=iters)
-
-
 def solve_cutoff(dist: MudDistribution, c: ConstraintSpec) -> CutoffSolution:
     """Cutoff γ₀ for the capacity-optimal policy (1/γ₀ − 1/x above γ₀)."""
-    return _solve_waterfill(dist, c, 1.0)
+    return solve_cutoff_cr(dist, c, 1.0)
 
 
 def solve_cutoff_cr(dist: MudDistribution, c: ConstraintSpec,
                     k: float) -> CutoffSolution:
     """Cutoff γ₀ for continuous-rate adaptive modulation with penalty K:
-    transmission above γ₀/K, power 1/γ₀ − 1/(x·K). K=1 reduces exactly to
-    solve_cutoff."""
+    transmission above γ₀/K, power 1/γ₀ − 1/(x·K). K=1 is solve_cutoff."""
     if not 0.0 < k <= 1.0:
         raise ValueError(f"power-loss factor must be in (0, 1], got {k}")
-    return _solve_waterfill(dist, c, k)
+    # the spent power never exceeds 1/γ₀, so the root lies at or below 1/budget
+    target = c.budget_ratio
+    g0, residual, iters = solve_decreasing(
+        lambda g: _waterfill_spent(dist, g, k), target, x0=1.0 / target)
+    return CutoffSolution(gamma0=g0, residual=residual, iterations=iters)
 
 
 def _dr_spent(dist: MudDistribution, gamma_star: float,

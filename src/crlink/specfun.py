@@ -47,9 +47,10 @@ def _lower_gamma_series(a: float, x: float) -> float:
     )
 
 
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Q(a,x) = 1 − P(a,x) by the Legendre continued fraction (modified Lentz);
-    reliable for x ≥ a + 1."""
+def _gamma_cf(a: float, x: float) -> float:
+    """The Legendre continued fraction 1/(x+1−a− 1·(1−a)/(x+3−a− ...)),
+    a_n = −n(n−a), by the modified Lentz method; Γ(a,x) is this times
+    x^a·e^{−x}. Reliable for x ≥ a + 1; at a = 0 it gives e^{x}·E1(x)."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -68,11 +69,17 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < REL_TOL:
-            return h * math.exp(a * math.log(x) - x - math.lgamma(a))
+            return h
     raise ConvergenceError(
-        f"upper-gamma continued fraction did not converge: a={a}, x={x}, "
+        f"incomplete-gamma continued fraction did not converge: a={a}, x={x}, "
         f"max_terms={MAX_TERMS}"
     )
+
+
+def _upper_gamma_cf(a: float, x: float) -> float:
+    """Q(a,x) = 1 − P(a,x) = Γ(a,x)/Γ(a) from the continued fraction;
+    reliable for x ≥ a + 1."""
+    return _gamma_cf(a, x) * math.exp(a * math.log(x) - x - math.lgamma(a))
 
 
 def _check_gamma_args(name: str, a: float, x: float) -> None:
@@ -126,29 +133,8 @@ def exp_integral_e1(x: float) -> float:
         raise ConvergenceError(
             f"E1 series did not converge: x={x}, max_terms={MAX_TERMS}"
         )
-    # E1(x) = e^{−x} · 1/(x+1− 1/(x+3− 4/(x+5− 9/(...)))), a_k = −k²
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, MAX_TERMS + 1):
-        ak = -(k * k)
-        b += 2.0
-        d = ak * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + ak / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < REL_TOL:
-            return h * math.exp(-x)
-    raise ConvergenceError(
-        f"E1 continued fraction did not converge: x={x}, max_terms={MAX_TERMS}"
-    )
+    # E1(x) = Γ(0,x) = e^{−x} · 1/(x+1− 1/(x+3− 4/(x+5− 9/(...))))
+    return _gamma_cf(0.0, x) * math.exp(-x)
 
 
 def _hyp2f1_series(a: float, b: float, c: float, w):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
@@ -24,7 +23,8 @@ from .metrics import capacity, spectral_efficiency_cr, spectral_efficiency_dr
 from .mud import MudDistribution
 from .oracle import MIN_SAMPLES, McConfig, mc_point
 from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
-                    solve_cutoff, solve_cutoff_cr, solve_dr_policy)
+                    _is_number, _whole_numbers, solve_cutoff, solve_cutoff_cr,
+                    solve_dr_policy)
 
 _MODES = ("osa", "ss")
 _AXES = ("p_av_db", "q_av_db", "num_users")
@@ -32,14 +32,6 @@ _AXES = ("p_av_db", "q_av_db", "num_users")
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def _whole_numbers(key: str, vals) -> Tuple[int, ...]:
-    """vals as ints; a fraction, a boolean or a non-number fails naming key."""
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-               and float(v).is_integer() for v in vals):
-        raise ValueError(f"{key} takes whole numbers only, got {vals}")
-    return tuple(int(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -69,8 +61,11 @@ class SweepConfig:
                           ("p_av_db", (self.p_av_db,)),
                           ("q_av_db", (self.q_av_db,)),
                           ("ber_target", (self.ber_target,))):
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError(f"{key} must be finite, got {vals}")
+            if not all(_is_number(v) and math.isfinite(v) for v in vals):
+                raise ValueError(f"{key} must be finite numbers, got {vals}")
+        for key in ("axis_range", "m_values"):
+            object.__setattr__(self, key,
+                               tuple(float(v) for v in getattr(self, key)))
         start, stop, step = self.axis_range
         if step <= 0 or stop < start:
             raise ValueError(f"bad axis_range {self.axis_range}")
@@ -93,6 +88,9 @@ class SweepConfig:
         if not isinstance(self.mc_validate, bool):
             raise ValueError(f"mc_validate must be true or false, "
                              f"got {self.mc_validate!r}")
+        if not isinstance(self.output, str):
+            raise ValueError(f"output must be a file path, "
+                             f"got {self.output!r}")
 
     def axis_values(self) -> List[float]:
         start, stop, step = self.axis_range
@@ -227,19 +225,14 @@ def _fmt(v) -> str:
     return format(v, ".9g")
 
 
-def csv_header(cfg: SweepConfig) -> List[str]:
-    cols = ["axis", "ns", "m", "capacity", "se_cr", "se_dr",
-            "gamma0_cap", "gamma0_cr", "gamma_star_dr"]
-    if cfg.mc_validate:
-        cols += ["mc_cap_rel", "mc_cr_rel", "mc_dr_rel"]
-    return cols + ["error"]
-
-
 def render_csv(res: SweepResult) -> str:
+    mc = res.config.mc_validate
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(csv_header(res.config))
-    mc = res.config.mc_validate
+    writer.writerow(["axis", "ns", "m", "capacity", "se_cr", "se_dr",
+                     "gamma0_cap", "gamma0_cr", "gamma_star_dr"]
+                    + (["mc_cap_rel", "mc_cr_rel", "mc_dr_rel"] if mc else [])
+                    + ["error"])
     for r in res.rows:
         rec = [_fmt(r.axis_value), str(r.ns), _fmt(r.m),
                _fmt(r.capacity), _fmt(r.se_cr), _fmt(r.se_dr),
@@ -283,16 +276,16 @@ def config_from_dict(raw: dict) -> SweepConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(raw)
     if "m" in kwargs:
-        kwargs["m_values"] = tuple(float(v) for v in _as_list(kwargs.pop("m")))
+        kwargs["m_values"] = tuple(_as_list(kwargs.pop("m")))
     if "num_users" in kwargs:
         kwargs["num_users"] = tuple(_as_list(kwargs["num_users"]))
     if "axis_range" in kwargs:
-        rng = list(kwargs["axis_range"])
+        rng = list(_as_list(kwargs["axis_range"]))
         if len(rng) == 2:
             rng.append(1.0)
         if len(rng) != 3:
             raise ValueError(f"axis_range needs [start, stop, step], got {rng}")
-        kwargs["axis_range"] = tuple(float(v) for v in rng)
+        kwargs["axis_range"] = tuple(rng)
     if "constellations" in kwargs:
         kwargs["constellations"] = tuple(_as_list(kwargs["constellations"]))
     return SweepConfig(**kwargs)

@@ -8,8 +8,8 @@ import pytest
 from crlink.fading import LinkKind, SnrDistribution, nakagami
 from crlink.metrics import capacity, spectral_efficiency_dr
 from crlink.mud import MudDistribution
-from crlink.oracle import (McConfig, mc_capacity, mc_point, mc_power_check,
-                           mc_se_dr)
+from crlink.oracle import (McConfig, _accumulate, _bits_map, _dr_power_map,
+                           _power_map, mc_capacity, mc_point)
 from crlink.power import (ConstellationSet, ConstraintSpec, CutoffSolution,
                           DrPolicy, power_loss_factor, solve_cutoff,
                           solve_cutoff_cr, solve_dr_policy)
@@ -22,11 +22,18 @@ def _direct(mean=1.0, L=1, m=1.0):
     return MudDistribution(SnrDistribution(nakagami(m, mean), LinkKind.DIRECT), L)
 
 
+def _mc(dist, per_draw, cfg, pol=None):
+    """The estimate of one per-draw map alone."""
+    return _accumulate(dist, cfg, [per_draw], pol)[0]
+
+
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(samples=0)
     with pytest.raises(ValueError):
         McConfig(samples=10, batch=0)
+    with pytest.raises(ValueError, match="seed"):
+        McConfig(samples=10, seed=-1)
 
 
 def test_seed_determinism():
@@ -64,7 +71,7 @@ def test_mc_se_dr_agreement_and_region_frequencies():
     dist = _direct(mean=10.0, L=5)
     pol = solve_dr_policy(dist, TX, CSET)
     cfg = McConfig(samples=10 ** 6, seed=77)
-    est = mc_se_dr(dist, pol, CSET, cfg)
+    est = _mc(dist, _bits_map(CSET), cfg, pol)
     analytic = spectral_efficiency_dr(dist, pol, CSET).value
     assert est.within(analytic)
 
@@ -82,14 +89,14 @@ def test_mc_se_dr_all_outage_is_zero():
     pol = DrPolicy(gamma_star=1e12, boundaries=boundaries,
                    region_probs=(0.0,) * len(boundaries),
                    residual=0.0, iterations=0)
-    est = mc_se_dr(dist, pol, CSET, McConfig(samples=10 ** 5, seed=3))
+    est = _mc(dist, _bits_map(CSET), McConfig(samples=10 ** 5, seed=3), pol)
     assert est.value == 0.0
 
 
 def test_mc_power_check_capacity_policy():
     dist = _direct(mean=10.0, L=5)
     cut = solve_cutoff(dist, TX)
-    est = mc_power_check(dist, cut, McConfig(samples=10 ** 6, seed=11))
+    est = _mc(dist, _power_map(cut, 1.0), McConfig(samples=10 ** 6, seed=11))
     assert est.within(1.0)
 
 
@@ -97,25 +104,23 @@ def test_mc_power_check_cr_policy():
     k = power_loss_factor(1e-3)
     dist = _direct(mean=10.0, L=5)
     cut = solve_cutoff_cr(dist, TX, k)
-    est = mc_power_check(dist, cut, McConfig(samples=10 ** 6, seed=12), k=k)
+    est = _mc(dist, _power_map(cut, k), McConfig(samples=10 ** 6, seed=12))
     assert est.within(1.0)
 
 
 def test_mc_power_check_dr_policy():
     dist = _direct(mean=10.0, L=5)
     pol = solve_dr_policy(dist, TX, CSET)
-    est = mc_power_check(dist, pol, McConfig(samples=10 ** 6, seed=13),
-                         cset=CSET)
+    est = _mc(dist, _dr_power_map(pol, CSET),
+              McConfig(samples=10 ** 6, seed=13), pol)
     assert est.within(1.0)
-    with pytest.raises(ValueError):
-        mc_power_check(dist, pol, McConfig(samples=10 ** 5, seed=1))
 
 
 def test_zero_power_below_cutoff():
     # a cutoff far above the support makes every draw contribute nothing
     dist = _direct()
     cut = CutoffSolution(gamma0=1e9, residual=0.0, iterations=0)
-    est = mc_power_check(dist, cut, McConfig(samples=10 ** 5, seed=2))
+    est = _mc(dist, _power_map(cut, 1.0), McConfig(samples=10 ** 5, seed=2))
     assert est.value == 0.0
 
 
@@ -154,9 +159,9 @@ def test_mc_point_equals_single_estimates(link, L):
     single = {
         "capacity": mc_capacity(dist, cut, cfg),
         "se_cr": mc_capacity(dist, cut_cr, cfg, k=CSET.k),
-        "se_dr": mc_se_dr(dist, pol, CSET, cfg),
-        "power": mc_power_check(dist, cut, cfg),
-        "power_dr": mc_power_check(dist, pol, cfg, cset=CSET),
+        "se_dr": _mc(dist, _bits_map(CSET), cfg, pol),
+        "power": _mc(dist, _power_map(cut, 1.0), cfg),
+        "power_dr": _mc(dist, _dr_power_map(pol, CSET), cfg, pol),
     }
     assert list(est) == list(single)
     for name, want in single.items():

@@ -67,11 +67,17 @@ def test_constellation_set_validation():
         ConstellationSet((0, 1), 1e-3)          # degenerate constellation
     with pytest.raises(ValueError):
         ConstellationSet((0, 4), 0.2)           # BER out of range
+    # fractions and booleans are refused, never truncated by int()
+    for sizes in ((0, 4, 8.7, 16), (0, True, 4), (False, 4, 8)):
+        with pytest.raises(ValueError, match="whole numbers"):
+            ConstellationSet(sizes, 1e-3)
+    assert ConstellationSet((0, 4.0, 16), 1e-3).sizes == (0, 4, 16)
 
 
 def test_constraint_spec_validation():
-    with pytest.raises(ValueError):
-        ConstraintSpec(0.0)
+    for budget in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ConstraintSpec(budget)
 
 
 def test_rayleigh_unit_budget_cutoff():

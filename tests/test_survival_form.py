@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from crlink.fading import LinkKind, SnrDistribution, nakagami
-from crlink.metrics import _rate_integral
+from crlink.metrics import spectral_efficiency_cr
 from crlink.mud import MudDistribution, mud_pdf
 from crlink.numerics import integrate
-from crlink.power import ConstellationSet, _dr_spent, _waterfill_spent
+from crlink.power import (ConstellationSet, CutoffSolution, _dr_spent,
+                          _waterfill_spent)
 
 K = 0.6
 GAMMA0 = 0.7
@@ -55,7 +56,8 @@ def test_survival_identities_match_density_form(link, m, L):
     power = _density_form(dist, lambda x: 1.0 / GAMMA0 - 1.0 / (x * K), t)
     assert abs(_waterfill_spent(dist, GAMMA0, K)[0] - power) <= 1e-10 * power
     rate = _density_form(dist, lambda x: np.log2(x / t), t)
-    assert abs(_rate_integral(dist, GAMMA0, K)[0] - rate) <= 1e-10 * rate
+    se_cr = spectral_efficiency_cr(dist, CutoffSolution(GAMMA0, 0, 0), K).value
+    assert abs(se_cr - rate) <= 1e-10 * rate
 
 
 def _central(fn, x, h):

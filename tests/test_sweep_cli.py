@@ -15,8 +15,9 @@ from crlink.fading import FadingSpec, LinkKind, SnrDistribution
 from crlink.metrics import (capacity, spectral_efficiency_cr,
                             spectral_efficiency_dr)
 from crlink.mud import MudDistribution
-from crlink.power import (ConstellationSet, ConstraintSpec, solve_cutoff,
-                          solve_cutoff_cr, solve_dr_policy)
+from crlink.oracle import McConfig, mc_capacity
+from crlink.power import (ConstellationSet, ConstraintSpec, CutoffSolution,
+                          solve_cutoff, solve_cutoff_cr, solve_dr_policy)
 from crlink.sweep import (SweepConfig, SweepResult, config_from_dict,
                           db_to_linear, emit_csv, evaluate_point, load_config,
                           render_csv, run_sweep, solve_point)
@@ -235,6 +236,12 @@ def test_cli_selftest():
     ("seed", True),
     ("mc_samples", 150000.5),
     ("mc_validate", "yes_please"),
+    ("m", [True]),
+    ("p_av_db", True),
+    ("axis_range", [0, True, 1]),
+    ("p_av_db", "10"),
+    ("m", ["abc"]),
+    ("output", 5),
 ])
 def test_config_rejects_bad_values_at_load(key, value):
     # caught when the config is read, with the key named, never per point
@@ -260,6 +267,21 @@ def test_cli_point_rejects_fractional_sizes(capsys):
         main(["point", "--mode", "osa", "--sizes", "0,4,8.5"])
     assert exc.value.code == 2
     assert "--sizes: must be whole numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["point", "--mode", "osa", "--ns", "0"], "num_users"),
+    (["point", "--mode", "osa", "--seed", "-1"], "seed"),
+    (["validate", "--seed", "-1"], "seed"),
+])
+def test_cli_bad_value_is_usage_error(argv, key, capsys):
+    # used to end in a ValueError traceback, validate after its header
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {key} must be" in err
 
 
 def test_config_rejects_fractional_user_axis():
@@ -326,3 +348,15 @@ def test_one_oracle_stream_per_point(monkeypatch):
     row = evaluate_point(cfg, 10.0, 3, 1.0, mc_seed=5)
     assert not row.error and row.mc_dr_rel is not None
     assert sum(draws) == cfg.mc_samples
+
+
+def test_oracle_batches_bounded_at_many_users(monkeypatch):
+    # each batch draws (L, n) base SNRs; at L = 100 one uncapped batch of
+    # 1e5 would hold 1e7 of them
+    draws = _count_draws(monkeypatch)
+    base = SnrDistribution(FadingSpec(10.0), LinkKind.DIRECT)
+    dist = MudDistribution(base, 100)
+    cut = CutoffSolution(gamma0=0.1, residual=0.0, iterations=0)
+    est = mc_capacity(dist, cut, McConfig(samples=10 ** 5, seed=4))
+    assert sum(draws) == est.samples == 10 ** 5
+    assert max(draws) * 100 <= 4 * 10 ** 6
