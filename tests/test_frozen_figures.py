@@ -1,0 +1,40 @@
+"""The four shipped sweeps still give the figures frozen in tests/data.
+
+tests/data/fig1..4.csv were written by `crlink sweep configs/figN.cfg`
+before the survival-table solver replaced the per-call adaptive integrals.
+A fresh sweep must render them byte for byte, or else agree with every
+analytic cell at 1e-8 relative. The fresh values are compared at full
+precision, so the 9-digit rounding of the frozen cells (at most 5e-9
+relative) leaves room for a last-digit drift and no more.
+"""
+
+import csv
+import io
+from pathlib import Path
+
+import pytest
+
+from crlink.sweep import load_config, render_csv, run_sweep
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+ANALYTIC = ("capacity", "se_cr", "se_dr", "gamma0_cap", "gamma0_cr",
+            "gamma_star_dr")
+REL = 1e-8
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_figure_matches_frozen_csv(name):
+    frozen = (DATA / f"{name}.csv").read_text()
+    res = run_sweep(load_config(str(ROOT / "configs" / f"{name}.cfg")))
+    if render_csv(res) == frozen:
+        return
+    rows = list(csv.DictReader(io.StringIO(frozen)))
+    assert len(rows) == len(res.rows)
+    for ref, row in zip(rows, res.rows):
+        assert (float(ref["axis"]), int(ref["ns"]), float(ref["m"])) == (
+            row.axis_value, row.ns, row.m)
+        assert row.error == ref["error"] == ""
+        for col in ANALYTIC:
+            want, got = float(ref[col]), getattr(row, col)
+            assert abs(got - want) <= REL * abs(want), (name, col, ref, got)
