@@ -23,24 +23,30 @@ def _parse_set(values):
     overrides = {}
     for item in values or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        overrides[key.strip()] = yaml.safe_load(val)
+        try:
+            overrides[key.strip()] = yaml.safe_load(val)
+        except yaml.YAMLError:
+            raise ValueError(f"--set {key.strip()}: cannot parse {val!r}") from None
     return overrides
 
 
 def cmd_sweep(args) -> int:
-    overrides = _parse_set(args.set)
-    if args.output:
-        overrides["output"] = args.output
-    cfg = load_config(args.config, overrides)
+    try:
+        overrides = _parse_set(args.set)
+        if args.output:
+            overrides["output"] = args.output
+        cfg = load_config(args.config, overrides)
+    except (ValueError, OSError) as exc:
+        args.parser.error(str(exc))
     res = run_sweep(cfg, workers=args.workers)
     emit_csv(res, cfg.output)
     failures = [r for r in res.rows if r.error]
     print(f"wrote {cfg.output}: {len(res.rows)} rows, {len(failures)} failed")
     for r in failures:
         print(f"  axis={r.axis_value:g} ns={r.ns} m={r.m:g}: {r.error}")
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_point(args) -> int:
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", help="override the output CSV path")
     sp.add_argument("--workers", type=int, default=1,
                     help="grid points evaluated in parallel (default 1)")
-    sp.set_defaults(func=cmd_sweep)
+    sp.set_defaults(func=cmd_sweep, parser=sp)
 
     pp = sub.add_parser("point", help="evaluate a single operating point")
     pp.add_argument("--mode", choices=("osa", "ss"), required=True)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _hyp2f1_series, ln_beta, reg_lower_gamma, reg_upper_gamma
+from .specfun import (_hyp2f1_series, ln_beta, reg_lower_gamma,
+                      reg_upper_gamma_many)
 
 
 class LinkKind(enum.Enum):
@@ -93,10 +94,11 @@ def pdf_direct(spec: FadingSpec, x):
 
 
 def _log_poisson_head(n: int, y):
-    """ln(e^{-y} Σ_{k<n} y^k/k!) = ln Q(n, y) for integer n, vectorized;
-    -inf where e^{-y} underflows (y > 700)."""
+    """ln(e^{-y} Σ_{k<n} y^k/k!) = ln Q(n, y) for integer n <= 60,
+    vectorized; -inf for y > 1e4, where Q underflows to 0 anyway and the
+    sum could overflow."""
     out = np.full_like(y, -np.inf)
-    small = y <= 700.0
+    small = y <= 1e4
     ys = y[small]
     term = np.ones_like(ys)
     total = np.ones_like(ys)
@@ -118,7 +120,8 @@ def cdf_direct(spec: FadingSpec, x):
     m, g = spec.shape, spec.mean_snr
     y = m * arr / g
     if _is_integer_shape(m):
-        return _finish(-np.expm1(_log_poisson_head(int(m), y)), scalar)
+        # 0 − expm1 keeps the CDF at the origin +0.0, not −0.0
+        return _finish(0.0 - np.expm1(_log_poisson_head(int(m), y)), scalar)
     out = np.array([reg_lower_gamma(m, float(v)) for v in np.ravel(y)])
     return _finish(out.reshape(y.shape), scalar)
 
@@ -131,8 +134,7 @@ def sf_direct(spec: FadingSpec, x):
     y = m * arr / g
     if _is_integer_shape(m):
         return _finish(np.exp(_log_poisson_head(int(m), y)), scalar)
-    out = np.array([reg_upper_gamma(m, float(v)) for v in np.ravel(y)])
-    return _finish(out.reshape(y.shape), scalar)
+    return _finish(reg_upper_gamma_many(m, y), scalar)
 
 
 def pdf_ratio(spec: FadingSpec, x):

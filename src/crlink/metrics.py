@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 from .mud import MudDistribution
-from .numerics import integrate_to_inf
 from .power import ConstellationSet, CutoffSolution, DrPolicy
 
 
@@ -34,8 +33,7 @@ def spectral_efficiency_cr(dist: MudDistribution, cut: CutoffSolution,
     """Continuous-rate spectral efficiency with the BER power penalty K:
     ∫_t^∞ log₂(x/t) f_max(x) dx with t = γ₀/K, which by parts is
     log₂e·∫_t^∞ S(x)/x dx. K=1 is capacity."""
-    val, err = integrate_to_inf(lambda x: dist.sf(x) / x, cut.gamma0 / k,
-                                abs_tol=0.0, rel_tol=1e-9)
+    val, err = dist.sf_integral(cut.gamma0 / k, 1)
     return MetricResult(_LOG2E * val, _LOG2E * err)
 
 

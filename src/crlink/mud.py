@@ -6,19 +6,27 @@ L·f(x)·F(x)^{L-1}, CDF F(x)^L and survival function S(x) = 1 − F(x)^L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
-from .fading import SnrDistribution
+from .fading import FadingSpec, SnrDistribution
+from .numerics import SurvivalTable
 
 
 @dataclass(frozen=True)
 class MudDistribution:
-    """Distribution of the maximum SNR among num_users i.i.d. links."""
+    """Distribution of the maximum SNR among num_users i.i.d. links.
+
+    tables holds the survival tables of sf_integral, keyed by (link, m, L);
+    distributions that share the dict share a table. By default each
+    distribution has its own.
+    """
 
     base: SnrDistribution
     num_users: int
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_users < 1:
@@ -35,6 +43,27 @@ class MudDistribution:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return mud_sample(self, rng, n)
+
+    def sf_integral(self, t: float, power: int) -> Tuple[float, float]:
+        """∫_t^∞ S(x)/x^power dx for power 1 or 2, and its error estimate.
+
+        The scale enters S only through its argument, S(x) = S₁(x/γ̄) with
+        S₁ the law at unit mean (unit scale for the ratio link), so the
+        integral is G(t/γ̄)·γ̄^(1−power) from the SurvivalTable of S₁, built
+        at the first call for this (link, m, L).
+        """
+        if power not in (1, 2):
+            raise ValueError(f"power must be 1 or 2, got {power}")
+        link, m, users = self.base.link, self.base.spec.m, self.num_users
+        key = (link, m, users)
+        if key not in self.tables:
+            unit = MudDistribution(SnrDistribution(FadingSpec(1.0, m), link), users)
+            self.tables[key] = SurvivalTable(unit.sf)
+        table = self.tables[key]
+        g = self.base.spec.mean_snr
+        val, err = (table.g1 if power == 1 else table.g2)(t / g)
+        scale = g ** (power - 1)
+        return val / scale, err / scale
 
 
 def mud_pdf(d: MudDistribution, x):
@@ -55,7 +84,8 @@ def mud_sf(d: MudDistribution, x):
     q = d.base.sf(x)
     if d.num_users == 1:
         return q
-    return -np.expm1(d.num_users * np.log1p(-q))
+    with np.errstate(divide="ignore"):      # Q = 1: log1p is −inf, S is 1
+        return -np.expm1(d.num_users * np.log1p(-q))
 
 
 def mud_sample(d: MudDistribution, rng: np.random.Generator, n: int) -> np.ndarray:

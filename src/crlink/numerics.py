@@ -1,14 +1,18 @@
-"""Adaptive Gauss–Kronrod quadrature and a safeguarded Newton root finder.
+"""Adaptive Gauss–Kronrod quadrature, tabulated survival integrals and a
+safeguarded Newton root finder.
 
 The integrators expect vectorized integrands (ndarray in, ndarray out) and
 return a (value, error_estimate) pair. A semi-infinite range [t, ∞) is
 mapped onto (0, 1] by the single substitution x = t/u (with u = v⁴), which
 turns the power-law tails of the gain-ratio distributions into smooth
-endpoint behavior without a hand-derived truncation bound.
+endpoint behavior without a hand-derived truncation bound. SurvivalTable
+answers the two tail integrals of one survival function at any lower
+limit from panels built once.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from typing import Callable, Tuple
@@ -123,6 +127,152 @@ def integrate_to_inf(fn: Callable[[np.ndarray], np.ndarray], a: float,
         return fn(a / u) * (4.0 * a / (u * v))
 
     return integrate(mapped, 0.0, 1.0, abs_tol, rel_tol)
+
+
+def _legendre_table(u: np.ndarray, n: int) -> np.ndarray:
+    """P_0..P_{n-1} at u, one column per degree, by the three-term
+    recurrence."""
+    p = np.empty((len(u), n))
+    p[:, 0] = 1.0
+    p[:, 1] = u
+    for k in range(1, n - 1):
+        p[:, k + 1] = ((2 * k + 1) * u * p[:, k] - k * p[:, k - 1]) / (k + 1)
+    return p
+
+
+# Legendre-series coefficients of the degree-14 interpolant through the 15
+# Kronrod nodes: coefficients = values @ _LEG_FROM_NODES.
+_LEG_FROM_NODES = np.linalg.inv(_legendre_table(_NODES, 15)).T
+
+_TABLE_REL = 1e-13      # panel error bound, relative to the integral to its right
+_TABLE_ABS = 1e-313     # ... or absolute, where that integral underflows
+_TABLE_GRID = np.arange(-300.0, 49.0, 4.0)  # extent search in s = ln y
+_TABLE_MAX_PANELS = 20000
+_TABLE_MAX_SPLIT = 16
+
+
+class SurvivalTable:
+    """The two tail integrals of a survival function S on (0, ∞),
+
+        G2(τ) = ∫_τ^∞ S(y)/y² dy,   G1(τ) = ∫_τ^∞ S(y)/y dy,
+
+    tabulated once so that any τ > 0 is answered without evaluating S.
+
+    Both are integrals in s = ln y, of S·e^{−s} and of S. The table spans
+    [s_lo, s_hi], the last point of the grid −300, −296, ..., 48 where S
+    rounds to 1 and the first where it is 0 (or 48). Below s_lo, S is
+    taken as 1, dropping 1 − S < 1.2e-16, and the integrals are closed
+    form. Beyond s_hi, one semi-infinite integral of S per G is computed
+    at the build; a τ beyond s_hi is answered by the same integral from τ.
+    The panels in between are split in batched rounds, one call of S per
+    round, until each panel's G7/K15 difference is at most 1e-13 of the
+    integral from its left edge to infinity (or 1e-313 where that
+    underflows). A query adds the integral over the panels to its right, a
+    cumulative sum, to the one over its partial panel, read from the
+    Legendre series of the degree-14 interpolant through that panel's 15
+    stored values.
+    """
+
+    def __init__(self, sf: Callable[[np.ndarray], np.ndarray]):
+        self._sf = sf
+        at = np.asarray(sf(np.exp(_TABLE_GRID)), dtype=float)
+        ones = np.flatnonzero(at == 1.0)
+        zeros = np.flatnonzero(at == 0.0)
+        edges = _TABLE_GRID[ones[-1] if ones.size else 0:
+                            zeros[0] + 1 if zeros.size else len(at)]
+        if len(edges) < 2:
+            raise ValueError("survival function has no transition on the grid")
+        self.s_lo, self.s_hi = float(edges[0]), float(edges[-1])
+        tail = [integrate_to_inf(fn, math.exp(self.s_hi), 0.0, _TABLE_REL)
+                for fn in self._integrands()]
+        lo, hi = edges[:-1], edges[1:]
+        f = self._eval(lo, hi)
+        while True:
+            vals, errs = self._panels(lo, hi, f)
+            right = self._right_sums(vals, [v for v, _ in tail])[:, :-1]
+            excess = (errs / np.maximum(_TABLE_REL * right, _TABLE_ABS)).max(axis=0)
+            bad = (excess > 1.0) & (hi - lo > 1e-12)
+            if not bad.any():
+                break
+            # about excess^(1/10) pieces: the G7 error falls as width^14
+            # once a panel resolves S, and a slower guess splits one that
+            # does not yet resolve it finely enough in a single round
+            k = np.clip(np.ceil(excess[bad] ** (1.0 / 10.0)), 2,
+                        _TABLE_MAX_SPLIT).astype(int)
+            if len(lo) + k.sum() > _TABLE_MAX_PANELS:
+                raise ConvergenceError(
+                    f"survival table did not reach tolerance in "
+                    f"{_TABLE_MAX_PANELS} panels")
+            i = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+            kk, a, b = np.repeat(k, k), np.repeat(lo[bad], k), np.repeat(hi[bad], k)
+            new_lo = a + (b - a) * (i / kk)
+            new_hi = np.where(i + 1 == kk, b, a + (b - a) * ((i + 1) / kk))
+            lo = np.concatenate([lo[~bad], new_lo])
+            hi = np.concatenate([hi[~bad], new_hi])
+            f = np.concatenate([f[:, ~bad], self._eval(new_lo, new_hi)], axis=1)
+            order = np.argsort(lo, kind="stable")
+            lo, hi, f = lo[order], hi[order], f[:, order]
+        self._lo, self._hi = lo, hi
+        self._edges = lo.tolist()
+        self._coef = f @ _LEG_FROM_NODES        # (2, panels, 15) Legendre series
+        self._right = self._right_sums(vals, [v for v, _ in tail])
+        self._right_err = self._right_sums(errs, [e for _, e in tail])
+
+    def _integrands(self):
+        sf = self._sf
+        return (lambda y: sf(y) / (y * y), lambda y: sf(y) / y)
+
+    def _eval(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Both integrands in s, S·e^{−s} and S, at the Kronrod nodes of
+        each panel: an array (2, panels, 15)."""
+        y = np.exp(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES)
+        s = np.asarray(self._sf(y.ravel()), dtype=float).reshape(y.shape)
+        return np.stack([s / y, s])
+
+    @staticmethod
+    def _panels(lo, hi, f):
+        """K15 values and |K15 − G7| of both integrands: arrays (2, panels)."""
+        half = 0.5 * (hi - lo)
+        k15 = half * (f @ _WK)
+        g7 = half * (f[:, :, _GAUSS_IDX] @ _WGL)
+        floor = 50.0 * _EPS * half * (np.abs(f) @ _WK)
+        return k15, np.maximum(np.abs(k15 - g7), floor)
+
+    @staticmethod
+    def _right_sums(vals, tail):
+        """Σ_{i ≥ j} vals[:, i] + tail for each j, with the tail alone last."""
+        ext = np.concatenate([vals, np.array(tail, dtype=float)[:, None]], axis=1)
+        return np.cumsum(ext[:, ::-1], axis=1)[:, ::-1]
+
+    def _query(self, tau: float, which: int) -> Tuple[float, float]:
+        if not tau > 0.0:
+            return math.inf, 0.0
+        s = math.log(tau)
+        if s >= self.s_hi:
+            return integrate_to_inf(self._integrands()[which], tau, 0.0,
+                                    _TABLE_REL)
+        if s < self.s_lo:
+            head = (1.0 / tau - math.exp(-self.s_lo) if which == 0
+                    else self.s_lo - s)
+            return self._right[which, 0] + head, self._right_err[which, 0]
+        j = bisect.bisect_right(self._edges, s) - 1
+        a, b = self._lo[j], self._hi[j]
+        u = (2.0 * s - a - b) / (b - a)
+        # ∫_u^1 P_k = (P_{k−1}(u) − P_{k+1}(u))/(2k+1), and 1 − u for k = 0
+        p = [1.0, u]
+        for k in range(1, 15):
+            p.append(((2 * k + 1) * u * p[k] - k * p[k - 1]) / (k + 1))
+        w = [1.0 - u] + [(p[k - 1] - p[k + 1]) / (2 * k + 1) for k in range(1, 15)]
+        part = 0.5 * (b - a) * float(np.dot(self._coef[which, j], w))
+        return self._right[which, j + 1] + part, self._right_err[which, j]
+
+    def g2(self, tau: float) -> Tuple[float, float]:
+        """∫_τ^∞ S(y)/y² dy and its error estimate."""
+        return self._query(tau, 0)
+
+    def g1(self, tau: float) -> Tuple[float, float]:
+        """∫_τ^∞ S(y)/y dy and its error estimate."""
+        return self._query(tau, 1)
 
 
 def solve_decreasing(g: Callable[[float], Tuple[float, float]], target: float,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -133,17 +133,24 @@ def mc_capacity(dist: MudDistribution, cut: CutoffSolution, cfg: McConfig,
     return _accumulate(dist, cfg, [_rate_map(cut, k)])[0]
 
 
+ESTIMATES = ("capacity", "se_cr", "se_dr", "power", "power_dr")
+
+
 def mc_point(dist: MudDistribution, cut: CutoffSolution,
              cut_cr: CutoffSolution, pol: DrPolicy, cset: ConstellationSet,
-             cfg: McConfig) -> Dict[str, McEstimate]:
-    """Capacity, continuous- and discrete-rate efficiency, and the power
-    of the capacity and discrete-rate policies, all from one stream of
-    draws. Each equals the estimate of its map alone bit for bit."""
-    maps = {
-        "capacity": _rate_map(cut, 1.0),
-        "se_cr": _rate_map(cut_cr, cset.k),
-        "se_dr": _bits_map(cset),
-        "power": _power_map(cut, 1.0),
-        "power_dr": _dr_power_map(pol, cset),
-    }
-    return dict(zip(maps, _accumulate(dist, cfg, list(maps.values()), pol)))
+             cfg: McConfig,
+             estimates: Sequence[str] = ESTIMATES) -> Dict[str, McEstimate]:
+    """The named estimates, by default all of ESTIMATES: capacity,
+    continuous- and discrete-rate efficiency, and the power of the capacity
+    and discrete-rate policies, all from one stream of draws. Each equals
+    the estimate of its map alone bit for bit, whichever others are asked
+    for."""
+    maps = dict(zip(ESTIMATES, (
+        _rate_map(cut, 1.0), _rate_map(cut_cr, cset.k), _bits_map(cset),
+        _power_map(cut, 1.0), _dr_power_map(pol, cset))))
+    unknown = set(estimates) - set(maps)
+    if unknown:
+        raise ValueError(f"unknown estimates {sorted(unknown)}; "
+                         f"choose from {ESTIMATES}")
+    chosen = [maps[name] for name in estimates]
+    return dict(zip(estimates, _accumulate(dist, cfg, chosen, pol)))

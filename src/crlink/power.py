@@ -26,7 +26,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .mud import MudDistribution
-from .numerics import integrate_to_inf, solve_decreasing
+from .numerics import solve_decreasing
 
 
 def _is_number(v) -> bool:
@@ -105,15 +105,9 @@ class DrPolicy:
     iterations: int
 
 
-# relative only: every survival integral is positive
-_QUAD_REL = 1e-11
-
-
 def _sf_over_x2(dist: MudDistribution, t: float) -> float:
     """∫_t^∞ S(x)/x² dx."""
-    val, _ = integrate_to_inf(lambda x: dist.sf(x) / (x * x), t,
-                              abs_tol=0.0, rel_tol=_QUAD_REL)
-    return val
+    return dist.sf_integral(t, 2)[0]
 
 
 def _waterfill_spent(dist: MudDistribution, gamma0: float,

@@ -17,6 +17,7 @@ from .exceptions import ConvergenceError
 EULER_GAMMA = 0.5772156649015328606
 REL_TOL = 1e-12
 MAX_TERMS = 500
+_MANY_MIN = 64      # reg_upper_gamma_many: fewer elements go to the scalar loop
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -112,6 +113,69 @@ def reg_upper_gamma(a: float, x: float) -> float:
     if x < a + 1.0:
         return 1.0 - _lower_gamma_series(a, x)
     return _upper_gamma_cf(a, x)
+
+
+def reg_upper_gamma_many(a: float, x) -> np.ndarray:
+    """Q(a,x) for a scalar a > 0 and an array x >= 0, elementwise as
+    reg_upper_gamma: the series for x < a+1, the Lentz continued fraction
+    otherwise.
+
+    Numpy overhead makes one array step cost as much as a few dozen scalar
+    ones, so fewer than _MANY_MIN elements take the scalar loop (giving
+    reg_upper_gamma's values exactly), and so do the last unconverged
+    ones of a longer array. The long arrays come from survival-table
+    builds, which evaluate thousands of nodes per call.
+    """
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size < _MANY_MIN:
+        return np.array([reg_upper_gamma(a, v) for v in x.tolist()]).reshape(shape)
+    out = np.empty_like(x)
+    idx = np.flatnonzero(x < a + 1.0)
+    xs = x[idx]
+    with np.errstate(divide="ignore"):          # x = 0 gives Q = 1
+        pre = np.exp(a * np.log(xs) - xs - math.lgamma(a + 1.0))
+    term = np.ones_like(xs)
+    total = np.ones_like(xs)
+    for n in range(1, MAX_TERMS + 1):
+        if idx.size < _MANY_MIN:
+            break
+        term *= xs / (a + n)
+        total += term
+        conv = term < REL_TOL * total
+        if conv.any():
+            out[idx[conv]] = 1.0 - total[conv] * pre[conv]
+            keep = ~conv
+            idx, xs, term, total, pre = (idx[keep], xs[keep], term[keep],
+                                         total[keep], pre[keep])
+    out[idx] = [1.0 - _lower_gamma_series(a, v) for v in xs.tolist()]
+    # For x >= a+1 the Lentz denominators stay above 2 (checked over
+    # a in [0.5, 60], x in [a+1, 1e6]), so the scalar loop's underflow
+    # guards are left out.
+    idx = np.flatnonzero(x >= a + 1.0)
+    xl = x[idx]
+    pre = np.exp(a * np.log(xl) - xl - math.lgamma(a))
+    b = xl + 1.0 - a
+    c = np.full_like(xl, 1e300)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, MAX_TERMS + 1):
+        if idx.size < _MANY_MIN:
+            break
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h *= delta
+        conv = np.abs(delta - 1.0) < REL_TOL
+        if conv.any():
+            out[idx[conv]] = h[conv] * pre[conv]
+            keep = ~conv
+            idx, xl, b, c, d, h, pre = (idx[keep], xl[keep], b[keep], c[keep],
+                                        d[keep], h[keep], pre[keep])
+    out[idx] = [_upper_gamma_cf(a, v) for v in xl.tolist()]
+    return out.reshape(shape)
 
 
 def exp_integral_e1(x: float) -> float:

@@ -133,18 +133,22 @@ def _grid(cfg: SweepConfig) -> List[Tuple[float, int, float]]:
 
 
 def build_point(mode: str, m: float, ns: int, p_db: float,
-                q_db: Optional[float]) -> Tuple[MudDistribution, ConstraintSpec]:
+                q_db: Optional[float], tables: Optional[dict] = None
+                ) -> Tuple[MudDistribution, ConstraintSpec]:
     """The best-of-ns SNR law and the power budget of one operating point.
 
     osa: direct link with mean SNR p_db and a unit transmit-power budget.
     ss: gain-ratio link with scale p_db and the interference budget Q/P.
+    Points given the same tables dict share their survival tables.
     """
     spec = nakagami(m, db_to_linear(p_db))
     if mode == "osa":
         link, budget = LinkKind.DIRECT, 1.0
     else:
         link, budget = LinkKind.RATIO, db_to_linear(q_db) / db_to_linear(p_db)
-    return MudDistribution(SnrDistribution(spec, link), ns), ConstraintSpec(budget)
+    dist = MudDistribution(SnrDistribution(spec, link), ns,
+                           {} if tables is None else tables)
+    return dist, ConstraintSpec(budget)
 
 
 class PointSolution(NamedTuple):
@@ -171,13 +175,14 @@ def solve_point(dist: MudDistribution, constraint: ConstraintSpec,
 
 
 def evaluate_point(cfg: SweepConfig, axis_value: float, ns: int, m: float,
-                   mc_seed: int = 0) -> SweepRow:
-    """Solve the three policies and metrics at one grid point."""
+                   mc_seed: int = 0, tables: Optional[dict] = None) -> SweepRow:
+    """Solve the three policies and metrics at one grid point; tables as
+    in build_point."""
     row = SweepRow(axis_value=axis_value, ns=ns, m=m)
     try:
         p_db = axis_value if cfg.axis == "p_av_db" else cfg.p_av_db
         q_db = axis_value if cfg.axis == "q_av_db" else cfg.q_av_db
-        dist, constraint = build_point(cfg.mode, m, ns, p_db, q_db)
+        dist, constraint = build_point(cfg.mode, m, ns, p_db, q_db, tables)
         cset = ConstellationSet(cfg.constellations, cfg.ber_target)
         sol = solve_point(dist, constraint, cset)
         row.capacity, row.se_cr, row.se_dr = sol.capacity, sol.se_cr, sol.se_dr
@@ -185,7 +190,8 @@ def evaluate_point(cfg: SweepConfig, axis_value: float, ns: int, m: float,
             sol.cut.gamma0, sol.cut_cr.gamma0, sol.pol.gamma_star)
         if cfg.mc_validate:
             est = mc_point(dist, sol.cut, sol.cut_cr, sol.pol, cset,
-                           McConfig(samples=cfg.mc_samples, seed=mc_seed))
+                           McConfig(samples=cfg.mc_samples, seed=mc_seed),
+                           ("capacity", "se_cr", "se_dr"))
             row.mc_cap_rel = _rel_gap(est["capacity"].value, row.capacity)
             row.mc_cr_rel = _rel_gap(est["se_cr"].value, row.se_cr)
             row.mc_dr_rel = _rel_gap(est["se_dr"].value, row.se_dr)
@@ -205,11 +211,15 @@ def _eval_args(args) -> SweepRow:
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Evaluate the whole grid; row order is (axis, ns, m) regardless of
     worker scheduling, and per-point oracle streams derive from the config
-    seed and the point index only."""
+    seed and the point index only. In one process, points with the same
+    (link, m, L) share one survival table, dropped on return; each worker
+    task gets its own. A table depends on (link, m, L) alone, so neither
+    changes a row."""
     points = _grid(cfg)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(
         max(len(points), 1), dtype=np.uint64)
-    tasks = [(cfg, v, ns, m, int(seeds[i]))
+    tables: dict = {}
+    tasks = [(cfg, v, ns, m, int(seeds[i]), tables)
              for i, (v, ns, m) in enumerate(points)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -260,6 +270,12 @@ def load_config(path: str, overrides: Optional[dict] = None) -> SweepConfig:
             raw = yaml.safe_load(fh) or {}
     except OSError as exc:
         raise OSError(f"cannot read sweep config {path!r}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        where = getattr(exc, "problem_mark", None)
+        raise ValueError(f"cannot parse sweep config {path!r}"
+                         + (f" at line {where.line + 1}" if where else "")) from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"sweep config {path!r} must map keys to values")
     if overrides:
         raw.update(overrides)
     return config_from_dict(raw)

@@ -61,6 +61,14 @@ def test_cdf_direct_anchors():
     assert abs(cdf_direct(nakagami(2.0, 1.0), 1.0) - P_2_2) < 1e-10
 
 
+@pytest.mark.parametrize("m", [1.0, 2.0, 5.0, 1.5])
+def test_cdf_direct_is_positive_zero_at_origin(m):
+    # the integer-m branch used to return -0.0
+    spec = nakagami(m, 1.0)
+    assert math.copysign(1.0, cdf_direct(spec, 0.0)) == 1.0
+    assert math.copysign(1.0, cdf_direct(spec, np.zeros(3))[0]) == 1.0
+
+
 def test_cdf_direct_noninteger_against_scipy():
     for m in (0.5, 1.7, 3.3):
         spec = nakagami(m, 2.5)

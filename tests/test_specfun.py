@@ -11,7 +11,8 @@ from scipy import special as sp
 from crlink.exceptions import ConvergenceError
 from crlink.specfun import (EULER_GAMMA, _hyp2f1_series, _lower_gamma_series,
                             _upper_gamma_cf, exp_integral_e1, ln_beta,
-                            reg_lower_gamma)
+                            reg_lower_gamma, reg_upper_gamma,
+                            reg_upper_gamma_many)
 
 # frozen oracle values
 P_2_2 = 0.5939941502901619          # 1 - 3e^{-2}, cross-checked below
@@ -71,6 +72,24 @@ def test_reg_lower_gamma_derivative_is_gamma_pdf(a):
         num = (reg_lower_gamma(a, x + h) - reg_lower_gamma(a, x - h)) / (2 * h)
         pdf = math.exp((a - 1.0) * math.log(x) - x - math.lgamma(a))
         assert abs(num - pdf) < 1e-6
+
+
+@pytest.mark.parametrize("a", [0.5, 0.7, 1.5, 2.5, 7.3, 13.1, 59.5])
+def test_reg_upper_gamma_many_matches_scalar(a):
+    # both sides of the series/continued-fraction switch at a + 1, the
+    # origin, and the tail down to where Q leaves the normal range
+    x = np.concatenate([[0.0, a + 1.0], np.geomspace(1e-300, 1600.0, 3001)])
+    many = reg_upper_gamma_many(a, x)
+    ref = np.array([reg_upper_gamma(a, float(v)) for v in x])
+    normal = ref > 1e-300
+    assert np.all(np.abs(many - ref)[normal] <= 1e-12 * ref[normal])
+    assert np.all(many[~normal] <= 1e-299)
+    assert many[0] == 1.0
+    # a short array takes the scalar loop and its values exactly
+    short = x[::500]
+    assert reg_upper_gamma_many(a, short).tolist() == [
+        reg_upper_gamma(a, float(v)) for v in short]
+    assert reg_upper_gamma_many(a, 2.0).shape == ()
 
 
 def test_e1_anchor_and_tail_bound():

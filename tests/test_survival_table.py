@@ -1,0 +1,104 @@
+"""The tabulated tail integrals G2(τ) = ∫_τ^∞ S/y² and G1(τ) = ∫_τ^∞ S/y.
+
+Each table is checked against adaptive quadrature of the scalar survival
+function over τ from 1e-20 to 1e20. The reference integrates
+[τ, 1] in s = ln y with `integrate` and [max(τ, 1), ∞) with
+`integrate_to_inf`: the x = τ/v⁴ map of `integrate_to_inf` alone loses
+best-of-L mass lying beyond about 1e9·τ, which is up to 2e-9 of G2 at
+τ = 1e-8, while the table resolves it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from crlink.fading import FadingSpec, LinkKind, SnrDistribution
+from crlink.mud import MudDistribution
+from crlink.numerics import SurvivalTable, integrate, integrate_to_inf
+
+TAUS = [10.0 ** k for k in range(-20, 21, 4)] + [0.3, 3.0]
+REL = 1e-12
+
+
+def _unit(link, m, L):
+    return MudDistribution(SnrDistribution(FadingSpec(1.0, m), link), L)
+
+
+def _reference(dist, tau, power):
+    fn = lambda y: dist.sf(y) / y ** power           # noqa: E731
+    total = integrate_to_inf(fn, max(tau, 1.0), 0.0, 1e-13)[0]
+    if tau < 1.0:
+        total += integrate(lambda s: dist.sf(np.exp(s)) * np.exp((1 - power) * s),
+                           math.log(tau), 0.0, 0.0, 1e-13)[0]
+    return total
+
+
+def _check(dist, taus):
+    dist.sf_integral(1.0, 1)                         # builds the table
+    (table,) = dist.tables.values()
+    for tau in taus:
+        for power, query in ((2, table.g2), (1, table.g1)):
+            ref = _reference(dist, tau, power)
+            if ref > 1e-300:
+                got = query(tau)[0]
+                assert abs(got - ref) <= REL * ref, (tau, power, got, ref)
+
+
+@pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 4.0, 7.3])
+@pytest.mark.parametrize("L", [1, 5, 15, 200, 1000])
+def test_table_matches_quadrature(link, m, L):
+    _check(_unit(link, m, L), TAUS)
+
+
+def test_concentrated_bulk_at_60_db():
+    # osa 60 dB, L = 50, m = 4: the cutoffs sit near 1e-6 of the mean, so
+    # the queries land far below the bulk of the unit-scale law
+    _check(_unit(LinkKind.DIRECT, 4.0, 50), [1e-7, 3e-7, 1e-6, 3e-6, 1e-5])
+
+
+def test_scale_enters_through_the_argument():
+    base = SnrDistribution(FadingSpec(1e6, 4.0), LinkKind.DIRECT)
+    dist = MudDistribution(base, 50)
+    t = 0.7
+    for power in (1, 2):
+        got = dist.sf_integral(t, power)[0]
+        ref = integrate(lambda s: dist.sf(np.exp(s)) * np.exp((1 - power) * s),
+                        math.log(t), math.log(1e6), 0.0, 1e-13)[0]
+        ref += integrate_to_inf(lambda y: dist.sf(y) / y ** power, 1e6, 0.0,
+                                1e-13)[0]
+        assert abs(got - ref) <= REL * ref
+
+
+def test_table_depends_on_its_law_alone():
+    # two builds agree bit for bit, whatever was asked of the first
+    sf = _unit(LinkKind.RATIO, 1.5, 5).sf
+    first = SurvivalTable(sf)
+    answers = [first.g2(t) + first.g1(t) for t in (1e-3, 0.5, 7.0, 1e25)]
+    second = SurvivalTable(sf)
+    assert [second.g2(t) + second.g1(t)
+            for t in (1e-3, 0.5, 7.0, 1e25)] == answers
+    assert np.array_equal(first._coef, second._coef)
+
+
+def test_query_beyond_the_table_and_at_the_origin():
+    dist = _unit(LinkKind.RATIO, 0.5, 1)
+    dist.sf_integral(1.0, 1)
+    (table,) = dist.tables.values()
+    tau = 10.0 * math.exp(table.s_hi)
+    ref = integrate_to_inf(lambda y: dist.sf(y) / y, tau, 0.0, 1e-13)[0]
+    assert abs(table.g1(tau)[0] - ref) <= REL * ref
+    assert table.g2(0.0)[0] == table.g1(0.0)[0] == math.inf
+
+
+def test_distributions_share_a_tables_dict():
+    tables = {}
+    base = SnrDistribution(FadingSpec(10.0, 2.0), LinkKind.RATIO)
+    near = MudDistribution(base, 5, tables)
+    far = MudDistribution(SnrDistribution(FadingSpec(1e3, 2.0), LinkKind.RATIO),
+                          5, tables)
+    near.sf_integral(1.0, 2)
+    far.sf_integral(1.0, 2)
+    assert len(tables) == 1
+    assert near == MudDistribution(base, 5)           # tables take no part

@@ -360,3 +360,119 @@ def test_oracle_batches_bounded_at_many_users(monkeypatch):
     est = mc_capacity(dist, cut, McConfig(samples=10 ** 5, seed=4))
     assert sum(draws) == est.samples == 10 ** 5
     assert max(draws) * 100 <= 4 * 10 ** 6
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["--set", "m=.nan"], "m must be"),
+    (["--set", "num_users=[2.5]"], "num_users"),
+    (["--set", "bogus=1"], "unknown config keys"),
+    (["--set", "m=[1,"], "--set m: cannot parse"),
+    (["--set", "m"], "--set expects key=value"),
+])
+def test_cli_sweep_bad_value_is_usage_error(argv, key, tmp_path, capsys):
+    # used to end in a Python traceback with exit code 1
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(CONFIGS / "fig1.cfg"), "-o", str(out)] + argv)
+    assert exc.value.code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert key in err.splitlines()[-1]
+    assert not out.exists()
+
+
+def test_cli_sweep_bad_config_file_is_usage_error(tmp_path, capsys):
+    broken = tmp_path / "broken.cfg"
+    broken.write_text("mode: osa\naxis: [p_av_db\n")
+    listed = tmp_path / "listed.cfg"
+    listed.write_text("- mode\n- osa\n")
+    for path, text in ((tmp_path / "missing.cfg", "cannot read sweep config"),
+                       (broken, "cannot parse sweep config"),
+                       (listed, "must map keys to values")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(path), "-o", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert text in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_sweep_failed_rows_exit_nonzero(tmp_path):
+    # the 300 dB interference budget cannot be met; the 0 dB point can
+    cfg = tmp_path / "fail.cfg"
+    cfg.write_text("mode: ss\naxis: q_av_db\naxis_range: [0, 300, 300]\n"
+                   "num_users: [1]\nm: [1.0]\np_av_db: 0.0\n")
+    out = tmp_path / "fail.csv"
+    with redirect_stdout(io.StringIO()) as buf:
+        rc = main(["sweep", str(cfg), "-o", str(out)])
+    assert rc == 1
+    lines = out.read_text().rstrip("\n").split("\n")
+    assert len(lines) == 3
+    assert lines[1].endswith(",") and "NoSolutionError" in lines[2]
+    report = buf.getvalue().splitlines()
+    assert report[0].endswith("2 rows, 1 failed")
+    assert report[1].startswith("  axis=300 ns=1 m=1: NoSolutionError")
+
+
+def test_sweep_oracle_evaluates_three_maps(monkeypatch):
+    # the sweep reports three gaps, so it asks for three estimates only
+    import crlink.oracle as oracle
+    seen = []
+    real = oracle._accumulate
+
+    def counted(dist, cfg, maps, pol=None):
+        seen.append(len(maps))
+        return real(dist, cfg, maps, pol)
+    monkeypatch.setattr(oracle, "_accumulate", counted)
+    cfg = small_cfg(axis_range=(10.0, 10.0, 1.0), num_users=(3,),
+                    mc_validate=True, mc_samples=10 ** 5)
+    row = run_sweep(cfg).rows[0]
+    assert row.error == "" and row.mc_dr_rel is not None
+    assert seen == [3]
+
+
+def test_rows_do_not_depend_on_grid_order(monkeypatch):
+    # a table depends on (link, m, L) alone, never on the points before it
+    import crlink.sweep as sweep
+    cfg = SweepConfig(mode="ss", axis="q_av_db", axis_range=(-4.0, 4.0, 4.0),
+                      num_users=(1, 5), m_values=(1.0, 1.5), p_av_db=10.0)
+    forward = {(r.axis_value, r.ns, r.m): r for r in run_sweep(cfg).rows}
+    real = sweep._grid
+    monkeypatch.setattr(sweep, "_grid", lambda c: real(c)[::-1])
+    backward = run_sweep(cfg).rows
+    assert [(r.axis_value, r.ns, r.m) for r in backward] == list(forward)[::-1]
+    for r in backward:
+        assert r == forward[(r.axis_value, r.ns, r.m)]
+    monkeypatch.undo()
+
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = main(["point", "--mode", "ss", "--m", "1.5", "--ns", "5",
+                   "--p-av-db", "10", "--q-av-db", "0"])
+    assert rc == 0
+    point = buf.getvalue().rstrip("\n").split("\n")[1].split(",")
+    row = forward[(0.0, 5, 1.5)]
+    assert point[3:9] == [format(v, ".9g") for v in (
+        row.capacity, row.se_cr, row.se_dr, row.gamma0_cap, row.gamma0_cr,
+        row.gamma_star_dr)]
+    cfg_point = SweepConfig(mode="ss", axis="q_av_db",
+                            axis_range=(0.0, 0.0, 1.0), num_users=(5,),
+                            m_values=(1.5,), p_av_db=10.0)
+    assert run_sweep(cfg_point).rows[0] == row
+
+
+def test_each_sweep_builds_its_own_tables(monkeypatch):
+    # tables live for one run_sweep call: a group of points shares one,
+    # and the next call builds it again
+    import crlink.mud as mud
+    built = []
+    real = mud.SurvivalTable
+
+    def counted(sf):
+        built.append(sf)
+        return real(sf)
+    monkeypatch.setattr(mud, "SurvivalTable", counted)
+    cfg = small_cfg(axis_range=(0.0, 4.0, 2.0), num_users=(1, 5))
+    first = render_csv(run_sweep(cfg))
+    assert len(built) == 2                       # (direct, 1, 1), (direct, 1, 5)
+    assert render_csv(run_sweep(cfg)) == first
+    assert len(built) == 4
