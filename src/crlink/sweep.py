@@ -211,21 +211,26 @@ def _eval_args(args) -> SweepRow:
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Evaluate the whole grid; row order is (axis, ns, m) regardless of
     worker scheduling, and per-point oracle streams derive from the config
-    seed and the point index only. In one process, points with the same
-    (link, m, L) share one survival table, dropped on return; each worker
-    task gets its own. A table depends on (link, m, L) alone, so neither
-    changes a row."""
+    seed and the point index only. In one process, the points of one
+    (ns, m) group, which share (link, m, L), share one survival table,
+    released after the group's last point; each worker task gets its own.
+    A table depends on (link, m, L) alone, so neither changes a row."""
     points = _grid(cfg)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(
         max(len(points), 1), dtype=np.uint64)
-    tables: dict = {}
-    tasks = [(cfg, v, ns, m, int(seeds[i]), tables)
+    groups: dict = {}
+    tasks = [(cfg, v, ns, m, int(seeds[i]), groups.setdefault((ns, m), {}))
              for i, (v, ns, m) in enumerate(points)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_args, tasks))
     else:
-        rows = [_eval_args(t) for t in tasks]
+        last = {(ns, m): i for i, (_, ns, m) in enumerate(points)}
+        rows = []
+        for i, task in enumerate(tasks):
+            rows.append(_eval_args(task))
+            if last[task[2], task[3]] == i:
+                task[5].clear()
     return SweepResult(config=cfg, rows=rows)
 
 

@@ -476,3 +476,29 @@ def test_each_sweep_builds_its_own_tables(monkeypatch):
     assert len(built) == 2                       # (direct, 1, 1), (direct, 1, 5)
     assert render_csv(run_sweep(cfg)) == first
     assert len(built) == 4
+
+
+def test_sweep_releases_a_table_after_its_last_point(monkeypatch):
+    # on a user-count axis every (L, m) occurs once, so no earlier table
+    # may still be alive when the next point starts
+    import weakref
+
+    import crlink.mud as mud
+    import crlink.sweep as sweep
+    alive, seen = [], []
+    real_table, real_eval = mud.SurvivalTable, sweep.evaluate_point
+
+    def tracked(sf):
+        table = real_table(sf)
+        alive.append(weakref.ref(table))
+        return table
+
+    def evaluate(*args, **kwargs):
+        seen.append(sum(ref() is not None for ref in alive))
+        return real_eval(*args, **kwargs)
+    monkeypatch.setattr(mud, "SurvivalTable", tracked)
+    monkeypatch.setattr(sweep, "evaluate_point", evaluate)
+    cfg = SweepConfig(mode="osa", axis="num_users", axis_range=(1, 4, 1),
+                      m_values=(1.0, 1.5))
+    assert all(r.error == "" for r in run_sweep(cfg).rows)
+    assert len(alive) == 8 and seen == [0] * 8
