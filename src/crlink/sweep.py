@@ -227,10 +227,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     else:
         last = {(ns, m): i for i, (_, ns, m) in enumerate(points)}
         rows = []
-        for i, task in enumerate(tasks):
-            rows.append(_eval_args(task))
-            if last[task[2], task[3]] == i:
-                task[5].clear()
+        for i, (_, ns, m) in enumerate(points):
+            rows.append(_eval_args(tasks[i]))
+            if last[ns, m] == i:
+                groups[ns, m].clear()
     return SweepResult(config=cfg, rows=rows)
 
 
