@@ -15,8 +15,8 @@ from .oracle import MIN_SAMPLES, McConfig, mc_point
 from .power import (ConstellationSet, power_loss_factor, solve_cutoff,
                     solve_cutoff_cr)
 from .specfun import exp_integral_e1
-from .sweep import (SweepConfig, build_point, emit_csv, load_config,
-                    render_csv, run_sweep, solve_point)
+from .sweep import (SweepConfig, _check_output, build_point, emit_csv,
+                    load_config, render_csv, run_sweep, solve_point)
 
 
 def _parse_set(values):
@@ -38,6 +38,7 @@ def cmd_sweep(args) -> int:
         if args.output:
             overrides["output"] = args.output
         cfg = load_config(args.config, overrides)
+        _check_output(cfg.output)
     except (ValueError, OSError) as exc:
         args.parser.error(str(exc))
     res = run_sweep(cfg, workers=args.workers)
@@ -60,6 +61,8 @@ def cmd_point(args) -> int:
             ber_target=args.ber, constellations=args.sizes,
             mc_validate=args.mc, mc_samples=args.mc_samples, seed=args.seed,
             output=args.output or "-")
+        if cfg.output != "-":
+            _check_output(cfg.output)
     except ValueError as exc:
         args.parser.error(str(exc))
     res = run_sweep(cfg)

@@ -27,6 +27,9 @@ from .specfun import (_hyp2f1_series, ln_beta, reg_lower_gamma,
                       reg_upper_gamma_many)
 
 
+_PFAFF_MAX_M = 10.0     # _ratio_halves: larger m takes the positive series
+
+
 class LinkKind(enum.Enum):
     DIRECT = "direct"      # secondary-link SNR (transmit-power constraint)
     RATIO = "ratio"        # gain-ratio SNR (interference-power constraint)
@@ -163,9 +166,13 @@ def _ratio_halves(spec: FadingSpec, x):
 
     F(v) = w^m · 2F1(m, 1−m; 1+m; w) / (m·B(m,m)) with w = v/(1+v) (the
     Pfaff-transformed series; w <= 1/2 so it converges fast and terminates
-    for integer m). The exact reflection F(y) = 1 − F(1/y)
-    (exchangeability of the two gains) covers y > 1, so F(v) is the CDF
-    below the unit point and the survival above it.
+    for integer m). Its terms alternate in sign while n < m − 1 and grow
+    to about 1.5^m times the sum, so above m = 10 the cancellation would
+    cost more than 1e-12; there F(v) is taken from Euler's transformation
+    w^m·(1−w)^m · 2F1(1, 2m; 1+m; w) / (m·B(m,m)), whose terms are all
+    positive. The exact reflection F(y) = 1 − F(1/y) (exchangeability of
+    the two gains) covers y > 1, so F(v) is the CDF below the unit point
+    and the survival above it.
     """
     arr, scalar = _prepare(x)
     m = spec.shape
@@ -175,8 +182,13 @@ def _ratio_halves(spec: FadingSpec, x):
     near = np.zeros_like(v)
     pos = v > 0.0
     w = v[pos] / (1.0 + v[pos])
-    series = _hyp2f1_series(m, 1.0 - m, 1.0 + m, w)
-    near[pos] = np.exp(m * np.log(w) - math.log(m) - ln_beta(m, m)) * series
+    if m <= _PFAFF_MAX_M:
+        series = _hyp2f1_series(m, 1.0 - m, 1.0 + m, w)
+        log_pre = m * np.log(w)
+    else:
+        series = _hyp2f1_series(1.0, 2.0 * m, 1.0 + m, w)
+        log_pre = m * (np.log(w) + np.log1p(-w))
+    near[pos] = np.exp(log_pre - math.log(m) - ln_beta(m, m)) * series
     return np.clip(near, 0.0, 1.0), lower, scalar
 
 

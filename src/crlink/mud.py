@@ -7,12 +7,13 @@ L·f(x)·F(x)^{L-1}, CDF F(x)^L and survival function S(x) = 1 − F(x)^L.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from functools import partial
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from .fading import FadingSpec, SnrDistribution
-from .numerics import SurvivalTable
+from .fading import FadingSpec, LinkKind, SnrDistribution
+from .numerics import _survival_tables
 
 
 @dataclass(frozen=True)
@@ -50,15 +51,15 @@ class MudDistribution:
         The scale enters S only through its argument, S(x) = S₁(x/γ̄) with
         S₁ the law at unit mean (unit scale for the ratio link), so the
         integral is G(t/γ̄)·γ̄^(1−power) from the SurvivalTable of S₁, built
-        at the first call for this (link, m, L).
+        by _unit_tables at the first call for this (link, m, L) unless the
+        dict already holds it.
         """
         if power not in (1, 2):
             raise ValueError(f"power must be 1 or 2, got {power}")
         link, m, users = self.base.link, self.base.spec.m, self.num_users
         key = (link, m, users)
         if key not in self.tables:
-            unit = MudDistribution(SnrDistribution(FadingSpec(1.0, m), link), users)
-            self.tables[key] = SurvivalTable(unit.sf)
+            self.tables.update(_unit_tables(link, m, [users]))
         table = self.tables[key]
         g = self.base.spec.mean_snr
         val, err = (table.g1 if power == 1 else table.g2)(t / g)
@@ -78,14 +79,30 @@ def mud_cdf(d: MudDistribution, x):
     return d.base.cdf(x) ** d.num_users
 
 
-def mud_sf(d: MudDistribution, x):
-    """1 − F(x)^L as −expm1(L·log1p(−Q)) from the base survival Q, so the
-    upper tail keeps full relative precision for any L; Q itself for L=1."""
-    q = d.base.sf(x)
-    if d.num_users == 1:
+def _best_of(q, users: int):
+    """The survival 1 − (1 − Q)^L of the best of L users from the base
+    survival Q, as −expm1(L·log1p(−Q)) so the upper tail keeps full
+    relative precision for any L; Q itself for L=1."""
+    if users == 1:
         return q
     with np.errstate(divide="ignore"):      # Q = 1: log1p is −inf, S is 1
-        return -np.expm1(d.num_users * np.log1p(-q))
+        return -np.expm1(users * np.log1p(-q))
+
+
+def mud_sf(d: MudDistribution, x):
+    """1 − F(x)^L from the base survival (_best_of)."""
+    return _best_of(d.base.sf(x), d.num_users)
+
+
+def _unit_tables(link: LinkKind, m: float, users: Iterable[int]) -> dict:
+    """The survival tables of the unit-scale best-of-L law for every L in
+    users, keyed (link, m, L) as MudDistribution.tables is. They are built
+    in one batch on the base survival Q, which is evaluated once per node
+    for all of them; each table equals its one-L build bit for bit."""
+    users = list(users)
+    base = SnrDistribution(FadingSpec(1.0, m), link).sf
+    tables = _survival_tables(base, [partial(_best_of, users=L) for L in users])
+    return {(link, m, L): t for L, t in zip(users, tables)}
 
 
 def mud_sample(d: MudDistribution, rng: np.random.Generator, n: int) -> np.ndarray:

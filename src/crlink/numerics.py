@@ -149,6 +149,86 @@ _TABLE_ABS = 1e-313     # ... or absolute, where that integral underflows
 _TABLE_GRID = np.arange(-300.0, 49.0, 4.0)  # extent search in s = ln y
 _TABLE_MAX_PANELS = 20000
 _TABLE_MAX_SPLIT = 16
+_TABLE_CHUNK = 10
+_TABLE_CALL = 128
+
+
+def _node_y(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """y = e^s at the 15 Kronrod nodes of each panel [lo, hi] in s: an
+    array (panels, 15)."""
+    return np.exp(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES)
+
+
+def _panel_sums(f: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """K15 values and |K15 − G7| of both integrands from their values f
+    (2, panels, 15): arrays (2, panels). The sums over the nodes are
+    reductions, whose rows do not depend on how many rows there are."""
+    half = 0.5 * (hi - lo)
+    g7 = half * (f[:, :, _GAUSS_IDX] * _WGL).sum(axis=-1)
+    weighted = f * _WK
+    k15 = half * weighted.sum(axis=-1)
+    np.abs(weighted, out=weighted)
+    floor = 50.0 * _EPS * half * weighted.sum(axis=-1)
+    return k15, np.maximum(np.abs(k15 - g7), floor)
+
+
+def _right_sums(vals, tail):
+    """Σ_{i ≥ j} vals[:, i] + tail for each j, with the tail alone last."""
+    ext = np.concatenate([vals, np.array(tail, dtype=float)[:, None]], axis=1)
+    return np.cumsum(ext[:, ::-1], axis=1)[:, ::-1]
+
+
+class _Nodes:
+    """A base function at the Kronrod nodes of every distinct panel that a
+    batch of tables asks for, each evaluated once; two tables share a
+    panel when its edges are the same floats. Row r holds the panel
+    [lo[r], hi[r]] and the base at its nodes, q[r]."""
+
+    def __init__(self, base: Callable[[np.ndarray], np.ndarray]):
+        self.base = base
+        self.grid = np.asarray(base(np.exp(_TABLE_GRID)), dtype=float)
+        self.lo = self.hi = np.empty(0)
+        self.q = np.empty((0, len(_NODES)))
+
+    def rows(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The rows of the panels [lo, hi], calling the base once, at the
+        nodes of the panels not seen before."""
+        known = len(self.lo)
+        every_lo = np.concatenate([self.lo, lo])
+        every_hi = np.concatenate([self.hi, hi])
+        # equal panels fall together, each known row ahead of its copies
+        order = np.lexsort((every_hi, every_lo))
+        ends = np.empty(len(order), dtype=bool)
+        ends[0] = True
+        ends[1:] = ((every_lo[order[1:]] != every_lo[order[:-1]])
+                    | (every_hi[order[1:]] != every_hi[order[:-1]]))
+        lead = order[ends]                  # the first of each set of equals
+        fresh = lead >= known
+        row = np.where(fresh, known + np.cumsum(fresh) - 1, lead)
+        rows = np.empty(len(order), dtype=np.intp)
+        rows[order] = row[np.cumsum(ends) - 1]
+        new = lead[fresh]
+        if len(new):
+            self.lo = np.concatenate([self.lo, every_lo[new]])
+            self.hi = np.concatenate([self.hi, every_hi[new]])
+            # at most _TABLE_CALL panels a call, which bounds the working
+            # memory of the base
+            self.q = np.concatenate([self.q] + [
+                np.asarray(self.base(y.ravel()), dtype=float).reshape(y.shape)
+                for y in (_node_y(self.lo[i:i + _TABLE_CALL],
+                                  self.hi[i:i + _TABLE_CALL])
+                          for i in range(known, len(self.lo), _TABLE_CALL))])
+        return rows[known:]
+
+    def values(self, law, rows: np.ndarray) -> np.ndarray:
+        """Both integrands in s, S·e^{−s} and S with S = law(base) (the
+        base itself for no law), at the nodes of the panels in rows: an
+        array (2, panels, 15)."""
+        q = self.q[rows]
+        f = np.empty((2,) + q.shape)
+        f[1] = q if law is None else law(q)
+        np.divide(f[1], _node_y(self.lo[rows], self.hi[rows]), out=f[0])
+        return f
 
 
 class SurvivalTable:
@@ -163,86 +243,41 @@ class SurvivalTable:
     rounds to 1 and the first where it is 0 (or 48). Below s_lo, S is
     taken as 1, dropping 1 − S < 1.2e-16, and the integrals are closed
     form. Beyond s_hi, one semi-infinite integral of S per G is computed
-    at the build; a τ beyond s_hi is answered by the same integral from τ.
-    The panels in between are split in batched rounds, one call of S per
-    round, until each panel's G7/K15 difference is at most 1e-13 of the
-    integral from its left edge to infinity (or 1e-313 where that
-    underflows). A query adds the integral over the panels to its right, a
-    cumulative sum, to the one over its partial panel, read from the
-    Legendre series of the degree-14 interpolant through that panel's 15
-    stored values.
+    at the build (none where S is 0 at s_hi: the integral of zeros is 0);
+    a τ beyond s_hi is answered by the same integral from τ. The panels in
+    between are split in rounds until each panel's G7/K15 difference is at
+    most 1e-13 of the integral from its left edge to infinity (or 1e-313
+    where that underflows). A query adds the integral over the panels to
+    its right, a cumulative sum, to the one over its partial panel, read
+    from the Legendre series of the degree-14 interpolant through that
+    panel's 15 node values.
+
+    SurvivalTable(sf) tabulates S = sf. _survival_tables tabulates the
+    laws S = law(Q) of one base Q in one batch. A built table holds only
+    its panels' rows in the batch's node store; the sums and series are
+    derived from there at its first query.
     """
 
     def __init__(self, sf: Callable[[np.ndarray], np.ndarray]):
-        self._sf = sf
-        at = np.asarray(sf(np.exp(_TABLE_GRID)), dtype=float)
-        ones = np.flatnonzero(at == 1.0)
-        zeros = np.flatnonzero(at == 0.0)
-        edges = _TABLE_GRID[ones[-1] if ones.size else 0:
-                            zeros[0] + 1 if zeros.size else len(at)]
-        if len(edges) < 2:
-            raise ValueError("survival function has no transition on the grid")
-        self.s_lo, self.s_hi = float(edges[0]), float(edges[-1])
-        tail = [integrate_to_inf(fn, math.exp(self.s_hi), 0.0, _TABLE_REL)
-                for fn in self._integrands()]
-        lo, hi = edges[:-1], edges[1:]
-        f = self._eval(lo, hi)
-        while True:
-            vals, errs = self._panels(lo, hi, f)
-            right = self._right_sums(vals, [v for v, _ in tail])[:, :-1]
-            excess = (errs / np.maximum(_TABLE_REL * right, _TABLE_ABS)).max(axis=0)
-            bad = (excess > 1.0) & (hi - lo > 1e-12)
-            if not bad.any():
-                break
-            # about excess^(1/10) pieces: the G7 error falls as width^14
-            # once a panel resolves S, and a slower guess splits one that
-            # does not yet resolve it finely enough in a single round
-            k = np.clip(np.ceil(excess[bad] ** (1.0 / 10.0)), 2,
-                        _TABLE_MAX_SPLIT).astype(int)
-            if len(lo) + k.sum() > _TABLE_MAX_PANELS:
-                raise ConvergenceError(
-                    f"survival table did not reach tolerance in "
-                    f"{_TABLE_MAX_PANELS} panels")
-            i = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
-            kk, a, b = np.repeat(k, k), np.repeat(lo[bad], k), np.repeat(hi[bad], k)
-            new_lo = a + (b - a) * (i / kk)
-            new_hi = np.where(i + 1 == kk, b, a + (b - a) * ((i + 1) / kk))
-            lo = np.concatenate([lo[~bad], new_lo])
-            hi = np.concatenate([hi[~bad], new_hi])
-            f = np.concatenate([f[:, ~bad], self._eval(new_lo, new_hi)], axis=1)
-            order = np.argsort(lo, kind="stable")
-            lo, hi, f = lo[order], hi[order], f[:, order]
-        self._lo, self._hi = lo, hi
-        self._edges = lo.tolist()
-        self._coef = f @ _LEG_FROM_NODES        # (2, panels, 15) Legendre series
-        self._right = self._right_sums(vals, [v for v, _ in tail])
-        self._right_err = self._right_sums(errs, [e for _, e in tail])
+        _refine(_Nodes(sf), [None], [self])
+
+    def _sf(self, y):
+        q = self._nodes.base(y)
+        return q if self._law is None else self._law(q)
 
     def _integrands(self):
         sf = self._sf
         return (lambda y: sf(y) / (y * y), lambda y: sf(y) / y)
 
-    def _eval(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Both integrands in s, S·e^{−s} and S, at the Kronrod nodes of
-        each panel: an array (2, panels, 15)."""
-        y = np.exp(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES)
-        s = np.asarray(self._sf(y.ravel()), dtype=float).reshape(y.shape)
-        return np.stack([s / y, s])
-
-    @staticmethod
-    def _panels(lo, hi, f):
-        """K15 values and |K15 − G7| of both integrands: arrays (2, panels)."""
-        half = 0.5 * (hi - lo)
-        k15 = half * (f @ _WK)
-        g7 = half * (f[:, :, _GAUSS_IDX] @ _WGL)
-        floor = 50.0 * _EPS * half * (np.abs(f) @ _WK)
-        return k15, np.maximum(np.abs(k15 - g7), floor)
-
-    @staticmethod
-    def _right_sums(vals, tail):
-        """Σ_{i ≥ j} vals[:, i] + tail for each j, with the tail alone last."""
-        ext = np.concatenate([vals, np.array(tail, dtype=float)[:, None]], axis=1)
-        return np.cumsum(ext[:, ::-1], axis=1)[:, ::-1]
+    def _derive(self) -> None:
+        nodes, rows = self._nodes, self._rows
+        f = nodes.values(self._law, rows)
+        self._lo, self._hi = nodes.lo[rows], nodes.hi[rows]
+        vals, errs = _panel_sums(f, self._lo, self._hi)
+        self._right = _right_sums(vals, self._tail[0])
+        self._right_err = _right_sums(errs, self._tail[1])
+        self._coef = f @ _LEG_FROM_NODES        # (2, panels, 15) Legendre series
+        self._edges = self._lo.tolist()
 
     def _query(self, tau: float, which: int) -> Tuple[float, float]:
         if not tau > 0.0:
@@ -251,6 +286,8 @@ class SurvivalTable:
         if s >= self.s_hi:
             return integrate_to_inf(self._integrands()[which], tau, 0.0,
                                     _TABLE_REL)
+        if self._coef is None:
+            self._derive()
         if s < self.s_lo:
             head = (1.0 / tau - math.exp(-self.s_lo) if which == 0
                     else self.s_lo - s)
@@ -273,6 +310,121 @@ class SurvivalTable:
     def g1(self, tau: float) -> Tuple[float, float]:
         """∫_τ^∞ S(y)/y dy and its error estimate."""
         return self._query(tau, 1)
+
+
+def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
+                     laws) -> list:
+    """One SurvivalTable of S = law(base(y)) per law, built in batches of
+    _TABLE_CHUNK tables that share one node store.
+
+    Every law must map base values to S elementwise. Each round calls the
+    base once, at the nodes of the panels that some table of the batch
+    asks for and none has asked for before; each table keeps its own
+    partition. Provided the base is elementwise too, a table is the same,
+    bit for bit, whatever else is in its batch.
+    """
+    tables = [SurvivalTable.__new__(SurvivalTable) for _ in laws]
+    nodes = _Nodes(base)
+    for i in range(0, len(laws), _TABLE_CHUNK):
+        _refine(nodes, laws[i:i + _TABLE_CHUNK], tables[i:i + _TABLE_CHUNK])
+    return tables
+
+
+def _refine(nodes: _Nodes, laws, tables) -> None:
+    """Partition the tables of one batch. The panels of all of them live
+    in flat arrays sorted by (table, lo); each round merges the new panels
+    in and splits every panel that misses its table's error bound. A table
+    is done in the first round that splits none of its panels."""
+    count = len(tables)
+    tail = np.zeros((2, 2, count))      # (value, error) × (G2, G1) × table
+    edges = []
+    for t, (table, law) in enumerate(zip(tables, laws)):
+        table._nodes, table._law, table._coef = nodes, law, None
+        at = nodes.grid if law is None else law(nodes.grid)
+        ones = np.flatnonzero(at == 1.0)
+        zeros = np.flatnonzero(at == 0.0)
+        e = _TABLE_GRID[ones[-1] if ones.size else 0:
+                        zeros[0] + 1 if zeros.size else len(at)]
+        if len(e) < 2:
+            raise ValueError("survival function has no transition on the grid")
+        table.s_lo, table.s_hi = float(e[0]), float(e[-1])
+        if not zeros.size:
+            for which, fn in enumerate(table._integrands()):
+                tail[:, which, t] = integrate_to_inf(fn, math.exp(table.s_hi),
+                                                     0.0, _TABLE_REL)
+        table._tail = tail[:, :, t].copy()
+        edges.append(e)
+    new_tid = np.repeat(np.arange(count), [len(e) - 1 for e in edges])
+    new_lo = np.concatenate([e[:-1] for e in edges])
+    new_hi = np.concatenate([e[1:] for e in edges])
+    tid = rows = np.empty(0, dtype=np.intp)
+    vals = errs = np.empty((2, 0))
+    while len(new_tid):
+        new_rows = nodes.rows(new_lo, new_hi)
+        # the new panels' sums, one table at a time
+        cuts = np.concatenate([[0], np.cumsum(np.bincount(new_tid,
+                                                           minlength=count))])
+        sums = [_panel_sums(nodes.values(laws[t], new_rows[a:b]),
+                            new_lo[a:b], new_hi[a:b])
+                for t, a, b in zip(range(count), cuts[:-1], cuts[1:]) if b > a]
+        # merge; the state is only (table, row, sums) per panel, and each
+        # array is replaced on its own to keep one copy alive at a time
+        tid = np.concatenate([tid, new_tid])
+        rows = np.concatenate([rows, new_rows])
+        vals = np.concatenate([vals] + [v for v, _ in sums], axis=1)
+        errs = np.concatenate([errs] + [e for _, e in sums], axis=1)
+        del sums, new_rows, new_tid, new_lo, new_hi
+        order = np.lexsort((nodes.lo[rows], tid))
+        tid = tid[order]
+        rows = rows[order]
+        vals = vals[:, order]
+        errs = errs[:, order]
+        del order
+
+        # each table's right-to-left sums, in the rows of one zero-padded
+        # array: its tail, then its panels from the last one, so that each
+        # running sum adds what _right_sums adds, in the same order
+        panels = np.bincount(tid, minlength=count)
+        col = np.arange(len(tid))
+        col -= np.cumsum(panels)[tid]
+        np.negative(col, out=col)
+        pad = np.zeros((2, count, panels.max() + 1))
+        pad[:, :, 0] = tail[0]
+        pad[:, tid, col] = vals
+        np.cumsum(pad, axis=2, out=pad)
+        excess = pad[:, tid, col]
+        del pad, col
+        np.multiply(excess, _TABLE_REL, out=excess)
+        np.maximum(excess, _TABLE_ABS, out=excess)
+        np.divide(errs, excess, out=excess)
+        excess = excess.max(axis=0)
+        bad = excess > 1.0
+        bad &= nodes.hi[rows] - nodes.lo[rows] > 1e-12
+        split = np.bincount(tid[bad], minlength=count)
+        for t in np.flatnonzero((panels > 0) & (split == 0)):
+            tables[t]._rows = rows[tid == t]
+        # about excess^(1/10) pieces: the G7 error falls as width^14 once a
+        # panel resolves S, and a slower guess splits one that does not yet
+        # resolve it finely enough in a single round
+        k = np.clip(np.ceil(excess[bad] ** (1.0 / 10.0)), 2,
+                    _TABLE_MAX_SPLIT).astype(int)
+        if np.any(panels + np.bincount(tid[bad], weights=k, minlength=count)
+                  > _TABLE_MAX_PANELS):
+            raise ConvergenceError(
+                f"survival table did not reach tolerance in "
+                f"{_TABLE_MAX_PANELS} panels")
+        i = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+        kk = np.repeat(k, k)
+        a = np.repeat(nodes.lo[rows[bad]], k)
+        b = np.repeat(nodes.hi[rows[bad]], k)
+        new_tid = np.repeat(tid[bad], k)
+        new_lo = a + (b - a) * (i / kk)
+        new_hi = np.where(i + 1 == kk, b, a + (b - a) * ((i + 1) / kk))
+        keep = ~bad & (split > 0)[tid]
+        tid = tid[keep]
+        rows = rows[keep]
+        vals = vals[:, keep]
+        errs = errs[:, keep]
 
 
 def solve_decreasing(g: Callable[[float], Tuple[float, float]], target: float,

@@ -18,6 +18,7 @@ EULER_GAMMA = 0.5772156649015328606
 REL_TOL = 1e-12
 MAX_TERMS = 500
 _MANY_MIN = 64      # reg_upper_gamma_many: fewer elements go to the scalar loop
+_TINY = 1e-300      # Lentz underflow guard
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -27,13 +28,9 @@ def ln_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    """P(a,x) by the ascending series; reliable for x < a + 1.
-
-    P(a,x) = x^a e^{-x} / Γ(a+1) · Σ_{n≥0} x^n / ((a+1)...(a+n))
-    """
-    if x == 0.0:
-        return 0.0
+def _series_sum(a: float, x: float) -> float:
+    """Σ_{n≥0} xⁿ / ((a+1)...(a+n)), the sum of the ascending series of
+    P(a,x); reliable for x < a + 1."""
     term = 1.0
     total = 1.0
     denom = a
@@ -42,17 +39,27 @@ def _lower_gamma_series(a: float, x: float) -> float:
         term *= x / denom
         total += term
         if term < REL_TOL * total:
-            return total * math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+            return total
     raise ConvergenceError(
         f"lower-gamma series did not converge: a={a}, x={x}, max_terms={MAX_TERMS}"
     )
+
+
+def _lower_gamma_series(a: float, x: float) -> float:
+    """P(a,x) by the ascending series; reliable for x < a + 1.
+
+    P(a,x) = x^a e^{-x} / Γ(a+1) · Σ_{n≥0} x^n / ((a+1)...(a+n))
+    """
+    if x == 0.0:
+        return 0.0
+    return _series_sum(a, x) * math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
 
 
 def _gamma_cf(a: float, x: float) -> float:
     """The Legendre continued fraction 1/(x+1−a− 1·(1−a)/(x+3−a− ...)),
     a_n = −n(n−a), by the modified Lentz method; Γ(a,x) is this times
     x^a·e^{−x}. Reliable for x ≥ a + 1; at a = 0 it gives e^{x}·E1(x)."""
-    tiny = 1e-300
+    tiny = _TINY
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b
@@ -107,56 +114,75 @@ def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a,x) = 1 − P(a,x), in [0,1].
 
     The continued fraction for x ≥ a+1 keeps full relative precision deep
-    in the tail, where 1 − P(a,x) would cancel.
+    in the tail, where 1 − P(a,x) would cancel. The value is
+    reg_upper_gamma_many's for the same argument, bit for bit.
     """
     _check_gamma_args("reg_upper_gamma", a, x)
+    return float(reg_upper_gamma_many(a, x))
+
+
+def _q_scalar(a: float, x: float, pre: float) -> float:
+    """Q(a,x) by the scalar loops, given reg_upper_gamma_many's prefactor."""
     if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_cf(a, x)
+        return 1.0 - _series_sum(a, x) * pre
+    return _gamma_cf(a, x) * pre
 
 
 def reg_upper_gamma_many(a: float, x) -> np.ndarray:
-    """Q(a,x) for a scalar a > 0 and an array x >= 0, elementwise as
-    reg_upper_gamma: the series for x < a+1, the Lentz continued fraction
-    otherwise.
+    """Q(a,x) for a scalar a > 0 and an array x >= 0, elementwise: the
+    series for x < a+1, the Lentz continued fraction otherwise.
 
-    Numpy overhead makes one array step cost as much as a few dozen scalar
-    ones, so fewer than _MANY_MIN elements take the scalar loop (giving
-    reg_upper_gamma's values exactly), and so do the last unconverged
-    ones of a longer array. The long arrays come from survival-table
-    builds, which evaluate thousands of nodes per call.
+    Each element's value depends on that element alone. The prefactor
+    x^a·e^{−x}/Γ is one numpy expression over the whole array, and the
+    array loops and the scalar ones (_series_sum, _gamma_cf) do the same
+    float operations in the same order. Numpy overhead makes one array
+    step cost as much as a few dozen scalar ones, so an array of fewer
+    than _MANY_MIN elements, like the last unconverged elements of a
+    longer one, goes through the scalar loops; where that hand-off happens
+    changes no bit. The long arrays come from survival-table builds.
     """
     shape = np.shape(x)
     x = np.asarray(x, dtype=float).ravel()
-    if x.size < _MANY_MIN:
-        return np.array([reg_upper_gamma(a, v) for v in x.tolist()]).reshape(shape)
-    out = np.empty_like(x)
-    idx = np.flatnonzero(x < a + 1.0)
-    xs = x[idx]
+    series = x < a + 1.0
     with np.errstate(divide="ignore"):          # x = 0 gives Q = 1
-        pre = np.exp(a * np.log(xs) - xs - math.lgamma(a + 1.0))
+        pre = np.log(x)
+    pre *= a
+    pre -= x
+    pre -= np.where(series, math.lgamma(a + 1.0), math.lgamma(a))
+    np.exp(pre, out=pre)
+    if x.size < _MANY_MIN:
+        return np.array([_q_scalar(a, v, p) for v, p in
+                         zip(x.tolist(), pre.tolist())]).reshape(shape)
+    out = np.empty_like(x)
+    idx = np.flatnonzero(series)
+    xs, ps = x[idx], pre[idx]
     term = np.ones_like(xs)
     total = np.ones_like(xs)
-    for n in range(1, MAX_TERMS + 1):
+    denom = a
+    for _ in range(MAX_TERMS):
         if idx.size < _MANY_MIN:
             break
-        term *= xs / (a + n)
+        denom += 1.0
+        term *= xs / denom
         total += term
         conv = term < REL_TOL * total
         if conv.any():
-            out[idx[conv]] = 1.0 - total[conv] * pre[conv]
+            out[idx[conv]] = 1.0 - total[conv] * ps[conv]
             keep = ~conv
-            idx, xs, term, total, pre = (idx[keep], xs[keep], term[keep],
-                                         total[keep], pre[keep])
-    out[idx] = [1.0 - _lower_gamma_series(a, v) for v in xs.tolist()]
+            # one array at a time, so at most one extra copy is alive
+            idx = idx[keep]
+            xs = xs[keep]
+            ps = ps[keep]
+            term = term[keep]
+            total = total[keep]
+    out[idx] = [_q_scalar(a, v, p) for v, p in zip(xs.tolist(), ps.tolist())]
     # For x >= a+1 the Lentz denominators stay above 2 (checked over
-    # a in [0.5, 60], x in [a+1, 1e6]), so the scalar loop's underflow
-    # guards are left out.
-    idx = np.flatnonzero(x >= a + 1.0)
-    xl = x[idx]
-    pre = np.exp(a * np.log(xl) - xl - math.lgamma(a))
+    # a in [0.5, 60], x in [a+1, 1e6]), so _gamma_cf's underflow guards
+    # never act and are left out here.
+    idx = np.flatnonzero(~series)
+    xl, ps = x[idx], pre[idx]
     b = xl + 1.0 - a
-    c = np.full_like(xl, 1e300)
+    c = np.full_like(xl, 1.0 / _TINY)
     d = 1.0 / b
     h = d.copy()
     for i in range(1, MAX_TERMS + 1):
@@ -164,17 +190,27 @@ def reg_upper_gamma_many(a: float, x) -> np.ndarray:
             break
         an = -i * (i - a)
         b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
+        # d = 1/(an·d + b), c = b + an/c, in place
+        d *= an
+        d += b
+        np.divide(1.0, d, out=d)
+        np.divide(an, c, out=c)
+        c += b
         delta = d * c
         h *= delta
-        conv = np.abs(delta - 1.0) < REL_TOL
+        delta -= 1.0
+        conv = np.abs(delta, out=delta) < REL_TOL
         if conv.any():
-            out[idx[conv]] = h[conv] * pre[conv]
+            out[idx[conv]] = h[conv] * ps[conv]
             keep = ~conv
-            idx, xl, b, c, d, h, pre = (idx[keep], xl[keep], b[keep], c[keep],
-                                        d[keep], h[keep], pre[keep])
-    out[idx] = [_upper_gamma_cf(a, v) for v in xl.tolist()]
+            idx = idx[keep]
+            xl = xl[keep]
+            ps = ps[keep]
+            b = b[keep]
+            c = c[keep]
+            d = d[keep]
+            h = h[keep]
+    out[idx] = [_q_scalar(a, v, p) for v, p in zip(xl.tolist(), ps.tolist())]
     return out.reshape(shape)
 
 
@@ -204,17 +240,27 @@ def exp_integral_e1(x: float) -> float:
 def _hyp2f1_series(a: float, b: float, c: float, w):
     """Σ_n (a)_n (b)_n / ((c)_n n!) wⁿ for array/scalar w with 0 ≤ w < 1.
 
-    Terminates early where every element has converged; terminating
-    parameter sets (b a nonpositive integer) exit exactly.
+    A terminating parameter set (b a nonpositive integer) is the
+    polynomial of degree −b, summed in full. Otherwise each element keeps
+    the partial sum at which its own terms converged, so its value does
+    not depend on the rest of the array; the loop ends once every element
+    has converged.
     """
     w = np.asarray(w, dtype=float)
     total = np.ones_like(w)
     term = np.ones_like(w)
+    if b <= 0.0 and b == round(b):
+        for n in range(int(-b)):
+            term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * w
+            total = total + term
+        return total
+    live = np.ones(w.shape, dtype=bool)
     for n in range(MAX_TERMS):
         factor = (a + n) * (b + n) / ((c + n) * (n + 1.0))
         term = term * factor * w
-        total = total + term
-        if np.all(np.abs(term) <= REL_TOL * np.maximum(np.abs(total), 1e-300)):
+        total = np.where(live, total + term, total)
+        live &= np.abs(term) > REL_TOL * np.maximum(np.abs(total), 1e-300)
+        if not live.any():
             return total
     raise ConvergenceError(
         f"2F1 series did not converge: a={a}, b={b}, c={c}, "

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -20,7 +22,7 @@ import yaml
 
 from .fading import LinkKind, SnrDistribution, nakagami
 from .metrics import capacity, spectral_efficiency_cr, spectral_efficiency_dr
-from .mud import MudDistribution
+from .mud import MudDistribution, _unit_tables
 from .oracle import MIN_SAMPLES, McConfig, mc_point
 from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
                     _is_number, _whole_numbers, solve_cutoff, solve_cutoff_cr,
@@ -28,6 +30,10 @@ from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
 
 _MODES = ("osa", "ss")
 _AXES = ("p_av_db", "q_av_db", "num_users")
+_LINKS = {"osa": LinkKind.DIRECT, "ss": LinkKind.RATIO}
+# the ratio-link survival function is checked against mpmath to 1e-11 up to
+# this shape factor (tests/test_fading.py)
+_SS_MAX_M = 15.0
 
 
 def db_to_linear(db: float) -> float:
@@ -77,6 +83,9 @@ class SweepConfig:
             raise ValueError(f"num_users must be positive, got {self.num_users}")
         if not self.m_values or any(m < 0.5 for m in self.m_values):
             raise ValueError(f"shape factors must be >= 0.5, got {self.m_values}")
+        if self.mode == "ss" and any(m > _SS_MAX_M for m in self.m_values):
+            raise ValueError(f"m must be <= {_SS_MAX_M:g} in ss mode, "
+                             f"got {self.m_values}")
         object.__setattr__(self, "constellations",
                            _whole_numbers("constellations", self.constellations))
         ConstellationSet(self.constellations, self.ber_target)  # validates both
@@ -142,11 +151,8 @@ def build_point(mode: str, m: float, ns: int, p_db: float,
     Points given the same tables dict share their survival tables.
     """
     spec = nakagami(m, db_to_linear(p_db))
-    if mode == "osa":
-        link, budget = LinkKind.DIRECT, 1.0
-    else:
-        link, budget = LinkKind.RATIO, db_to_linear(q_db) / db_to_linear(p_db)
-    dist = MudDistribution(SnrDistribution(spec, link), ns,
+    budget = 1.0 if mode == "osa" else db_to_linear(q_db) / db_to_linear(p_db)
+    dist = MudDistribution(SnrDistribution(spec, _LINKS[mode]), ns,
                            {} if tables is None else tables)
     return dist, ConstraintSpec(budget)
 
@@ -204,33 +210,52 @@ def _rel_gap(value: float, analytic: float) -> float:
     return abs(value - analytic) / max(analytic, 1e-300)
 
 
-def _eval_args(args) -> SweepRow:
-    return evaluate_point(*args)
+def _solve_group(task) -> List[SweepRow]:
+    """The rows of one (link, m) group's points, in the order given.
+
+    The group's survival tables are built in one batch before its first
+    point, and each is released after the last point that reads it. Should
+    the batch fail, each point builds its own table and reports the
+    failure in its row."""
+    cfg, m, points = task
+    link = _LINKS[cfg.mode]
+    users = sorted({ns for _, _, ns, _ in points})
+    try:
+        tables = _unit_tables(link, m, users)
+    except Exception:
+        tables = {}
+    last = {ns: k for k, (_, _, ns, _) in enumerate(points)}
+    rows = []
+    for k, (_, v, ns, seed) in enumerate(points):
+        rows.append(evaluate_point(cfg, v, ns, m, seed, tables))
+        if last[ns] == k:
+            tables.pop((link, m, ns), None)
+    return rows
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Evaluate the whole grid; row order is (axis, ns, m) regardless of
     worker scheduling, and per-point oracle streams derive from the config
-    seed and the point index only. In one process, the points of one
-    (ns, m) group, which share (link, m, L), share one survival table,
-    released after the group's last point; each worker task gets its own.
-    A table depends on (link, m, L) alone, so neither changes a row."""
+    seed and the point index only. The points of one m form a (link, m)
+    group, solved as one task on one batch of survival tables
+    (_solve_group); with workers > 1 the groups are spread over up to that
+    many worker processes. A table depends on (link, m, L) alone, so neither the
+    grouping nor the scheduling changes a row."""
     points = _grid(cfg)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(
         max(len(points), 1), dtype=np.uint64)
     groups: dict = {}
-    tasks = [(cfg, v, ns, m, int(seeds[i]), groups.setdefault((ns, m), {}))
-             for i, (v, ns, m) in enumerate(points)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_args, tasks))
-    else:
-        last = {(ns, m): i for i, (_, ns, m) in enumerate(points)}
-        rows = []
-        for i, (_, ns, m) in enumerate(points):
-            rows.append(_eval_args(tasks[i]))
-            if last[ns, m] == i:
-                groups[ns, m].clear()
+    for i, (v, ns, m) in enumerate(points):
+        groups.setdefault(m, []).append((i, v, ns, int(seeds[i])))
+    tasks = [(cfg, m, group) for m, group in groups.items()]
+    workers = min(workers, len(tasks))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        solved = list((pool.map if pool else map)(_solve_group, tasks))
+    rows = [None] * len(points)
+    for (_, _, group), group_rows in zip(tasks, solved):
+        for (i, *_), row in zip(group, group_rows):
+            rows[i] = row
     return SweepResult(config=cfg, rows=rows)
 
 
@@ -257,6 +282,18 @@ def render_csv(res: SweepResult) -> str:
         rec.append(r.error)
         writer.writerow(rec)
     return buf.getvalue()
+
+
+def _check_output(path: str) -> None:
+    """Raise ValueError, naming output, unless path can be written: its
+    directory must exist and be writable and path must not be a
+    directory. Run before a sweep, so a bad path costs no grid."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) \
+            or not os.access(folder, os.W_OK):
+        raise ValueError(f"output {path!r} cannot be written: "
+                         + ("it is a directory" if os.path.isdir(path) else
+                            f"no writable directory {folder!r}"))
 
 
 def emit_csv(res: SweepResult, path: str) -> None:

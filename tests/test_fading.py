@@ -205,3 +205,17 @@ def test_array_and_scalar_shapes():
     assert d.pdf(xs).shape == xs.shape
     assert isinstance(d.pdf(1.0), float)
     assert isinstance(d.cdf(1.0), float)
+
+
+def test_sf_ratio_at_the_largest_sharing_shape_factor():
+    # ss configs take m up to 15; there the ratio-link survival holds 1e-11
+    # against mpmath, unit point included, where the alternating Pfaff
+    # series lost 2.3e-11 to cancellation
+    from crlink.fading import sf_ratio
+    mp = pytest.importorskip("mpmath")
+    y = np.concatenate([np.geomspace(0.05, 1e3, 301), [0.95, 1.0, 1.05]])
+    with mp.workdps(40):
+        ref = np.array([float(mp.betainc(15, 15, 0, 1 / (1 + mp.mpf(v)),
+                                         regularized=True)) for v in y])
+    got = sf_ratio(FadingSpec(1.0, 15.0), y)
+    assert np.all(np.abs(got - ref) <= 1e-11 * ref)

@@ -461,44 +461,79 @@ def test_rows_do_not_depend_on_grid_order(monkeypatch):
 
 
 def test_each_sweep_builds_its_own_tables(monkeypatch):
-    # tables live for one run_sweep call: a group of points shares one,
-    # and the next call builds it again
+    # tables live for one run_sweep call: a (link, m) group of points shares
+    # one batch of them, and the next call builds it again
     import crlink.mud as mud
     built = []
-    real = mud.SurvivalTable
+    real = mud._survival_tables
 
-    def counted(sf):
-        built.append(sf)
-        return real(sf)
-    monkeypatch.setattr(mud, "SurvivalTable", counted)
+    def counted(base, laws):
+        built.append(len(laws))
+        return real(base, laws)
+    monkeypatch.setattr(mud, "_survival_tables", counted)
     cfg = small_cfg(axis_range=(0.0, 4.0, 2.0), num_users=(1, 5))
     first = render_csv(run_sweep(cfg))
-    assert len(built) == 2                       # (direct, 1, 1), (direct, 1, 5)
+    assert built == [2]                     # (direct, 1, 1), (direct, 1, 5)
     assert render_csv(run_sweep(cfg)) == first
-    assert len(built) == 4
+    assert built == [2, 2]
 
 
 def test_sweep_releases_a_table_after_its_last_point(monkeypatch):
-    # on a user-count axis every (L, m) occurs once, so no earlier table
-    # may still be alive when the next point starts
+    # on a user-count axis every (L, m) occurs once, so a table read by an
+    # earlier point may no longer be alive when the next point starts
     import weakref
 
-    import crlink.mud as mud
     import crlink.sweep as sweep
-    alive, seen = [], []
-    real_table, real_eval = mud.SurvivalTable, sweep.evaluate_point
+    alive, seen, done = {}, [], set()
+    real_tables, real_eval = sweep._unit_tables, sweep.evaluate_point
 
-    def tracked(sf):
-        table = real_table(sf)
-        alive.append(weakref.ref(table))
-        return table
+    def tracked(link, m, users):
+        tables = real_tables(link, m, users)
+        alive.update((key[1:], weakref.ref(t)) for key, t in tables.items())
+        return tables
 
-    def evaluate(*args, **kwargs):
-        seen.append(sum(ref() is not None for ref in alive))
-        return real_eval(*args, **kwargs)
-    monkeypatch.setattr(mud, "SurvivalTable", tracked)
+    def evaluate(cfg, v, ns, m, *args):
+        seen.append([k for k, ref in alive.items()
+                     if k in done and ref() is not None])
+        done.add((m, ns))
+        return real_eval(cfg, v, ns, m, *args)
+    monkeypatch.setattr(sweep, "_unit_tables", tracked)
     monkeypatch.setattr(sweep, "evaluate_point", evaluate)
     cfg = SweepConfig(mode="osa", axis="num_users", axis_range=(1, 4, 1),
                       m_values=(1.0, 1.5))
     assert all(r.error == "" for r in run_sweep(cfg).rows)
-    assert len(alive) == 8 and seen == [0] * 8
+    assert len(alive) == 8 and seen == [[]] * 8
+    assert all(ref() is None for ref in alive.values())
+
+
+def test_cli_sweep_unwritable_output_is_usage_error(tmp_path, capsys,
+                                                    monkeypatch):
+    # checked at load: no point is evaluated and nothing is written
+    import crlink.cli as cli
+    monkeypatch.setattr(cli, "run_sweep",
+                        lambda *a, **k: pytest.fail("the grid was evaluated"))
+    missing = str(tmp_path / "no" / "x.csv")
+    for argv in (["-o", missing], ["--set", f"output={missing}"],
+                 ["-o", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(CONFIGS / "fig1.cfg")] + argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: output" in err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_rejects_sharing_shape_factor_above_15(capsys):
+    # the ratio-link survival is checked to 1e-11 up to m = 15
+    raw = {"mode": "ss", "axis": "q_av_db", "axis_range": [0, 4, 2]}
+    with pytest.raises(ValueError, match="m must be <= 15 in ss mode"):
+        config_from_dict({**raw, "m": [2.0, 15.5]})
+    assert config_from_dict({**raw, "m": 15}).m_values == (15.0,)
+    osa = config_from_dict({"mode": "osa", "axis": "p_av_db",
+                            "axis_range": [0, 4, 2], "m": 20})
+    assert osa.m_values == (20.0,)
+    with pytest.raises(SystemExit) as exc:
+        main(["point", "--mode", "ss", "--m", "20"])
+    assert exc.value.code == 2
+    assert "error: m must be <= 15" in capsys.readouterr().err
