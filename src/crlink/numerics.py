@@ -149,6 +149,9 @@ _TABLE_ABS = 1e-313     # ... or absolute, where that integral underflows
 _TABLE_GRID = np.arange(-300.0, 49.0, 4.0)  # extent search in s = ln y
 _TABLE_MAX_PANELS = 20000
 _TABLE_MAX_SPLIT = 16
+# Working memory grows with the panels refined together and with the
+# nodes of one base call: ten direct-link tables (about 4000 panels) and
+# 128 panels a call keep the build's peak near that of one table.
 _TABLE_CHUNK = 10
 _TABLE_CALL = 128
 
@@ -191,8 +194,8 @@ class _Nodes:
         self.q = np.empty((0, len(_NODES)))
 
     def rows(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The rows of the panels [lo, hi], calling the base once, at the
-        nodes of the panels not seen before."""
+        """The rows of the panels [lo, hi]; the base is evaluated at the
+        nodes of the panels not seen before, _TABLE_CALL panels a call."""
         known = len(self.lo)
         every_lo = np.concatenate([self.lo, lo])
         every_hi = np.concatenate([self.hi, hi])
@@ -211,8 +214,6 @@ class _Nodes:
         if len(new):
             self.lo = np.concatenate([self.lo, every_lo[new]])
             self.hi = np.concatenate([self.hi, every_hi[new]])
-            # at most _TABLE_CALL panels a call, which bounds the working
-            # memory of the base
             self.q = np.concatenate([self.q] + [
                 np.asarray(self.base(y.ravel()), dtype=float).reshape(y.shape)
                 for y in (_node_y(self.lo[i:i + _TABLE_CALL],
@@ -314,14 +315,14 @@ class SurvivalTable:
 
 def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
                      laws) -> list:
-    """One SurvivalTable of S = law(base(y)) per law, built in batches of
-    _TABLE_CHUNK tables that share one node store.
+    """One SurvivalTable of S = law(base(y)) per law, all on one node
+    store, refined _TABLE_CHUNK tables at a time.
 
-    Every law must map base values to S elementwise. Each round calls the
-    base once, at the nodes of the panels that some table of the batch
-    asks for and none has asked for before; each table keeps its own
-    partition. Provided the base is elementwise too, a table is the same,
-    bit for bit, whatever else is in its batch.
+    Every law must map base values to S elementwise. Each round evaluates
+    the base only at the nodes of panels that no table has asked for
+    before; each table keeps its own partition. Provided the base is
+    elementwise too, a table is the same, bit for bit, whatever else is in
+    its batch.
     """
     tables = [SurvivalTable.__new__(SurvivalTable) for _ in laws]
     nodes = _Nodes(base)

@@ -222,7 +222,7 @@ def _solve_group(task) -> List[SweepRow]:
     users = sorted({ns for _, _, ns, _ in points})
     try:
         tables = _unit_tables(link, m, users)
-    except Exception:
+    except Exception:       # evaluate_point records each point's failure
         tables = {}
     last = {ns: k for k, (_, _, ns, _) in enumerate(points)}
     rows = []
