@@ -1,8 +1,8 @@
 """Property tests over random operating points (hypothesis).
 
 Every example solves whole points, so the example counts are small and
-the draws derandomized: the suite stays reproducible and costs about two
-seconds.
+the draws derandomized: the file stays reproducible and runs in about a
+second.
 """
 
 import math

@@ -537,3 +537,11 @@ def test_config_rejects_sharing_shape_factor_above_15(capsys):
         main(["point", "--mode", "ss", "--m", "20"])
     assert exc.value.code == 2
     assert "error: m must be <= 15" in capsys.readouterr().err
+
+
+def test_workers_take_whole_shape_factor_groups():
+    # two (link, m) groups go to two worker processes; the rows are those
+    # of the serial run, which takes the same group tasks
+    cfg = small_cfg(mode="ss", axis="q_av_db", num_users=(2, 5),
+                    m_values=(1.0, 1.5))
+    assert render_csv(run_sweep(cfg, workers=2)) == render_csv(run_sweep(cfg))
