@@ -239,8 +239,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     seed and the point index only. The points of one m form a (link, m)
     group, solved as one task on one batch of survival tables
     (_solve_group); with workers > 1 the groups are spread over up to that
-    many worker processes. A table depends on (link, m, L) alone, so neither the
-    grouping nor the scheduling changes a row."""
+    many worker processes. A table depends on (link, m, L) alone, so
+    neither the grouping nor the scheduling changes a row."""
     points = _grid(cfg)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(
         max(len(points), 1), dtype=np.uint64)
