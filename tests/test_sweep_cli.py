@@ -545,3 +545,17 @@ def test_workers_take_whole_shape_factor_groups():
     cfg = small_cfg(mode="ss", axis="q_av_db", num_users=(2, 5),
                     m_values=(1.0, 1.5))
     assert render_csv(run_sweep(cfg, workers=2)) == render_csv(run_sweep(cfg))
+
+
+def test_sweep_falls_back_to_one_table_per_point(monkeypatch):
+    # a batch that raises costs its group only the sharing: each point
+    # builds its own table through MudDistribution.sf_integral
+    import crlink.sweep as sweep
+    from crlink.exceptions import ConvergenceError
+    cfg = small_cfg(num_users=(1, 5))
+    expected = render_csv(run_sweep(cfg))
+
+    def failing(link, m, users):
+        raise ConvergenceError("batch failed")
+    monkeypatch.setattr(sweep, "_unit_tables", failing)
+    assert render_csv(run_sweep(cfg)) == expected
