@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (_hyp2f1_series, ln_beta, reg_lower_gamma,
-                      reg_upper_gamma_many)
+from .specfun import _gamma_halves, _hyp2f1_series, ln_beta
 
 
 _PFAFF_MAX_M = 10.0     # _ratio_halves: larger m takes the positive series
@@ -125,8 +124,8 @@ def cdf_direct(spec: FadingSpec, x):
     if _is_integer_shape(m):
         # 0 − expm1 keeps the CDF at the origin +0.0, not −0.0
         return _finish(0.0 - np.expm1(_log_poisson_head(int(m), y)), scalar)
-    out = np.array([reg_lower_gamma(m, float(v)) for v in np.ravel(y)])
-    return _finish(out.reshape(y.shape), scalar)
+    near, lower = _gamma_halves(m, y)
+    return _finish(np.where(lower, near, 1.0 - near), scalar)
 
 
 def sf_direct(spec: FadingSpec, x):
@@ -137,7 +136,8 @@ def sf_direct(spec: FadingSpec, x):
     y = m * arr / g
     if _is_integer_shape(m):
         return _finish(np.exp(_log_poisson_head(int(m), y)), scalar)
-    return _finish(reg_upper_gamma_many(m, y), scalar)
+    near, lower = _gamma_halves(m, y)
+    return _finish(np.where(lower, 1.0 - near, near), scalar)
 
 
 def pdf_ratio(spec: FadingSpec, x):

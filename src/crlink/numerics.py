@@ -106,20 +106,18 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 def integrate_to_inf(fn: Callable[[np.ndarray], np.ndarray], a: float,
                      abs_tol: float = 1e-12,
                      rel_tol: float = 1e-10) -> Tuple[float, float]:
-    """Adaptive ∫_a^∞ fn(x) dx for a ≥ 0; returns (value, error estimate).
+    """Adaptive ∫_a^∞ fn(x) dx for a > 0; returns (value, error estimate).
 
     Maps [a, ∞) onto (0, 1] with x = a/u, u = v⁴, so
     ∫_a^∞ fn = ∫_0^1 fn(a/v⁴)·4a/v⁵ dv. Power-law tails become smooth
     endpoint behavior at v → 0. The fourth power keeps mass lying up to
     ~10⁹·a within reach of the first panel's nodes; mass beyond that
     weighs less than ~10⁻⁹ relative in a decaying integrand such as a
-    survival function over x². For a = 0, [0, 1] is integrated directly
-    and the map starts at 1.
+    survival function over x². The map needs a > 0: at a ≤ 0 it raises
+    ValueError.
     """
-    if a == 0.0:
-        head = integrate(fn, 0.0, 1.0, 0.5 * abs_tol, 0.5 * rel_tol)
-        tail = integrate_to_inf(fn, 1.0, 0.5 * abs_tol, 0.5 * rel_tol)
-        return head[0] + tail[0], head[1] + tail[1]
+    if not a > 0.0:
+        raise ValueError(f"integrate_to_inf requires a > 0, got {a}")
 
     def mapped(v):
         v = np.asarray(v, dtype=float)
@@ -222,12 +220,11 @@ class _Nodes:
         return rows[known:]
 
     def values(self, law, rows: np.ndarray) -> np.ndarray:
-        """Both integrands in s, S·e^{−s} and S with S = law(base) (the
-        base itself for no law), at the nodes of the panels in rows: an
-        array (2, panels, 15)."""
+        """Both integrands in s, S·e^{−s} and S with S = law(base), at the
+        nodes of the panels in rows: an array (2, panels, 15)."""
         q = self.q[rows]
         f = np.empty((2,) + q.shape)
-        f[1] = q if law is None else law(q)
+        f[1] = law(q)
         np.divide(f[1], _node_y(self.lo[rows], self.hi[rows]), out=f[0])
         return f
 
@@ -253,18 +250,14 @@ class SurvivalTable:
     from the Legendre series of the degree-14 interpolant through that
     panel's 15 node values.
 
-    SurvivalTable(sf) tabulates S = sf. _survival_tables tabulates the
-    laws S = law(Q) of one base Q in one batch. A built table holds only
-    its panels' rows in the batch's node store; the sums and series are
-    derived from there at its first query.
+    _survival_tables builds them: the laws S = law(Q) of one base Q in
+    one batch. A built table holds only its panels' rows in the batch's
+    node store; the sums and series are derived from there at its first
+    query.
     """
 
-    def __init__(self, sf: Callable[[np.ndarray], np.ndarray]):
-        _refine(_Nodes(sf), [None], [self])
-
     def _sf(self, y):
-        q = self._nodes.base(y)
-        return q if self._law is None else self._law(q)
+        return self._law(self._nodes.base(y))
 
     def _integrands(self):
         sf = self._sf
@@ -324,7 +317,7 @@ def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
     elementwise too, a table is the same, bit for bit, whatever else is in
     its batch.
     """
-    tables = [SurvivalTable.__new__(SurvivalTable) for _ in laws]
+    tables = [SurvivalTable() for _ in laws]
     nodes = _Nodes(base)
     for i in range(0, len(laws), _TABLE_CHUNK):
         _refine(nodes, laws[i:i + _TABLE_CHUNK], tables[i:i + _TABLE_CHUNK])
@@ -341,7 +334,7 @@ def _refine(nodes: _Nodes, laws, tables) -> None:
     edges = []
     for t, (table, law) in enumerate(zip(tables, laws)):
         table._nodes, table._law, table._coef = nodes, law, None
-        at = nodes.grid if law is None else law(nodes.grid)
+        at = law(nodes.grid)
         ones = np.flatnonzero(at == 1.0)
         zeros = np.flatnonzero(at == 0.0)
         e = _TABLE_GRID[ones[-1] if ones.size else 0:

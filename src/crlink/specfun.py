@@ -17,7 +17,7 @@ from .exceptions import ConvergenceError
 EULER_GAMMA = 0.5772156649015328606
 REL_TOL = 1e-12
 MAX_TERMS = 500
-_MANY_MIN = 64      # reg_upper_gamma_many: fewer elements go to the scalar loop
+_MANY_MIN = 64      # _gamma_halves: fewer elements go to the scalar loop
 _TINY = 1e-300      # Lentz underflow guard
 
 
@@ -43,16 +43,6 @@ def _series_sum(a: float, x: float) -> float:
     raise ConvergenceError(
         f"lower-gamma series did not converge: a={a}, x={x}, max_terms={MAX_TERMS}"
     )
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    """P(a,x) by the ascending series; reliable for x < a + 1.
-
-    P(a,x) = x^a e^{-x} / Γ(a+1) · Σ_{n≥0} x^n / ((a+1)...(a+n))
-    """
-    if x == 0.0:
-        return 0.0
-    return _series_sum(a, x) * math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
 
 
 def _gamma_cf(a: float, x: float) -> float:
@@ -84,12 +74,6 @@ def _gamma_cf(a: float, x: float) -> float:
     )
 
 
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Q(a,x) = 1 − P(a,x) = Γ(a,x)/Γ(a) from the continued fraction;
-    reliable for x ≥ a + 1."""
-    return _gamma_cf(a, x) * math.exp(a * math.log(x) - x - math.lgamma(a))
-
-
 def _check_gamma_args(name: str, a: float, x: float) -> None:
     if a <= 0.0:
         raise ValueError(f"{name} requires a > 0, got a={a}")
@@ -98,39 +82,40 @@ def _check_gamma_args(name: str, a: float, x: float) -> None:
 
 
 def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a,x) = γ(a,x)/Γ(a), in [0,1].
-
-    Series for x < a+1, continued fraction otherwise.
-    """
+    """Regularized lower incomplete gamma P(a,x) = γ(a,x)/Γ(a), in [0,1],
+    selected from _gamma_halves."""
     _check_gamma_args("reg_lower_gamma", a, x)
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return 1.0 - _upper_gamma_cf(a, x)
+    near, lower = _gamma_halves(a, x)
+    return float(near if lower else 1.0 - near)
 
 
 def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a,x) = 1 − P(a,x), in [0,1].
+    """Regularized upper incomplete gamma Q(a,x) = 1 − P(a,x), in [0,1],
+    selected from _gamma_halves.
 
     The continued fraction for x ≥ a+1 keeps full relative precision deep
-    in the tail, where 1 − P(a,x) would cancel. The value is
-    reg_upper_gamma_many's for the same argument, bit for bit.
+    in the tail, where 1 − P(a,x) would cancel.
     """
     _check_gamma_args("reg_upper_gamma", a, x)
-    return float(reg_upper_gamma_many(a, x))
+    near, lower = _gamma_halves(a, x)
+    return float(1.0 - near if lower else near)
 
 
-def _q_scalar(a: float, x: float, pre: float) -> float:
-    """Q(a,x) by the scalar loops, given reg_upper_gamma_many's prefactor."""
+def _near_scalar(a: float, x: float, pre: float) -> float:
+    """_gamma_halves' value at one element by the scalar loops, given its
+    prefactor: P(a,x) for x < a+1, Q(a,x) otherwise."""
     if x < a + 1.0:
-        return 1.0 - _series_sum(a, x) * pre
+        return _series_sum(a, x) * pre
     return _gamma_cf(a, x) * pre
 
 
-def reg_upper_gamma_many(a: float, x) -> np.ndarray:
-    """Q(a,x) for a scalar a > 0 and an array x >= 0, elementwise: the
-    series for x < a+1, the Lentz continued fraction otherwise.
+def _gamma_halves(a: float, x):
+    """The incomplete gamma of a scalar a > 0 at an array x >= 0 as the
+    pair (near, lower), elementwise: lower is x < a+1, where near is
+    P(a,x) by the series; elsewhere near is Q(a,x) by the Lentz continued
+    fraction. Each half is the one its route computes without
+    cancellation, so P = where(lower, near, 1 − near) and
+    Q = where(lower, 1 − near, near).
 
     Each element's value depends on that element alone. The prefactor
     x^a·e^{−x}/Γ is one numpy expression over the whole array, and the
@@ -143,18 +128,18 @@ def reg_upper_gamma_many(a: float, x) -> np.ndarray:
     """
     shape = np.shape(x)
     x = np.asarray(x, dtype=float).ravel()
-    series = x < a + 1.0
-    with np.errstate(divide="ignore"):          # x = 0 gives Q = 1
+    lower = x < a + 1.0
+    with np.errstate(divide="ignore"):          # x = 0 gives P = 0
         pre = np.log(x)
     pre *= a
     pre -= x
-    pre -= np.where(series, math.lgamma(a + 1.0), math.lgamma(a))
+    pre -= np.where(lower, math.lgamma(a + 1.0), math.lgamma(a))
     np.exp(pre, out=pre)
     if x.size < _MANY_MIN:
-        return np.array([_q_scalar(a, v, p) for v, p in
-                         zip(x.tolist(), pre.tolist())]).reshape(shape)
+        return np.array([_near_scalar(a, v, p) for v, p in
+                         zip(x.tolist(), pre.tolist())]).reshape(shape), lower.reshape(shape)
     out = np.empty_like(x)
-    idx = np.flatnonzero(series)
+    idx = np.flatnonzero(lower)
     xs, ps = x[idx], pre[idx]
     term = np.ones_like(xs)
     total = np.ones_like(xs)
@@ -167,7 +152,7 @@ def reg_upper_gamma_many(a: float, x) -> np.ndarray:
         total += term
         conv = term < REL_TOL * total
         if conv.any():
-            out[idx[conv]] = 1.0 - total[conv] * ps[conv]
+            out[idx[conv]] = total[conv] * ps[conv]
             keep = ~conv
             # one array at a time, so at most one extra copy is alive
             idx = idx[keep]
@@ -175,11 +160,11 @@ def reg_upper_gamma_many(a: float, x) -> np.ndarray:
             ps = ps[keep]
             term = term[keep]
             total = total[keep]
-    out[idx] = [_q_scalar(a, v, p) for v, p in zip(xs.tolist(), ps.tolist())]
+    out[idx] = [_near_scalar(a, v, p) for v, p in zip(xs.tolist(), ps.tolist())]
     # For x >= a+1 the Lentz denominators stay above 2 (checked over
     # a in [0.5, 60], x in [a+1, 1e6]), so _gamma_cf's underflow guards
     # never act and are left out here.
-    idx = np.flatnonzero(~series)
+    idx = np.flatnonzero(~lower)
     xl, ps = x[idx], pre[idx]
     b = xl + 1.0 - a
     c = np.full_like(xl, 1.0 / _TINY)
@@ -210,8 +195,8 @@ def reg_upper_gamma_many(a: float, x) -> np.ndarray:
             c = c[keep]
             d = d[keep]
             h = h[keep]
-    out[idx] = [_q_scalar(a, v, p) for v, p in zip(xl.tolist(), ps.tolist())]
-    return out.reshape(shape)
+    out[idx] = [_near_scalar(a, v, p) for v, p in zip(xl.tolist(), ps.tolist())]
+    return out.reshape(shape), lower.reshape(shape)
 
 
 def exp_integral_e1(x: float) -> float:

@@ -9,7 +9,8 @@ from scipy import integrate as sp_integrate
 from scipy import special as sp
 
 from crlink.fading import (FadingSpec, LinkKind, SnrDistribution, cdf_direct,
-                           cdf_ratio, nakagami, pdf_direct, pdf_ratio, rayleigh)
+                           cdf_ratio, nakagami, pdf_direct, pdf_ratio, rayleigh,
+                           sf_direct)
 from crlink.numerics import integrate, integrate_to_inf
 
 P_2_2 = 0.5939941502901619
@@ -147,7 +148,8 @@ def test_cdf_ratio_reflection_consistency():
 @pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
 def test_pdf_normalization(m, link):
     dist = SnrDistribution(nakagami(m, 1.0), link)
-    val, _ = integrate_to_inf(dist.pdf, 0.0, abs_tol=1e-9, rel_tol=1e-8)
+    val = (integrate(dist.pdf, 0.0, 1.0, 0.5e-9, 0.5e-8)[0]
+           + integrate_to_inf(dist.pdf, 1.0, 0.5e-9, 0.5e-8)[0])
     assert abs(val - 1.0) <= 1e-8
 
 
@@ -207,15 +209,38 @@ def test_array_and_scalar_shapes():
     assert isinstance(d.cdf(1.0), float)
 
 
-def test_sf_ratio_at_the_largest_sharing_shape_factor():
-    # ss configs take m up to 15; there the ratio-link survival holds 1e-11
+@pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 15.0])
+def test_sf_ratio_against_mpmath(m):
+    # ss configs take m up to 15; the ratio-link survival holds 1e-11
     # against mpmath, unit point included, where the alternating Pfaff
-    # series lost 2.3e-11 to cancellation
+    # series lost 2.3e-11 to cancellation at m = 15, and the per-element
+    # stop of the series at 1e-12 of its sum leaves about 1e-12
     from crlink.fading import sf_ratio
     mp = pytest.importorskip("mpmath")
     y = np.concatenate([np.geomspace(0.05, 1e3, 301), [0.95, 1.0, 1.05]])
     with mp.workdps(40):
-        ref = np.array([float(mp.betainc(15, 15, 0, 1 / (1 + mp.mpf(v)),
+        ref = np.array([float(mp.betainc(m, m, 0, 1 / (1 + mp.mpf(v)),
                                          regularized=True)) for v in y])
-    got = sf_ratio(FadingSpec(1.0, 15.0), y)
+    got = sf_ratio(FadingSpec(1.0, m), y)
     assert np.all(np.abs(got - ref) <= 1e-11 * ref)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 13.1])
+def test_direct_halves_against_mpmath(m):
+    # non-integer m: the CDF P(m, m·x) and the survival Q(m, m·x) at unit
+    # mean are the two selections from one incomplete-gamma kernel; each
+    # holds 1e-11 against mpmath wherever it is above 1e-300, on both sides
+    # of the series/continued-fraction switch at m·x = m + 1
+    mp = pytest.importorskip("mpmath")
+    spec = FadingSpec(1.0, m)
+    x = np.geomspace(1e-8, 60.0, 401)
+    with mp.workdps(40):
+        y = [mp.mpf(m * v) for v in x.tolist()]
+        cdf = np.array([float(mp.gammainc(m, 0, v, regularized=True))
+                        for v in y])
+        sf = np.array([float(mp.gammainc(m, v, mp.inf, regularized=True))
+                       for v in y])
+    for got, ref in ((cdf_direct(spec, x), cdf), (sf_direct(spec, x), sf)):
+        live = ref > 1e-300
+        assert live.sum() > 200
+        assert np.all(np.abs(got - ref)[live] <= 1e-11 * ref[live])

@@ -44,8 +44,15 @@ def test_against_scipy_quad():
         assert abs(mine - ref) < 1e-9
 
 
+def _from_zero(fn):
+    """∫_0^∞ fn as [0, 1] plus [1, ∞), each at half the default tolerances."""
+    head = integrate(fn, 0.0, 1.0, 0.5e-12, 0.5e-10)
+    tail = integrate_to_inf(fn, 1.0, 0.5e-12, 0.5e-10)
+    return head[0] + tail[0], head[1] + tail[1]
+
+
 def test_semi_infinite_exponential():
-    val, err = integrate_to_inf(lambda x: np.exp(-x), 0.0)
+    val, err = _from_zero(lambda x: np.exp(-x))
     assert abs(val - 1.0) <= max(err, 1e-10)
     val, _ = integrate_to_inf(lambda x: x * np.exp(-x), 2.0)
     assert abs(val - 3.0 * math.exp(-2.0)) < 1e-10
@@ -53,14 +60,21 @@ def test_semi_infinite_exponential():
 
 def test_semi_infinite_heavy_tail():
     # integrable power-law tail: ∫0∞ (1+x)^{-3/2} dx = 2
-    val, err = integrate_to_inf(lambda x: (1.0 + x) ** -1.5, 0.0)
+    val, err = _from_zero(lambda x: (1.0 + x) ** -1.5)
     assert abs(val - 2.0) <= max(10 * err, 1e-8)
 
 
 def test_semi_infinite_endpoint_singularity():
     # ∫0∞ x^{-1/2} e^{-x} dx = sqrt(pi)
-    val, err = integrate_to_inf(lambda x: np.exp(-x) / np.sqrt(x), 0.0)
+    val, err = _from_zero(lambda x: np.exp(-x) / np.sqrt(x))
     assert abs(val - math.sqrt(math.pi)) <= max(10 * err, 1e-8)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+def test_semi_infinite_needs_a_positive_start(a):
+    # the map x = a/v⁴ has nothing to map at a <= 0
+    with pytest.raises(ValueError, match="a > 0"):
+        integrate_to_inf(lambda x: np.exp(-x), a)
 
 
 def test_empty_interval():

@@ -11,12 +11,19 @@ import numpy as np
 import pytest
 
 import crlink.numerics as numerics
-from crlink.fading import (FadingSpec, LinkKind, SnrDistribution, cdf_ratio,
-                           pdf_direct, pdf_ratio, sf_direct, sf_ratio)
+from crlink.fading import (FadingSpec, LinkKind, SnrDistribution, cdf_direct,
+                           cdf_ratio, pdf_direct, pdf_ratio, sf_direct,
+                           sf_ratio)
 from crlink.mud import MudDistribution, _best_of, _unit_tables
-from crlink.specfun import reg_upper_gamma, reg_upper_gamma_many
+from crlink.specfun import _gamma_halves, reg_upper_gamma
 
 USERS = [1, 5, 15, 200, 1000]
+
+
+def upper_gamma_many(a, x):
+    """Q over an array, selected from the paired halves as sf_direct does."""
+    near, lower = _gamma_halves(a, x)
+    return np.where(lower, 1.0 - near, near)
 
 
 def _bits(a) -> bytes:
@@ -26,19 +33,20 @@ def _bits(a) -> bytes:
 
 @pytest.mark.parametrize("a", [0.5, 1.5, 2.5, 7.3, 13.1])
 def test_reg_upper_gamma_many_is_elementwise(a):
-    # each element is reg_upper_gamma's value, whatever array it comes in
-    # and wherever the array loops hand it to the scalar ones
+    # each element of Q over an array from _gamma_halves is
+    # reg_upper_gamma's value, whatever array it comes in and wherever the
+    # array loops hand it to the scalar ones
     rng = np.random.default_rng(11)
     x = np.concatenate([[0.0, a + 1.0], rng.uniform(0.0, 3.0 * a + 3.0, 1500),
                         np.geomspace(1e-8, 800.0, 500)])
     scalar = [reg_upper_gamma(a, v) for v in x.tolist()]
-    assert reg_upper_gamma_many(a, x).tolist() == scalar
+    assert upper_gamma_many(a, x).tolist() == scalar
     for size in (1, 7, 63, 64, 97, 500):
-        split = np.concatenate([reg_upper_gamma_many(a, x[i:i + size])
+        split = np.concatenate([upper_gamma_many(a, x[i:i + size])
                                 for i in range(0, len(x), size)])
         assert split.tolist() == scalar, size
     perm = rng.permutation(len(x))
-    assert reg_upper_gamma_many(a, x[perm]).tolist() == [scalar[i] for i in perm]
+    assert upper_gamma_many(a, x[perm]).tolist() == [scalar[i] for i in perm]
 
 
 @pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 12.5])
@@ -48,9 +56,10 @@ def test_laws_are_elementwise(m):
     y = np.geomspace(1e-6, 1e6, 601)
     spec = FadingSpec(1.0, m)
     best = MudDistribution(SnrDistribution(spec, LinkKind.RATIO), 5)
-    for fn in (partial(sf_direct, spec), partial(sf_ratio, spec),
-               partial(pdf_direct, spec), partial(pdf_ratio, spec),
-               partial(cdf_ratio, spec), best.sf, best.pdf):
+    for fn in (partial(sf_direct, spec), partial(cdf_direct, spec),
+               partial(sf_ratio, spec), partial(pdf_direct, spec),
+               partial(pdf_ratio, spec), partial(cdf_ratio, spec), best.sf,
+               best.pdf):
         batch = fn(y).tolist()
         assert [fn(y[i:i + 1])[0] for i in range(len(y))] == batch
         split = np.concatenate([fn(y[i:i + 37]) for i in range(0, len(y), 37)])
@@ -104,7 +113,7 @@ def test_a_tail_of_zeros_is_not_integrated(m, monkeypatch):
     calls = []
     monkeypatch.setattr(numerics, "integrate_to_inf",
                         lambda *args: calls.append(args) or real(*args))
-    table = numerics.SurvivalTable(dist.sf)
+    table = numerics._survival_tables(dist.sf, [lambda q: q])[0]
     assert calls == []
     start = math.exp(table.s_hi)
     assert dist.sf(start) == 0.0

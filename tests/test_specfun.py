@@ -9,10 +9,9 @@ from scipy import integrate as sp_integrate
 from scipy import special as sp
 
 from crlink.exceptions import ConvergenceError
-from crlink.specfun import (EULER_GAMMA, _hyp2f1_series, _lower_gamma_series,
-                            _upper_gamma_cf, exp_integral_e1, ln_beta,
-                            reg_lower_gamma, reg_upper_gamma,
-                            reg_upper_gamma_many)
+from crlink.specfun import (EULER_GAMMA, _gamma_cf, _gamma_halves,
+                            _hyp2f1_series, _series_sum, exp_integral_e1,
+                            ln_beta, reg_lower_gamma, reg_upper_gamma)
 
 # frozen oracle values
 P_2_2 = 0.5939941502901619          # 1 - 3e^{-2}, cross-checked below
@@ -25,6 +24,12 @@ def hyp2f1(a, b, c, z):
     return (1.0 - z) ** (-a) * float(_hyp2f1_series(a, c - b, c, z / (z - 1.0)))
 
 
+def upper_gamma_many(a, x):
+    """Q over an array, selected from the paired halves as sf_direct does."""
+    near, lower = _gamma_halves(a, x)
+    return np.where(lower, 1.0 - near, near)
+
+
 def test_reg_lower_gamma_anchors():
     assert reg_lower_gamma(3.0, 0.0) == 0.0
     assert abs(reg_lower_gamma(1.0, math.log(2.0)) - 0.5) < 1e-12
@@ -32,8 +37,9 @@ def test_reg_lower_gamma_anchors():
 
 def test_reg_lower_gamma_dual_route():
     # series and continued fraction evaluated on each other's home turf
-    series = _lower_gamma_series(2.0, 2.0)
-    cf = 1.0 - _upper_gamma_cf(2.0, 2.0)
+    # (x^a·e^{−x} over Γ(a+1) for the series, over Γ(a) for the fraction)
+    series = _series_sum(2.0, 2.0) * 4.0 * math.exp(-2.0) / 2.0
+    cf = 1.0 - _gamma_cf(2.0, 2.0) * 4.0 * math.exp(-2.0)
     assert abs(series - cf) < 1e-10
     assert abs(series - P_2_2) < 1e-10
     assert abs(reg_lower_gamma(2.0, 2.0) - P_2_2) < 1e-10
@@ -76,10 +82,11 @@ def test_reg_lower_gamma_derivative_is_gamma_pdf(a):
 
 @pytest.mark.parametrize("a", [0.5, 0.7, 1.5, 2.5, 7.3, 13.1, 59.5])
 def test_reg_upper_gamma_many_matches_scalar(a):
+    # Q over an array from _gamma_halves against the scalar selection, on
     # both sides of the series/continued-fraction switch at a + 1, the
     # origin, and the tail down to where Q leaves the normal range
     x = np.concatenate([[0.0, a + 1.0], np.geomspace(1e-300, 1600.0, 3001)])
-    many = reg_upper_gamma_many(a, x)
+    many = upper_gamma_many(a, x)
     ref = np.array([reg_upper_gamma(a, float(v)) for v in x])
     normal = ref > 1e-300
     assert np.all(np.abs(many - ref)[normal] <= 1e-12 * ref[normal])
@@ -87,9 +94,9 @@ def test_reg_upper_gamma_many_matches_scalar(a):
     assert many[0] == 1.0
     # a short array takes the scalar loop and its values exactly
     short = x[::500]
-    assert reg_upper_gamma_many(a, short).tolist() == [
+    assert upper_gamma_many(a, short).tolist() == [
         reg_upper_gamma(a, float(v)) for v in short]
-    assert reg_upper_gamma_many(a, 2.0).shape == ()
+    assert upper_gamma_many(a, 2.0).shape == ()
 
 
 def test_e1_anchor_and_tail_bound():
