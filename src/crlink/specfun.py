@@ -136,8 +136,8 @@ def _gamma_halves(a: float, x):
     pre -= np.where(lower, math.lgamma(a + 1.0), math.lgamma(a))
     np.exp(pre, out=pre)
     if x.size < _MANY_MIN:
-        return np.array([_near_scalar(a, v, p) for v, p in
-                         zip(x.tolist(), pre.tolist())]).reshape(shape), lower.reshape(shape)
+        near = [_near_scalar(a, v, p) for v, p in zip(x.tolist(), pre.tolist())]
+        return np.array(near).reshape(shape), lower.reshape(shape)
     out = np.empty_like(x)
     idx = np.flatnonzero(lower)
     xs, ps = x[idx], pre[idx]
