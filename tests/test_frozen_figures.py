@@ -6,14 +6,20 @@ A fresh sweep must render them byte for byte, or else agree with every
 analytic cell at 1e-8 relative. The fresh values are compared at full
 precision, so the 9-digit rounding of the frozen cells (at most 5e-9
 relative) leaves room for a last-digit drift and no more.
+
+tests/data/validate_seed{3,7,11}.txt were written by `crlink validate
+--samples 100000 --seed s` before the oracle reduced its batches in chunks.
+The printed Monte Carlo estimates must come out byte for byte.
 """
 
 import csv
 import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from crlink.cli import main
 from crlink.sweep import load_config, render_csv, run_sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,3 +44,12 @@ def test_figure_matches_frozen_csv(name):
         for col in ANALYTIC:
             want, got = float(ref[col]), getattr(row, col)
             assert abs(got - want) <= REL * abs(want), (name, col, ref, got)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_validate_matches_frozen_output(seed):
+    frozen = (DATA / f"validate_seed{seed}.txt").read_text()
+    with redirect_stdout(io.StringIO()) as out:
+        rc = main(["validate", "--samples", "100000", "--seed", str(seed)])
+    assert rc == 0
+    assert out.getvalue() == frozen
