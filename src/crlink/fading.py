@@ -233,18 +233,44 @@ class SnrDistribution:
 
         Direct: Gamma(shape m, mean γ̄). Ratio: s · g_s/g_p with independent
         Gamma(m) gains; zero denominators (floating-point underflow) are
-        redrawn.
+        redrawn. The draws are those of _best_draws for one user.
         """
-        m = self.spec.shape
-        if self.link is LinkKind.DIRECT:
-            return rng.gamma(m, self.spec.mean_snr / m, size=size)
-        num = rng.gamma(m, 1.0, size=size)
-        den = rng.gamma(m, 1.0, size=size)
-        while True:
-            bad = den == 0.0
-            if not np.any(bad):
-                break
-            den[bad] = rng.gamma(m, 1.0, size=int(np.count_nonzero(bad)))
-        # (s·num)/den in place, the same operations in the same order
-        np.multiply(num, self.spec.mean_snr, out=num)
-        return np.divide(num, den, out=num)
+        shape = tuple(np.atleast_1d(size))
+        return _best_draws(self, rng, 1, math.prod(shape)).reshape(shape)
+
+
+def _best_draws(dist: SnrDistribution, rng: np.random.Generator, users: int,
+                n: int) -> np.ndarray:
+    """n draws of the largest of `users` i.i.d. effective SNRs of dist.
+
+    rng gives the values rng.gamma(m, θ, (users, n)) would, in the same
+    order: the direct link's draws at θ = γ̄/m; for the ratio link the
+    numerators, then the denominators at θ = 1, then the redraws of zero
+    denominators in row-major order until none is left. The direct link
+    scales the maximum, which equals the maximum of the scaled draws
+    because rounding is monotone. The ratio link holds one (users, n)
+    array and draws the denominators one user row at a time.
+    """
+    m = dist.spec.shape
+    if dist.link is LinkKind.DIRECT:
+        best = rng.standard_gamma(m, (users, n)).max(axis=0)
+        return np.multiply(best, dist.spec.mean_snr / m, out=best)
+    ratio = rng.standard_gamma(m, (users, n))
+    np.multiply(ratio, dist.spec.mean_snr, out=ratio)
+    den = np.empty(n)
+    zeros = []
+    for i, row in enumerate(ratio):
+        rng.standard_gamma(m, out=den)
+        hit = np.flatnonzero(den == 0.0)
+        if hit.size:
+            zeros.append(i * n + hit)
+            den[hit] = 1.0          # keeps s·num there until the redraw
+        np.divide(row, den, out=row)
+    flat = ratio.reshape(-1)
+    bad = np.concatenate(zeros) if zeros else np.empty(0, np.intp)
+    while bad.size:
+        fresh = rng.standard_gamma(m, bad.size)
+        drawn = fresh != 0.0
+        flat[bad[drawn]] /= fresh[drawn]
+        bad = bad[~drawn]
+    return ratio.max(axis=0)

@@ -12,7 +12,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .fading import FadingSpec, LinkKind, SnrDistribution
+from .fading import FadingSpec, LinkKind, SnrDistribution, _best_draws
 from .numerics import _survival_tables
 
 
@@ -107,5 +107,4 @@ def _unit_tables(link: LinkKind, m: float, users: Iterable[int]) -> dict:
 
 def mud_sample(d: MudDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws of the best-of-L SNR: columnwise maximum of L base draws."""
-    draws = d.base.sample(rng, (d.num_users, n))
-    return draws.max(axis=0)
+    return _best_draws(d.base, rng, d.num_users, n)

@@ -27,6 +27,10 @@ MIN_SAMPLES = 10 ** 5
 # base draws per batch: one (L, batch) float64 array stays within 32 MB
 _MAX_BASE_DRAWS = 4_000_000
 
+# draws per chunk of a batch: the maps and sums of a chunk work on buffers
+# of 128 KiB each, which stay in a core's L2 cache
+_CHUNK = 16384
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -67,44 +71,69 @@ def _estimate(sums, sqsums, n: int) -> McEstimate:
 def _accumulate(dist: MudDistribution, cfg: McConfig, maps,
                 pol: Optional[DrPolicy] = None) -> List[McEstimate]:
     """Draw cfg.samples best-of-L SNRs batch by batch and average every
-    per-draw map over the same draws. Each map takes (x, region), where
-    region is the discrete-rate region index of pol (computed once per
-    batch, None without pol). A batch holds at most _MAX_BASE_DRAWS base
-    draws, so memory stays bounded at any number of users."""
+    per-draw map over the same draws. A batch holds at most _MAX_BASE_DRAWS
+    base draws, so memory stays bounded at any number of users. Each batch
+    is reduced in chunks of at most _CHUNK draws: a map takes (x, region,
+    out) for one chunk, where region is the discrete-rate region index of
+    pol (computed once per chunk, None without pol), writes its values into
+    out and returns it; every map's sum and sum of squares is taken per
+    chunk.
+
+    A map zeroes outage draws by a 0/1 factor rather than np.where, on
+    operands kept finite at draws of 0 and +inf, so each value is the one
+    the np.where form gives; an outage value may be −0, which no sum
+    tells from 0."""
     batch = min(cfg.batch, max(1, _MAX_BASE_DRAWS // dist.num_users))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    out = np.empty(min(batch, _CHUNK))
+    square = np.empty_like(out)
     sums = [[] for _ in maps]
     sqsums = [[] for _ in maps]
     remaining = cfg.samples
     while remaining > 0:
         n = min(batch, remaining)
         x = dist.sample(rng, n)
-        region = None if pol is None else _region_index(pol, x)
-        for per_draw, s, q in zip(maps, sums, sqsums):
-            v = per_draw(x, region)
-            s.append(float(np.sum(v)))
-            q.append(float(np.sum(v * v)))
+        for lo in range(0, n, _CHUNK):
+            chunk = x[lo:lo + _CHUNK]
+            size = len(chunk)
+            region = None if pol is None else _region_index(pol, chunk)
+            for per_draw, s, q in zip(maps, sums, sqsums):
+                v = per_draw(chunk, region, out[:size])
+                s.append(float(v.sum()))
+                q.append(float(np.multiply(v, v, out=square[:size]).sum()))
         remaining -= n
     return [_estimate(s, q, cfg.samples) for s, q in zip(sums, sqsums)]
 
 
 def _region_index(pol: DrPolicy, x: np.ndarray) -> np.ndarray:
-    # 0 = outage, j >= 1 = j-th active constellation
-    return np.searchsorted(np.asarray(pol.boundaries), x, side="right")
+    """0 = outage, j >= 1 = j-th active constellation: the number of region
+    boundaries at or below each draw, as searchsorted(..., side="right")
+    counts it on the increasing boundaries."""
+    region = np.zeros(len(x), np.min_scalar_type(len(pol.boundaries)))
+    for b in pol.boundaries:
+        region += x >= b
+    return region
 
 
 def _rate_map(cut: CutoffSolution, k: float):
     """log₂(x·k/γ₀) above the transmission threshold γ₀/k, else 0."""
     g0 = cut.gamma0
     thr = g0 / k
-    return lambda x, _: np.where(x > thr, np.log2(np.maximum(x, thr) * k / g0),
-                                 0.0)
+    above = np.empty(_CHUNK)
+
+    def per_draw(x, region, out):
+        np.maximum(x, thr, out=out)
+        out *= k
+        out /= g0
+        np.log2(out, out=out)
+        return np.multiply(out, np.greater(x, thr, out=above[:len(x)]), out=out)
+    return per_draw
 
 
 def _bits_map(cset: ConstellationSet):
     """log₂(M_j) in region j (0 in outage)."""
     bits = np.array([0.0] + [math.log2(m) for m in cset.sizes[1:]])
-    return lambda x, region: bits[region]
+    return lambda x, region, out: np.take(bits, region, out=out)
 
 
 def _power_map(cut: CutoffSolution, k: float):
@@ -112,8 +141,15 @@ def _power_map(cut: CutoffSolution, k: float):
     above its transmission threshold γ₀/k, else 0."""
     g0 = cut.gamma0
     thr = g0 / k
-    return lambda x, _: np.where(
-        x > thr, 1.0 / g0 - 1.0 / (np.maximum(x, thr) * k), 0.0)
+    above = np.empty(_CHUNK)
+
+    def per_draw(x, region, out):
+        np.maximum(x, thr, out=out)
+        out *= k
+        np.divide(1.0, out, out=out)
+        np.subtract(1.0 / g0, out, out=out)
+        return np.multiply(out, np.greater(x, thr, out=above[:len(x)]), out=out)
+    return per_draw
 
 
 def _dr_power_map(pol: DrPolicy, cset: ConstellationSet):
@@ -122,8 +158,19 @@ def _dr_power_map(pol: DrPolicy, cset: ConstellationSet):
     kk = cset.k
     coeff = np.array([0.0] + [(m - 1.0) / pol.gamma_star
                               for m in cset.sizes[1:]])
-    return lambda x, region: np.where(
-        region > 0, coeff[region] - 1.0 / (x * kk), 0.0)
+    # every draw outside outage is at or above the first boundary, so the
+    # floor changes only outage values, which the mask zeroes
+    floor = pol.boundaries[0]
+    work = np.empty(_CHUNK)
+
+    def per_draw(x, region, out):
+        np.maximum(x, floor, out=out)
+        out *= kk
+        np.divide(1.0, out, out=out)
+        w = work[:len(x)]
+        np.subtract(np.take(coeff, region, out=w), out, out=out)
+        return np.multiply(out, np.greater(region, 0, out=w), out=out)
+    return per_draw
 
 
 def mc_capacity(dist: MudDistribution, cut: CutoffSolution, cfg: McConfig,

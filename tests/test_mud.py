@@ -119,3 +119,72 @@ def test_sampling_ratio_link_matches_cdf():
     x = np.sort(mud_sample(d, rng, 2 * 10 ** 5))
     ecdf = np.arange(1, x.size + 1) / x.size
     assert np.max(np.abs(ecdf - d.cdf(x))) < 0.01
+
+
+def _reference_draws(d, rng, n):
+    """Per-user draws of mud_sample as first written: (L, n) scaled Gamma
+    draws; for the ratio link s·num/den with both gains drawn as whole
+    arrays and zero denominators redrawn, in row-major order, until none is
+    left."""
+    m, s, L = d.base.spec.m, d.base.spec.mean_snr, d.num_users
+    if d.base.link is LinkKind.DIRECT:
+        return rng.gamma(m, s / m, (L, n))
+    num = rng.gamma(m, 1.0, (L, n))
+    den = rng.gamma(m, 1.0, (L, n))
+    while True:
+        bad = den == 0.0
+        if not np.any(bad):
+            break
+        den[bad] = rng.gamma(m, 1.0, int(np.count_nonzero(bad)))
+    return num * s / den
+
+
+class _Underflowing:
+    """A generator whose Gamma draws below `floor` come out as 0, as a
+    denominator that underflows would, so the redraw loop runs. Every value
+    is zeroed by its own size alone, so the stub gives the same values
+    however a call splits the stream."""
+
+    def __init__(self, seed, floor):
+        self.rng = np.random.default_rng(seed)
+        self.floor = floor
+        self.zeros = 0
+
+    def _zeroed(self, v):
+        low = v < self.floor
+        self.zeros += int(np.count_nonzero(low))
+        v[low] = 0.0
+        return v
+
+    def gamma(self, shape, scale, size):
+        return self._zeroed(self.rng.gamma(shape, scale, size))
+
+    def standard_gamma(self, shape, size=None, out=None):
+        return self._zeroed(self.rng.standard_gamma(shape, size, out=out))
+
+
+@pytest.mark.parametrize("link,m,floor", [
+    (LinkKind.DIRECT, 0.5, None), (LinkKind.DIRECT, 2.0, None),
+    (LinkKind.RATIO, 0.5, None), (LinkKind.RATIO, 2.0, None),
+    (LinkKind.RATIO, 1.0, 0.3)])
+@pytest.mark.parametrize("L", [1, 5])
+def test_sampling_stream_unchanged(link, m, floor, L):
+    # mud_sample and the base sample take the same values from the stream
+    # as the whole-array formula, bit for bit, and leave it at the same place
+    d = MudDistribution(SnrDistribution(nakagami(m, 7.3), link), L)
+    n = 999
+    if floor is None:
+        rngs = [np.random.default_rng(41) for _ in range(4)]
+    else:
+        rngs = [_Underflowing(41, floor) for _ in range(4)]
+    got = mud_sample(d, rngs[0], n)
+    want = _reference_draws(d, rngs[1], n).max(axis=0)
+    assert np.array_equal(got, want)
+    assert np.array_equal(d.base.sample(rngs[2], (L, n)),
+                          _reference_draws(d, rngs[3], n))
+    if floor is not None:
+        # about a quarter of the draws, denominators and redraws among them
+        assert all(r.zeros > n // 10 for r in rngs)
+        rngs = [r.rng for r in rngs]
+    ends = {float(r.random()) for r in rngs}
+    assert len(ends) == 1

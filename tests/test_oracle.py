@@ -1,6 +1,8 @@
 """Monte Carlo oracle: determinism, statistical agreement, stderr scaling."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from crlink.fading import LinkKind, SnrDistribution, nakagami
 from crlink.metrics import capacity, spectral_efficiency_dr
 from crlink.mud import MudDistribution
 from crlink.oracle import (McConfig, _accumulate, _bits_map, _dr_power_map,
-                           _power_map, mc_capacity, mc_point)
+                           _power_map, _rate_map, _region_index, mc_capacity,
+                           mc_point)
 from crlink.power import (ConstellationSet, ConstraintSpec, CutoffSolution,
                           DrPolicy, power_loss_factor, solve_cutoff,
                           solve_cutoff_cr, solve_dr_policy)
@@ -168,3 +171,79 @@ def test_mc_point_equals_single_estimates(link, L):
         got = est[name]
         assert got.value == want.value and got.stderr == want.stderr, name
         assert got.samples == want.samples == cfg.samples
+
+
+def _reference_rate(x, cut, k):
+    """log₂(x·k/γ₀) above γ₀/k as the rate map first computed it, on a whole
+    array with np.where; _reference_power likewise for the power map."""
+    thr = cut.gamma0 / k
+    return np.where(x > thr, np.log2(np.maximum(x, thr) * k / cut.gamma0), 0.0)
+
+
+def _reference_power(x, cut, k):
+    thr = cut.gamma0 / k
+    return np.where(x > thr, 1.0 / cut.gamma0 - 1.0 / (np.maximum(x, thr) * k),
+                    0.0)
+
+
+def _edges(*points):
+    """Each point and the floats one ulp either side of it."""
+    return [e for b in points
+            for e in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
+
+
+def test_maps_at_edge_draws():
+    # draws at 0, at each threshold and region edge and one ulp either side
+    # of it, and at +inf give the values of the whole-array formulas, with no
+    # NaN and no floating-point warning (a draw at 0 must not meet 0·inf)
+    dist = _direct(mean=10.0, L=5)
+    k = CSET.k
+    pol = solve_dr_policy(dist, TX, CSET)
+    # solved cutoffs, and two whose threshold γ₀/k maps back to just above
+    # and just below 1 under ·k/γ₀, so that the map at the threshold is not 0
+    cutoffs = [(solve_cutoff(dist, TX), 1.0),
+               (solve_cutoff_cr(dist, TX, k), k)] + [
+        (CutoffSolution(gamma0=g, residual=0.0, iterations=0), k)
+        for g in (0.1, 0.3)]
+    above, below = (c.gamma0 / kk * kk / c.gamma0 for c, kk in cutoffs[2:])
+    assert above > 1.0 > below
+    x = np.array([0.0, np.inf] + _edges(
+        *pol.boundaries, *[c.gamma0 for c, _ in cutoffs],
+        *[c.gamma0 / kk for c, kk in cutoffs]))
+
+    region = np.searchsorted(np.asarray(pol.boundaries), x, side="right")
+    bits = np.array([0.0] + [math.log2(m) for m in CSET.sizes[1:]])
+    coeff = np.array([0.0] + [(m - 1.0) / pol.gamma_star
+                              for m in CSET.sizes[1:]])
+    with np.errstate(divide="ignore"):          # 1/(0·K) at the draw of 0
+        power_dr = np.where(region > 0, coeff[region] - 1.0 / (x * k), 0.0)
+    cases = [(_bits_map(CSET), bits[region]),
+             (_dr_power_map(pol, CSET), power_dr)]
+    for c, kk in cutoffs:
+        cases += [(_rate_map(c, kk), _reference_rate(x, c, kk)),
+                  (_power_map(c, kk), _reference_power(x, c, kk))]
+
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got_region = _region_index(pol, x)
+        got = [per_draw(x, got_region, np.empty_like(x)).copy()
+               for per_draw, _ in cases]
+    assert np.array_equal(got_region, region)
+    for i, (values, (_, want)) in enumerate(zip(got, cases)):
+        assert not np.isnan(values).any(), i
+        assert np.array_equal(values, want), i
+
+
+@pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
+def test_oracle_memory_bounded_at_many_users(link):
+    # a batch holds at most 4e6 base draws, one (L, batch) array of 32 MB;
+    # the ratio link must not hold a second one for its denominators
+    dist = MudDistribution(SnrDistribution(nakagami(1.0, 10.0), link), 100)
+    cut = CutoffSolution(gamma0=0.1, residual=0.0, iterations=0)
+    tracemalloc.start()
+    try:
+        mc_capacity(dist, cut, McConfig(samples=10 ** 5, seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 32 * 2 ** 20
