@@ -3,9 +3,9 @@
 Per draw: sample the best-of-L SNR, apply the solved policy, average. No
 quadrature or root finding is shared with the analytic side, so agreement
 is a genuine cross-check. Streams come from PCG64 seeded through
-SeedSequence; batch totals are combined with exact summation. One stream
-feeds every per-draw map of an operating point (mc_point), so the five
-estimates cost one set of draws.
+SeedSequence; the totals of each chunk of a batch are combined with exact
+summation. One stream feeds every per-draw map of an operating point
+(mc_point), so the five estimates cost one set of draws.
 """
 
 from __future__ import annotations

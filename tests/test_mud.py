@@ -142,7 +142,7 @@ def _reference_draws(d, rng, n):
 class _Underflowing:
     """A generator whose Gamma draws below `floor` come out as 0, as a
     denominator that underflows would, so the redraw loop runs. Every value
-    is zeroed by its own size alone, so the stub gives the same values
+    is zeroed by its own value alone, so the stub gives the same values
     however a call splits the stream."""
 
     def __init__(self, seed, floor):
