@@ -200,7 +200,8 @@ def test_maps_at_edge_draws():
     k = CSET.k
     pol = solve_dr_policy(dist, TX, CSET)
     # solved cutoffs, and two whose threshold γ₀/k maps back to just above
-    # and just below 1 under ·k/γ₀, so that the map at the threshold is not 0
+    # and just below 1 under ·k/γ₀: a map's unmasked value at the threshold
+    # is then not 0, so a mask that let the threshold through would show
     cutoffs = [(solve_cutoff(dist, TX), 1.0),
                (solve_cutoff_cr(dist, TX, k), k)] + [
         (CutoffSolution(gamma0=g, residual=0.0, iterations=0), k)
@@ -226,7 +227,7 @@ def test_maps_at_edge_draws():
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         got_region = _region_index(pol, x)
-        got = [per_draw(x, got_region, np.empty_like(x)).copy()
+        got = [per_draw(x, got_region, np.empty_like(x))
                for per_draw, _ in cases]
     assert np.array_equal(got_region, region)
     for i, (values, (_, want)) in enumerate(zip(got, cases)):
