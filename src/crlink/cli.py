@@ -126,9 +126,18 @@ def cmd_validate(args) -> int:
 
 
 def _samples(text: str) -> int:
-    n = int(text)
+    n = float(text)
+    if not n.is_integer():
+        raise argparse.ArgumentTypeError(f"must be a whole number, got {text}")
     if n < MIN_SAMPLES:
-        raise argparse.ArgumentTypeError(f"must be >= 1e5, got {n}")
+        raise argparse.ArgumentTypeError(f"must be >= 1e5, got {text}")
+    return int(n)
+
+
+def _workers(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
 
 
@@ -208,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override a config key (repeatable)")
     sp.add_argument("-o", "--output", help="override the output CSV path")
-    sp.add_argument("--workers", type=int, default=1,
+    sp.add_argument("--workers", type=_workers, default=1,
                     help="grid points evaluated in parallel (default 1)")
     sp.set_defaults(func=cmd_sweep, parser=sp)
 

@@ -147,11 +147,7 @@ _TABLE_ABS = 1e-313     # ... or absolute, where that integral underflows
 _TABLE_GRID = np.arange(-300.0, 49.0, 4.0)  # extent search in s = ln y
 _TABLE_MAX_PANELS = 20000
 _TABLE_MAX_SPLIT = 16
-# Working memory grows with the panels refined together and with the
-# nodes of one base call: ten direct-link tables (about 4000 panels) and
-# 128 panels a call keep the build's peak near that of one table.
-_TABLE_CHUNK = 10
-_TABLE_CALL = 128
+_TABLE_CALL = 128       # panels per base call, to bound its working memory
 
 
 def _node_y(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -250,11 +246,60 @@ class SurvivalTable:
     from the Legendre series of the degree-14 interpolant through that
     panel's 15 node values.
 
-    _survival_tables builds them: the laws S = law(Q) of one base Q in
-    one batch. A built table holds only its panels' rows in the batch's
-    node store; the sums and series are derived from there at its first
-    query.
+    The table of S = law(Q) reads the base Q from a node store that the
+    tables of one batch share (_survival_tables). A built table holds only
+    its panels' rows in that store; the sums and series are derived from
+    there at its first query.
     """
+
+    def __init__(self, nodes: _Nodes, law: Callable[[np.ndarray], np.ndarray]):
+        self._nodes, self._law, self._coef = nodes, law, None
+        at = law(nodes.grid)
+        ones = np.flatnonzero(at == 1.0)
+        zeros = np.flatnonzero(at == 0.0)
+        edges = _TABLE_GRID[ones[-1] if ones.size else 0:
+                            zeros[0] + 1 if zeros.size else len(at)]
+        if len(edges) < 2:
+            raise ValueError("survival function has no transition on the grid")
+        self.s_lo, self.s_hi = float(edges[0]), float(edges[-1])
+        self._tail = np.zeros((2, 2))       # (value, error) × (G2, G1)
+        if not zeros.size:
+            for which, fn in enumerate(self._integrands()):
+                self._tail[:, which] = integrate_to_inf(fn, math.exp(self.s_hi),
+                                                        0.0, _TABLE_REL)
+        self._rows = np.empty(0, dtype=np.intp)
+        self._new = edges[:-1], edges[1:]   # the panels the next round adds
+
+    def _split(self, new_rows: np.ndarray) -> bool:
+        """One round of the build: merge the panels of new_rows in and
+        split every panel that misses its error bound into the panels of
+        the next round. False once no panel splits."""
+        nodes = self._nodes
+        rows = np.concatenate([self._rows, new_rows])
+        rows = rows[np.argsort(nodes.lo[rows], kind="stable")]
+        lo, hi = nodes.lo[rows], nodes.hi[rows]
+        vals, errs = _panel_sums(nodes.values(self._law, rows), lo, hi)
+        right = _right_sums(vals, self._tail[0])[:, :-1]
+        excess = (errs / np.maximum(_TABLE_REL * right, _TABLE_ABS)).max(axis=0)
+        bad = (excess > 1.0) & (hi - lo > 1e-12)
+        self._rows = rows[~bad]
+        if not bad.any():
+            del self._new
+            return False
+        # about excess^(1/10) pieces: the G7 error falls as width^14 once a
+        # panel resolves S, and a slower guess splits one that does not yet
+        # resolve it finely enough in a single round
+        k = np.clip(np.ceil(excess[bad] ** (1.0 / 10.0)), 2,
+                    _TABLE_MAX_SPLIT).astype(int)
+        if len(rows) + k.sum() > _TABLE_MAX_PANELS:
+            raise ConvergenceError(
+                f"survival table did not reach tolerance in "
+                f"{_TABLE_MAX_PANELS} panels")
+        i = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+        kk, a, b = np.repeat(k, k), np.repeat(lo[bad], k), np.repeat(hi[bad], k)
+        self._new = (a + (b - a) * (i / kk),
+                     np.where(i + 1 == kk, b, a + (b - a) * ((i + 1) / kk)))
+        return True
 
     def _sf(self, y):
         return self._law(self._nodes.base(y))
@@ -309,116 +354,23 @@ class SurvivalTable:
 def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
                      laws) -> list:
     """One SurvivalTable of S = law(base(y)) per law, all on one node
-    store, refined _TABLE_CHUNK tables at a time.
+    store.
 
-    Every law must map base values to S elementwise. Each round evaluates
-    the base only at the nodes of panels that no table has asked for
-    before; each table keeps its own partition. Provided the base is
-    elementwise too, a table is the same, bit for bit, whatever else is in
-    its batch.
+    Every law must map base values to S elementwise. The tables are built
+    in lockstep: each round evaluates the base once, only at the nodes of
+    the panels that no table has asked for before, and then each table
+    refines its own partition. Provided the base is elementwise too, a
+    table is the same, bit for bit, whatever else is in its batch.
     """
-    tables = [SurvivalTable() for _ in laws]
     nodes = _Nodes(base)
-    for i in range(0, len(laws), _TABLE_CHUNK):
-        _refine(nodes, laws[i:i + _TABLE_CHUNK], tables[i:i + _TABLE_CHUNK])
+    tables = [SurvivalTable(nodes, law) for law in laws]
+    live = tables
+    while live:
+        rows = nodes.rows(np.concatenate([t._new[0] for t in live]),
+                          np.concatenate([t._new[1] for t in live]))
+        cuts = np.cumsum([len(t._new[0]) for t in live])[:-1]
+        live = [t for t, r in zip(live, np.split(rows, cuts)) if t._split(r)]
     return tables
-
-
-def _refine(nodes: _Nodes, laws, tables) -> None:
-    """Partition the tables of one batch. The panels of all of them live
-    in flat arrays sorted by (table, lo); each round merges the new panels
-    in and splits every panel that misses its table's error bound. A table
-    is done in the first round that splits none of its panels."""
-    count = len(tables)
-    tail = np.zeros((2, 2, count))      # (value, error) × (G2, G1) × table
-    edges = []
-    for t, (table, law) in enumerate(zip(tables, laws)):
-        table._nodes, table._law, table._coef = nodes, law, None
-        at = law(nodes.grid)
-        ones = np.flatnonzero(at == 1.0)
-        zeros = np.flatnonzero(at == 0.0)
-        e = _TABLE_GRID[ones[-1] if ones.size else 0:
-                        zeros[0] + 1 if zeros.size else len(at)]
-        if len(e) < 2:
-            raise ValueError("survival function has no transition on the grid")
-        table.s_lo, table.s_hi = float(e[0]), float(e[-1])
-        if not zeros.size:
-            for which, fn in enumerate(table._integrands()):
-                tail[:, which, t] = integrate_to_inf(fn, math.exp(table.s_hi),
-                                                     0.0, _TABLE_REL)
-        table._tail = tail[:, :, t].copy()
-        edges.append(e)
-    new_tid = np.repeat(np.arange(count), [len(e) - 1 for e in edges])
-    new_lo = np.concatenate([e[:-1] for e in edges])
-    new_hi = np.concatenate([e[1:] for e in edges])
-    tid = rows = np.empty(0, dtype=np.intp)
-    vals = errs = np.empty((2, 0))
-    while len(new_tid):
-        new_rows = nodes.rows(new_lo, new_hi)
-        # the new panels' sums, one table at a time
-        cuts = np.concatenate([[0], np.cumsum(np.bincount(new_tid,
-                                                           minlength=count))])
-        sums = [_panel_sums(nodes.values(laws[t], new_rows[a:b]),
-                            new_lo[a:b], new_hi[a:b])
-                for t, a, b in zip(range(count), cuts[:-1], cuts[1:]) if b > a]
-        # merge; the state is only (table, row, sums) per panel, and each
-        # array is replaced on its own to keep one copy alive at a time
-        tid = np.concatenate([tid, new_tid])
-        rows = np.concatenate([rows, new_rows])
-        vals = np.concatenate([vals] + [v for v, _ in sums], axis=1)
-        errs = np.concatenate([errs] + [e for _, e in sums], axis=1)
-        del sums, new_rows, new_tid, new_lo, new_hi
-        order = np.lexsort((nodes.lo[rows], tid))
-        tid = tid[order]
-        rows = rows[order]
-        vals = vals[:, order]
-        errs = errs[:, order]
-        del order
-
-        # each table's right-to-left sums, in the rows of one zero-padded
-        # array: its tail, then its panels from the last one, so that each
-        # running sum adds what _right_sums adds, in the same order
-        panels = np.bincount(tid, minlength=count)
-        col = np.arange(len(tid))
-        col -= np.cumsum(panels)[tid]
-        np.negative(col, out=col)
-        pad = np.zeros((2, count, panels.max() + 1))
-        pad[:, :, 0] = tail[0]
-        pad[:, tid, col] = vals
-        np.cumsum(pad, axis=2, out=pad)
-        excess = pad[:, tid, col]
-        del pad, col
-        np.multiply(excess, _TABLE_REL, out=excess)
-        np.maximum(excess, _TABLE_ABS, out=excess)
-        np.divide(errs, excess, out=excess)
-        excess = excess.max(axis=0)
-        bad = excess > 1.0
-        bad &= nodes.hi[rows] - nodes.lo[rows] > 1e-12
-        split = np.bincount(tid[bad], minlength=count)
-        for t in np.flatnonzero((panels > 0) & (split == 0)):
-            tables[t]._rows = rows[tid == t]
-        # about excess^(1/10) pieces: the G7 error falls as width^14 once a
-        # panel resolves S, and a slower guess splits one that does not yet
-        # resolve it finely enough in a single round
-        k = np.clip(np.ceil(excess[bad] ** (1.0 / 10.0)), 2,
-                    _TABLE_MAX_SPLIT).astype(int)
-        if np.any(panels + np.bincount(tid[bad], weights=k, minlength=count)
-                  > _TABLE_MAX_PANELS):
-            raise ConvergenceError(
-                f"survival table did not reach tolerance in "
-                f"{_TABLE_MAX_PANELS} panels")
-        i = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
-        kk = np.repeat(k, k)
-        a = np.repeat(nodes.lo[rows[bad]], k)
-        b = np.repeat(nodes.hi[rows[bad]], k)
-        new_tid = np.repeat(tid[bad], k)
-        new_lo = a + (b - a) * (i / kk)
-        new_hi = np.where(i + 1 == kk, b, a + (b - a) * ((i + 1) / kk))
-        keep = ~bad & (split > 0)[tid]
-        tid = tid[keep]
-        rows = rows[keep]
-        vals = vals[:, keep]
-        errs = errs[:, keep]
 
 
 def solve_decreasing(g: Callable[[float], Tuple[float, float]], target: float,

@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+from crlink import numerics
+from crlink.exceptions import ConvergenceError
 from crlink.fading import FadingSpec, LinkKind, SnrDistribution
 from crlink.mud import MudDistribution
 from crlink.numerics import _survival_tables, integrate, integrate_to_inf
@@ -102,3 +104,18 @@ def test_distributions_share_a_tables_dict():
     far.sf_integral(1.0, 2)
     assert len(tables) == 1
     assert near == MudDistribution(base, 5)           # tables take no part
+
+
+def test_a_law_without_transition_is_refused():
+    # S = 1 at every grid point leaves no panel between its 1s and 0s
+    with pytest.raises(ValueError,
+                       match="^survival function has no transition on the grid$"):
+        _survival_tables(np.ones_like, [lambda q: q])
+
+
+def test_the_panel_budget_stops_the_build(monkeypatch):
+    # the direct law at m = 1.5, L = 5 refines 4 panels to 371
+    monkeypatch.setattr(numerics, "_TABLE_MAX_PANELS", 50)
+    sf = _unit(LinkKind.DIRECT, 1.5, 5).sf
+    with pytest.raises(ConvergenceError, match="tolerance in 50 panels"):
+        _survival_tables(sf, [lambda q: q])

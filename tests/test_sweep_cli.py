@@ -10,7 +10,7 @@ import pytest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-from crlink.cli import _VALIDATE_POINTS, _build_point, main
+from crlink.cli import _VALIDATE_POINTS, _build_point, build_parser, main
 from crlink.fading import FadingSpec, LinkKind, SnrDistribution
 from crlink.metrics import (capacity, spectral_efficiency_cr,
                             spectral_efficiency_dr)
@@ -559,3 +559,31 @@ def test_sweep_falls_back_to_one_table_per_point(monkeypatch):
         raise ConvergenceError("batch failed")
     monkeypatch.setattr(sweep, "_unit_tables", failing)
     assert render_csv(run_sweep(cfg)) == expected
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_sweep_rejects_workers_below_one(workers, capsys):
+    # used to run serially and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(CONFIGS / "fig1.cfg"), "--workers", workers])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--workers: must be >= 1, got {workers}" in err
+
+
+@pytest.mark.parametrize("argv,dest", [
+    (["validate", "--samples"], "samples"),
+    (["point", "--mode", "osa", "--mc-samples"], "mc_samples"),
+])
+def test_cli_samples_take_whole_numbers_in_any_notation(argv, dest, capsys):
+    # as a config's mc_samples does; 1e6 used to be an invalid int
+    for text, n in (("1e6", 1_000_000), ("2e5", 200_000), ("150000", 150_000)):
+        got = getattr(build_parser().parse_args(argv + [text]), dest)
+        assert type(got) is int and got == n
+    for text, why in (("150000.5", "must be a whole number"),
+                      ("1e4", "must be >= 1e5")):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [text])
+        assert exc.value.code == 2
+        assert f"{why}, got {text}" in capsys.readouterr().err
