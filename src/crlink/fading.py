@@ -2,7 +2,9 @@
 
 Direct link: received SNR of the secondary link. Rayleigh fading gives an
 exponential SNR law; Nakagami-m fading gives a Gamma law with shape m and
-mean equal to the configured mean SNR.
+mean equal to the configured mean SNR. At every m, integer or not, its CDF
+and survival are the two selections from one incomplete-gamma kernel,
+specfun._gamma_halves.
 
 Ratio link (spectrum sharing): the effective SNR is a scale factor times the
 ratio of the secondary and interference channel gains. With both gains
@@ -95,35 +97,11 @@ def pdf_direct(spec: FadingSpec, x):
     return _finish(out, scalar)
 
 
-def _log_poisson_head(n: int, y):
-    """ln(e^{-y} Σ_{k<n} y^k/k!) = ln Q(n, y) for integer n <= 60,
-    vectorized; -inf for y > 1e4, where Q underflows to 0 anyway and the
-    sum could overflow."""
-    out = np.full_like(y, -np.inf)
-    small = y <= 1e4
-    ys = y[small]
-    term = np.ones_like(ys)
-    total = np.ones_like(ys)
-    for k in range(1, n):
-        term = term * ys / k
-        total = total + term
-    # rounding can put the sum a hair above e^{y}; Q never exceeds 1
-    out[small] = np.minimum(np.log(total) - ys, 0.0)
-    return out
-
-
-def _is_integer_shape(m: float) -> bool:
-    return m == round(m) and m <= 60
-
-
 def cdf_direct(spec: FadingSpec, x):
     """Direct-link SNR CDF: P(m, m·x/γ̄)."""
     arr, scalar = _prepare(x)
     m, g = spec.shape, spec.mean_snr
     y = m * arr / g
-    if _is_integer_shape(m):
-        # 0 − expm1 keeps the CDF at the origin +0.0, not −0.0
-        return _finish(0.0 - np.expm1(_log_poisson_head(int(m), y)), scalar)
     near, lower = _gamma_halves(m, y)
     return _finish(np.where(lower, near, 1.0 - near), scalar)
 
@@ -134,8 +112,6 @@ def sf_direct(spec: FadingSpec, x):
     arr, scalar = _prepare(x)
     m, g = spec.shape, spec.mean_snr
     y = m * arr / g
-    if _is_integer_shape(m):
-        return _finish(np.exp(_log_poisson_head(int(m), y)), scalar)
     near, lower = _gamma_halves(m, y)
     return _finish(np.where(lower, 1.0 - near, near), scalar)
 

@@ -82,9 +82,7 @@ def mud_cdf(d: MudDistribution, x):
 def _best_of(q, users: int):
     """The survival 1 − (1 − Q)^L of the best of L users from the base
     survival Q, as −expm1(L·log1p(−Q)) so the upper tail keeps full
-    relative precision for any L; Q itself for L=1."""
-    if users == 1:
-        return q
+    relative precision for any L."""
     with np.errstate(divide="ignore"):      # Q = 1: log1p is −inf, S is 1
         return -np.expm1(users * np.log1p(-q))
 

@@ -19,6 +19,7 @@ REL_TOL = 1e-12
 MAX_TERMS = 500
 _MANY_MIN = 64      # _gamma_halves: fewer elements go to the scalar loop
 _TINY = 1e-300      # Lentz underflow guard
+_HUGE = np.finfo(float).max
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -125,9 +126,10 @@ def _gamma_halves(a: float, x):
     than _MANY_MIN elements, like the last unconverged elements of a
     longer one, goes through the scalar loops; where that hand-off happens
     changes no bit. The long arrays come from survival-table builds.
+    x = inf gives Q = 0 and P = 1, as the largest double does.
     """
     shape = np.shape(x)
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.minimum(np.asarray(x, dtype=float).ravel(), _HUGE)
     lower = x < a + 1.0
     with np.errstate(divide="ignore"):          # x = 0 gives P = 0
         pre = np.log(x)
@@ -162,7 +164,7 @@ def _gamma_halves(a: float, x):
             total = total[keep]
     out[idx] = [_near_scalar(a, v, p) for v, p in zip(xs.tolist(), ps.tolist())]
     # For x >= a+1 the Lentz denominators stay above 2 (checked over
-    # a in [0.5, 60], x in [a+1, 1e6]), so _gamma_cf's underflow guards
+    # a in [0.5, 1000], x in [a+1, 1e6]), so _gamma_cf's underflow guards
     # never act and are left out here.
     idx = np.flatnonzero(~lower)
     xl, ps = x[idx], pre[idx]

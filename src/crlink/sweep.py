@@ -31,13 +31,32 @@ from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
 _MODES = ("osa", "ss")
 _AXES = ("p_av_db", "q_av_db", "num_users")
 _LINKS = {"osa": LinkKind.DIRECT, "ss": LinkKind.RATIO}
-# the ratio-link survival function is checked against mpmath to 1e-11 up to
-# this shape factor (tests/test_fading.py)
+# the ratio- and direct-link laws are checked against mpmath to 1e-11 up to
+# these shape factors (tests/test_fading.py); at m = 6000 the direct-link
+# series runs out of terms inside the grid
 _SS_MAX_M = 15.0
+_OSA_MAX_M = 1000.0
 
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
+
+
+def _finite_positive(what: str, value: float, got: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be finite and > 0 in linear terms, "
+                         f"got {got}")
+    return value
+
+
+def _db_value(key: str, db: float) -> float:
+    """db_to_linear(db), refused with the key named where it is not finite
+    and > 0."""
+    try:
+        value = db_to_linear(db)
+    except OverflowError:
+        value = math.inf
+    return _finite_positive(key, value, f"{db:g} dB")
 
 
 @dataclass(frozen=True)
@@ -83,9 +102,21 @@ class SweepConfig:
             raise ValueError(f"num_users must be positive, got {self.num_users}")
         if not self.m_values or any(m < 0.5 for m in self.m_values):
             raise ValueError(f"shape factors must be >= 0.5, got {self.m_values}")
-        if self.mode == "ss" and any(m > _SS_MAX_M for m in self.m_values):
-            raise ValueError(f"m must be <= {_SS_MAX_M:g} in ss mode, "
+        max_m = _SS_MAX_M if self.mode == "ss" else _OSA_MAX_M
+        if any(m > max_m for m in self.m_values):
+            raise ValueError(f"m must be <= {max_m:g} in {self.mode} mode, "
                              f"got {self.m_values}")
+        # dB is monotone in its linear value, so the axis ends stand for
+        # every axis value, and the budget's extremes lie at those ends
+        linear = {key: [_db_value(key, getattr(self, key))]
+                  for key in ("p_av_db", "q_av_db")}
+        if self.axis in linear:
+            linear[self.axis] = [_db_value("axis_range", v) for v in (start, stop)]
+        if self.mode == "ss":
+            for q in linear["q_av_db"]:
+                for p in linear["p_av_db"]:
+                    _finite_positive("the budget Q/P of q_av_db and p_av_db",
+                                     q / p, f"{q / p:g}")
         object.__setattr__(self, "constellations",
                            _whole_numbers("constellations", self.constellations))
         ConstellationSet(self.constellations, self.ber_target)  # validates both

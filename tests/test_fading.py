@@ -3,6 +3,7 @@ against quadrature, and sampling against the analytic shapes."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
@@ -64,10 +65,21 @@ def test_cdf_direct_anchors():
 
 @pytest.mark.parametrize("m", [1.0, 2.0, 5.0, 1.5])
 def test_cdf_direct_is_positive_zero_at_origin(m):
-    # the integer-m branch used to return -0.0
+    # P(m, 0) is the series sum times a zero prefactor, +0.0 at every m
     spec = nakagami(m, 1.0)
     assert math.copysign(1.0, cdf_direct(spec, 0.0)) == 1.0
     assert math.copysign(1.0, cdf_direct(spec, np.zeros(3))[0]) == 1.0
+
+
+@pytest.mark.parametrize("m", [1.0, 1.5])
+@pytest.mark.parametrize("n", [1, 64])
+def test_direct_laws_at_infinity(m, n):
+    # x/γ̄ overflows to inf at a mean near 1e-300; the laws take their
+    # limits there on the scalar (n = 1) and the array (n = 64) loops alike
+    spec = FadingSpec(1.0, m)
+    x = np.full(n, np.inf)
+    assert sf_direct(spec, x).tolist() == [0.0] * n
+    assert cdf_direct(spec, x).tolist() == [1.0] * n
 
 
 def test_cdf_direct_noninteger_against_scipy():
@@ -78,7 +90,7 @@ def test_cdf_direct_noninteger_against_scipy():
             assert abs(cdf_direct(spec, x) - ref) < 1e-11
 
 
-def test_cdf_direct_integer_fast_path_matches_scipy():
+def test_cdf_direct_integer_m_matches_scipy():
     for m in (2.0, 4.0, 7.0):
         spec = nakagami(m, 1.5)
         xs = np.geomspace(0.01, 60.0, 30)
@@ -216,7 +228,6 @@ def test_sf_ratio_against_mpmath(m):
     # series lost 2.3e-11 to cancellation at m = 15, and the per-element
     # stop of the series at 1e-12 of its sum leaves about 1e-12
     from crlink.fading import sf_ratio
-    mp = pytest.importorskip("mpmath")
     y = np.concatenate([np.geomspace(0.05, 1e3, 301), [0.95, 1.0, 1.05]])
     with mp.workdps(40):
         ref = np.array([float(mp.betainc(m, m, 0, 1 / (1 + mp.mpf(v)),
@@ -225,15 +236,16 @@ def test_sf_ratio_against_mpmath(m):
     assert np.all(np.abs(got - ref) <= 1e-11 * ref)
 
 
-@pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 13.1])
+@pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 13.1, 1.0, 2.0, 4.0, 30.0,
+                               60.0, 1000.0])
 def test_direct_halves_against_mpmath(m):
-    # non-integer m: the CDF P(m, m·x) and the survival Q(m, m·x) at unit
-    # mean are the two selections from one incomplete-gamma kernel; each
-    # holds 1e-11 against mpmath wherever it is above 1e-300, on both sides
-    # of the series/continued-fraction switch at m·x = m + 1
-    mp = pytest.importorskip("mpmath")
+    # the CDF P(m, m·x) and the survival Q(m, m·x) at unit mean are the two
+    # selections from one incomplete-gamma kernel; each holds 1e-11 against
+    # mpmath wherever it is above 1e-300, on both sides of the
+    # series/continued-fraction switch at m·x = m + 1. At m = 1000 (the osa
+    # cap) both are above 1e-300 only for x in about [0.23, 1.95].
     spec = FadingSpec(1.0, m)
-    x = np.geomspace(1e-8, 60.0, 401)
+    x = np.geomspace(1e-8, 60.0, 401) if m < 100 else np.geomspace(0.2, 3.0, 401)
     with mp.workdps(40):
         y = [mp.mpf(m * v) for v in x.tolist()]
         cdf = np.array([float(mp.gammainc(m, 0, v, regularized=True))

@@ -49,9 +49,9 @@ def test_reg_upper_gamma_many_is_elementwise(a):
     assert upper_gamma_many(a, x[perm]).tolist() == [scalar[i] for i in perm]
 
 
-@pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 12.5])
+@pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 12.5, 1.0, 2.0])
 def test_laws_are_elementwise(m):
-    # non-integer m: the incomplete-gamma loops and the 2F1 series stop per
+    # the incomplete-gamma loops and the non-terminating 2F1 series stop per
     # element (12.5 takes the positive-term series)
     y = np.geomspace(1e-6, 1e6, 601)
     spec = FadingSpec(1.0, m)

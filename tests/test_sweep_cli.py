@@ -273,6 +273,10 @@ def test_cli_point_rejects_fractional_sizes(capsys):
     (["point", "--mode", "osa", "--ns", "0"], "num_users"),
     (["point", "--mode", "osa", "--seed", "-1"], "seed"),
     (["validate", "--seed", "-1"], "seed"),
+    (["point", "--mode", "osa", "--m", "6000", "--ns", "5"], "m"),
+    (["point", "--mode", "osa", "--p-av-db", "4000"], "p_av_db"),
+    (["point", "--mode", "ss", "--p-av-db", "-4000", "--q-av-db", "0"],
+     "p_av_db"),
 ])
 def test_cli_bad_value_is_usage_error(argv, key, capsys):
     # used to end in a ValueError traceback, validate after its header
@@ -368,6 +372,11 @@ def test_oracle_batches_bounded_at_many_users(monkeypatch):
     (["--set", "bogus=1"], "unknown config keys"),
     (["--set", "m=[1,"], "--set m: cannot parse"),
     (["--set", "m"], "--set expects key=value"),
+    (["--set", "axis_range=[0,4000,1000]"], "axis_range"),
+    (["--set", "mode=ss", "--set", "axis=q_av_db", "--set", "p_av_db=-4000"],
+     "p_av_db"),
+    (["--set", "mode=ss", "--set", "q_av_db=3000",
+      "--set", "axis_range=[-3000,0,1000]"], "budget Q/P"),
 ])
 def test_cli_sweep_bad_value_is_usage_error(argv, key, tmp_path, capsys):
     # used to end in a Python traceback with exit code 1
@@ -530,9 +539,12 @@ def test_config_rejects_sharing_shape_factor_above_15(capsys):
     with pytest.raises(ValueError, match="m must be <= 15 in ss mode"):
         config_from_dict({**raw, "m": [2.0, 15.5]})
     assert config_from_dict({**raw, "m": 15}).m_values == (15.0,)
-    osa = config_from_dict({"mode": "osa", "axis": "p_av_db",
-                            "axis_range": [0, 4, 2], "m": 20})
-    assert osa.m_values == (20.0,)
+    osa = {"mode": "osa", "axis": "p_av_db", "axis_range": [0, 4, 2]}
+    assert config_from_dict({**osa, "m": 20}).m_values == (20.0,)
+    # the direct-link laws are checked to 1e-11 up to m = 1000
+    assert config_from_dict({**osa, "m": 1000}).m_values == (1000.0,)
+    with pytest.raises(ValueError, match="m must be <= 1000 in osa mode"):
+        config_from_dict({**osa, "m": 1000.5})
     with pytest.raises(SystemExit) as exc:
         main(["point", "--mode", "ss", "--m", "20"])
     assert exc.value.code == 2
