@@ -6,8 +6,6 @@ import argparse
 import math
 import sys
 
-import yaml
-
 from . import __version__
 from .fading import cdf_ratio, nakagami
 from .metrics import capacity, spectral_efficiency_cr
@@ -20,6 +18,7 @@ from .sweep import (SweepConfig, _check_output, build_point, emit_csv,
 
 
 def _parse_set(values):
+    import yaml
     overrides = {}
     for item in values or []:
         if "=" not in item:

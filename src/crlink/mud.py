@@ -40,7 +40,8 @@ class MudDistribution:
         return mud_cdf(self, x)
 
     def sf(self, x):
-        return mud_sf(self, x)
+        """1 − F(x)^L from the base survival (_best_of)."""
+        return _best_of(self.base.sf(x), self.num_users)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return mud_sample(self, rng, n)
@@ -54,15 +55,12 @@ class MudDistribution:
         by _unit_tables at the first call for this (link, m, L) unless the
         dict already holds it.
         """
-        if power not in (1, 2):
-            raise ValueError(f"power must be 1 or 2, got {power}")
         link, m, users = self.base.link, self.base.spec.m, self.num_users
         key = (link, m, users)
         if key not in self.tables:
             self.tables.update(_unit_tables(link, m, [users]))
-        table = self.tables[key]
         g = self.base.spec.mean_snr
-        val, err = (table.g1 if power == 1 else table.g2)(t / g)
+        val, err = self.tables[key].integral(t / g, power)
         scale = g ** (power - 1)
         return val / scale, err / scale
 
@@ -85,11 +83,6 @@ def _best_of(q, users: int):
     relative precision for any L."""
     with np.errstate(divide="ignore"):      # Q = 1: log1p is −inf, S is 1
         return -np.expm1(users * np.log1p(-q))
-
-
-def mud_sf(d: MudDistribution, x):
-    """1 − F(x)^L from the base survival (_best_of)."""
-    return _best_of(d.base.sf(x), d.num_users)
 
 
 def _unit_tables(link: LinkKind, m: float, users: Iterable[int]) -> dict:

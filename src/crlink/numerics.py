@@ -247,9 +247,10 @@ class SurvivalTable:
     panel's 15 node values.
 
     The table of S = law(Q) reads the base Q from a node store that the
-    tables of one batch share (_survival_tables). A built table holds only
-    its panels' rows in that store; the sums and series are derived from
-    there at its first query.
+    tables of one batch share (_survival_tables). A built table holds its
+    panels' rows in that store and the cumulative sums of its last build
+    round; the series are derived from those rows at its first query
+    inside [s_lo, s_hi).
     """
 
     def __init__(self, nodes: _Nodes, law: Callable[[np.ndarray], np.ndarray]):
@@ -279,12 +280,15 @@ class SurvivalTable:
         rows = rows[np.argsort(nodes.lo[rows], kind="stable")]
         lo, hi = nodes.lo[rows], nodes.hi[rows]
         vals, errs = _panel_sums(nodes.values(self._law, rows), lo, hi)
-        right = _right_sums(vals, self._tail[0])[:, :-1]
-        excess = (errs / np.maximum(_TABLE_REL * right, _TABLE_ABS)).max(axis=0)
+        right = _right_sums(vals, self._tail[0])
+        excess = (errs / np.maximum(_TABLE_REL * right[:, :-1],
+                                    _TABLE_ABS)).max(axis=0)
         bad = (excess > 1.0) & (hi - lo > 1e-12)
         self._rows = rows[~bad]
-        if not bad.any():
+        if not bad.any():               # the partition is final: keep its sums
             del self._new
+            self._lo, self._hi, self._right = lo, hi, right
+            self._right_err = _right_sums(errs, self._tail[1])
             return False
         # about excess^(1/10) pieces: the G7 error falls as width^14 once a
         # panel resolves S, and a slower guess splits one that does not yet
@@ -301,36 +305,33 @@ class SurvivalTable:
                      np.where(i + 1 == kk, b, a + (b - a) * ((i + 1) / kk)))
         return True
 
-    def _sf(self, y):
-        return self._law(self._nodes.base(y))
-
     def _integrands(self):
-        sf = self._sf
-        return (lambda y: sf(y) / (y * y), lambda y: sf(y) / y)
+        law, base = self._law, self._nodes.base
+        return (lambda y: law(base(y)) / (y * y), lambda y: law(base(y)) / y)
 
     def _derive(self) -> None:
-        nodes, rows = self._nodes, self._rows
-        f = nodes.values(self._law, rows)
-        self._lo, self._hi = nodes.lo[rows], nodes.hi[rows]
-        vals, errs = _panel_sums(f, self._lo, self._hi)
-        self._right = _right_sums(vals, self._tail[0])
-        self._right_err = _right_sums(errs, self._tail[1])
+        f = self._nodes.values(self._law, self._rows)
         self._coef = f @ _LEG_FROM_NODES        # (2, panels, 15) Legendre series
         self._edges = self._lo.tolist()
 
-    def _query(self, tau: float, which: int) -> Tuple[float, float]:
+    def integral(self, tau: float, power: int) -> Tuple[float, float]:
+        """∫_τ^∞ S(y)/y^power dy for power 1 (G1) or 2 (G2), and its error
+        estimate."""
+        if power not in (1, 2):
+            raise ValueError(f"power must be 1 or 2, got {power}")
         if not tau > 0.0:
             return math.inf, 0.0
+        row = 0 if power == 2 else 1            # rows are (G2, G1)
         s = math.log(tau)
         if s >= self.s_hi:
-            return integrate_to_inf(self._integrands()[which], tau, 0.0,
+            return integrate_to_inf(self._integrands()[row], tau, 0.0,
                                     _TABLE_REL)
+        if s < self.s_lo:
+            head = (1.0 / tau - math.exp(-self.s_lo) if row == 0
+                    else self.s_lo - s)
+            return self._right[row, 0] + head, self._right_err[row, 0]
         if self._coef is None:
             self._derive()
-        if s < self.s_lo:
-            head = (1.0 / tau - math.exp(-self.s_lo) if which == 0
-                    else self.s_lo - s)
-            return self._right[which, 0] + head, self._right_err[which, 0]
         j = bisect.bisect_right(self._edges, s) - 1
         a, b = self._lo[j], self._hi[j]
         u = (2.0 * s - a - b) / (b - a)
@@ -339,16 +340,8 @@ class SurvivalTable:
         for k in range(1, 15):
             p.append(((2 * k + 1) * u * p[k] - k * p[k - 1]) / (k + 1))
         w = [1.0 - u] + [(p[k - 1] - p[k + 1]) / (2 * k + 1) for k in range(1, 15)]
-        part = 0.5 * (b - a) * float(np.dot(self._coef[which, j], w))
-        return self._right[which, j + 1] + part, self._right_err[which, j]
-
-    def g2(self, tau: float) -> Tuple[float, float]:
-        """∫_τ^∞ S(y)/y² dy and its error estimate."""
-        return self._query(tau, 0)
-
-    def g1(self, tau: float) -> Tuple[float, float]:
-        """∫_τ^∞ S(y)/y dy and its error estimate."""
-        return self._query(tau, 1)
+        part = 0.5 * (b - a) * float(np.dot(self._coef[row, j], w))
+        return self._right[row, j + 1] + part, self._right_err[row, j]
 
 
 def _survival_tables(base: Callable[[np.ndarray], np.ndarray],

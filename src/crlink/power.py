@@ -105,17 +105,12 @@ class DrPolicy:
     iterations: int
 
 
-def _sf_over_x2(dist: MudDistribution, t: float) -> float:
-    """∫_t^∞ S(x)/x² dx."""
-    return dist.sf_integral(t, 2)[0]
-
-
 def _waterfill_spent(dist: MudDistribution, gamma0: float,
                      k: float) -> Tuple[float, float]:
     """Average power ∫_t^∞ (1/γ₀ − 1/(x·k)) f_max(x) dx with t = γ₀/k,
     which is (1/k)∫_t^∞ S(x)/x² dx, and its derivative −S(t)/γ₀²."""
     t = gamma0 / k
-    return _sf_over_x2(dist, t) / k, -float(dist.sf(t)) / gamma0 ** 2
+    return dist.sf_integral(t, 2)[0] / k, -float(dist.sf(t)) / gamma0 ** 2
 
 
 def solve_cutoff(dist: MudDistribution, c: ConstraintSpec) -> CutoffSolution:
@@ -154,7 +149,7 @@ def _dr_spent(dist: MudDistribution, gamma_star: float,
     c = (m - 1.0) / gamma_star
     s_edge = dist.sf(edges)
     probs = -np.diff(s_edge, append=0.0)
-    tail = s_edge[0] / b1 - _sf_over_x2(dist, b1)
+    tail = s_edge[0] / b1 - dist.sf_integral(b1, 2)[0]
     spent = float(np.dot(c, probs)) - tail / k
     mf = np.append(m * dist.pdf(edges), 0.0)
     slope = (float(np.dot(c, mf[1:] - mf[:-1]) - np.dot(c, probs) / gamma_star)

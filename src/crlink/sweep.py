@@ -12,13 +12,10 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
-import yaml
 
 from .fading import LinkKind, SnrDistribution, nakagami
 from .metrics import capacity, spectral_efficiency_cr, spectral_efficiency_dr
@@ -280,9 +277,12 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
         groups.setdefault(m, []).append((i, v, ns, int(seeds[i])))
     tasks = [(cfg, m, group) for m, group in groups.items()]
     workers = min(workers, len(tasks))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        solved = list((pool.map if pool else map)(_solve_group, tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_solve_group, tasks))
+    else:
+        solved = list(map(_solve_group, tasks))
     rows = [None] * len(points)
     for (_, _, group), group_rows in zip(tasks, solved):
         for (i, *_), row in zip(group, group_rows):
@@ -338,6 +338,7 @@ def emit_csv(res: SweepResult, path: str) -> None:
 
 def load_config(path: str, overrides: Optional[dict] = None) -> SweepConfig:
     """Read a YAML sweep definition; overrides replace top-level keys."""
+    import yaml
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from crlink.exceptions import NoSolutionError
+from crlink import numerics
+from crlink.exceptions import ConvergenceError, NoSolutionError
 from crlink.numerics import integrate, integrate_to_inf, solve_decreasing
 
 
@@ -81,6 +82,20 @@ def test_empty_interval():
     assert integrate(lambda x: x, 2.0, 2.0) == (0.0, 0.0)
 
 
+def test_a_panel_at_floating_point_resolution_is_retired():
+    # no tolerance can be met, and the one-ulp panel has no midpoint to
+    # split at: it is kept with its error dropped instead of split forever
+    b = math.nextafter(1.0, 2.0)
+    val, err = integrate(np.ones_like, 1.0, b, 0.0, 0.0)
+    assert err == 0.0 and val == pytest.approx(b - 1.0, rel=1e-14)
+
+
+def test_the_panel_budget_stops_integrate(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_PANELS", 5)
+    with pytest.raises(ConvergenceError, match="panels=5$"):
+        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 0.0, 1e-14)
+
+
 def test_solve_decreasing_reciprocal():
     x, residual, iters = solve_decreasing(lambda t: (1.0 / t, -1.0 / t ** 2), 3.0)
     assert abs(x - 1.0 / 3.0) < 1e-10
@@ -103,3 +118,36 @@ def test_solve_decreasing_no_solution():
     # bounded above by 1, can never reach 2
     with pytest.raises(NoSolutionError):
         solve_decreasing(lambda t: (math.exp(-t), -math.exp(-t)), 2.0)
+
+
+def _recorded(g):
+    xs = []
+    return xs, lambda x: xs.append(x) or g(x)
+
+
+def test_solve_decreasing_bisects_when_newton_leaves_the_bracket():
+    # a slope understated 4-fold makes the second Newton step overshoot
+    # past the first point, so the third point is the geometric midpoint
+    xs, g = _recorded(lambda t: (1.0 / t, -0.25 / t ** 2))
+    x, res, evals = solve_decreasing(g, 3.0)
+    assert xs[2] == math.sqrt(xs[0] * xs[1])
+    assert abs(res) <= 1e-10 * 3.0 and abs(x - 1.0 / 3.0) < 1e-10
+    assert evals == len(xs)
+
+
+def test_solve_decreasing_stops_at_an_exhausted_bracket():
+    # a step from 2 to 0.5 at 0.3 never meets the target 1: the bracket
+    # shrinks onto the step and the closest point seen is returned
+    xs, g = _recorded(lambda t: (2.0 if t < 0.3 else 0.5, 0.0))
+    x, res, evals = solve_decreasing(g, 1.0)
+    assert (x, res) == (1.0, -0.5) and evals == len(xs) < 100
+    below = max(t for t in xs if t < 0.3)
+    above = min(t for t in xs if t >= 0.3)
+    assert above - below <= 4.0 * np.finfo(float).eps * above
+
+
+def test_the_evaluation_budget_stops_solve_decreasing(monkeypatch):
+    # a root 2e4-fold below the start needs more than three 100-fold steps
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 3)
+    with pytest.raises(ConvergenceError, match="in 3 evaluations"):
+        solve_decreasing(lambda t: (1.0 / t, -1.0 / t ** 2), 2e4)

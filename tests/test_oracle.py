@@ -70,7 +70,7 @@ def test_mc_capacity_three_sigma():
     assert est.stderr < 0.01
 
 
-def test_mc_se_dr_agreement_and_region_frequencies():
+def test_dr_bits_estimate_agrees_and_matches_region_frequencies():
     dist = _direct(mean=10.0, L=5)
     pol = solve_dr_policy(dist, TX, CSET)
     cfg = McConfig(samples=10 ** 6, seed=77)
@@ -86,7 +86,7 @@ def test_mc_se_dr_agreement_and_region_frequencies():
         assert abs(freq - prob) < 0.005
 
 
-def test_mc_se_dr_all_outage_is_zero():
+def test_dr_bits_estimate_is_zero_in_all_outage():
     dist = _direct()
     boundaries = tuple(m * 1e12 for m in CSET.sizes[1:])
     pol = DrPolicy(gamma_star=1e12, boundaries=boundaries,
@@ -96,14 +96,14 @@ def test_mc_se_dr_all_outage_is_zero():
     assert est.value == 0.0
 
 
-def test_mc_power_check_capacity_policy():
+def test_power_estimate_meets_budget_capacity_policy():
     dist = _direct(mean=10.0, L=5)
     cut = solve_cutoff(dist, TX)
     est = _mc(dist, _power_map(cut, 1.0), McConfig(samples=10 ** 6, seed=11))
     assert est.within(1.0)
 
 
-def test_mc_power_check_cr_policy():
+def test_power_estimate_meets_budget_cr_policy():
     k = power_loss_factor(1e-3)
     dist = _direct(mean=10.0, L=5)
     cut = solve_cutoff_cr(dist, TX, k)
@@ -111,7 +111,7 @@ def test_mc_power_check_cr_policy():
     assert est.within(1.0)
 
 
-def test_mc_power_check_dr_policy():
+def test_power_estimate_meets_budget_dr_policy():
     dist = _direct(mean=10.0, L=5)
     pol = solve_dr_policy(dist, TX, CSET)
     est = _mc(dist, _dr_power_map(pol, CSET),
