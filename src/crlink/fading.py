@@ -1,9 +1,9 @@
 """Single-user SNR distributions for the two cognitive-radio link types.
 
-Direct link: received SNR of the secondary link. Rayleigh fading gives an
-exponential SNR law; Nakagami-m fading gives a Gamma law with shape m and
-mean equal to the configured mean SNR. At every m, integer or not, its CDF
-and survival are the two selections from one incomplete-gamma kernel,
+Direct link: received SNR of the secondary link. Nakagami-m fading gives a
+Gamma law with shape m and mean equal to the configured mean SNR; Rayleigh
+fading is m = 1, with no formula of its own. At every m its CDF and
+survival are the two selections from one incomplete-gamma kernel,
 specfun._gamma_halves.
 
 Ratio link (spectrum sharing): the effective SNR is a scale factor times the
@@ -62,10 +62,6 @@ class FadingSpec:
         return self.m
 
 
-def rayleigh(mean_snr: float) -> FadingSpec:
-    return nakagami(1.0, mean_snr)
-
-
 def nakagami(m: float, mean_snr: float) -> FadingSpec:
     return FadingSpec(mean_snr, m)
 
@@ -81,39 +77,55 @@ def _finish(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _cdf(halves):
+    """The CDF from a link's halves (near, lower, scalar)."""
+    near, lower, scalar = halves
+    return _finish(np.where(lower, near, 1.0 - near), scalar)
+
+
+def _sf(halves):
+    """The survival from a link's halves (near, lower, scalar)."""
+    near, lower, scalar = halves
+    return _finish(np.where(lower, 1.0 - near, near), scalar)
+
+
+def _density(arr, m: float, at_one: float):
+    """Zeros holding a density's origin value (+inf, at_one or 0 as m is <, =
+    or > 1) and its limit 0 at +inf, and the mask of (0, ∞) left to fill."""
+    out = np.zeros_like(arr)
+    if m <= 1.0:
+        out[arr == 0.0] = np.inf if m < 1.0 else at_one
+    return out, (arr > 0.0) & (arr < np.inf)
+
+
 def pdf_direct(spec: FadingSpec, x):
-    """Direct-link SNR density: Gamma(shape m, mean γ̄); exponential for m=1."""
+    """Direct-link SNR density: Gamma(shape m, mean γ̄)."""
     arr, scalar = _prepare(x)
     m, g = spec.shape, spec.mean_snr
-    if m == 1.0:
-        return _finish(np.exp(-arr / g) / g, scalar)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    xp = arr[pos]
-    out[pos] = np.exp(m * math.log(m / g) + (m - 1.0) * np.log(xp)
-                      - m * xp / g - math.lgamma(m))
-    # density at the origin: +inf below shape 1, 0 above
-    out[~pos] = np.inf if m < 1.0 else 0.0
+    out, inner = _density(arr, m, 1.0 / g)
+    xp = arr[inner]
+    out[inner] = np.exp(m * math.log(m / g) + (m - 1.0) * np.log(xp)
+                        - m * xp / g - math.lgamma(m))
     return _finish(out, scalar)
+
+
+def _direct_halves(spec: FadingSpec, x):
+    """_gamma_halves at y = m·x/γ̄ and whether x is a scalar: near is
+    P(m, y), the CDF, where lower holds, and Q(m, y) elsewhere."""
+    arr, scalar = _prepare(x)
+    m = spec.shape
+    near, lower = _gamma_halves(m, m * arr / spec.mean_snr)
+    return near, lower, scalar
 
 
 def cdf_direct(spec: FadingSpec, x):
     """Direct-link SNR CDF: P(m, m·x/γ̄)."""
-    arr, scalar = _prepare(x)
-    m, g = spec.shape, spec.mean_snr
-    y = m * arr / g
-    near, lower = _gamma_halves(m, y)
-    return _finish(np.where(lower, near, 1.0 - near), scalar)
+    return _cdf(_direct_halves(spec, x))
 
 
 def sf_direct(spec: FadingSpec, x):
-    """Direct-link SNR survival 1 − CDF = Q(m, m·x/γ̄), computed without
-    cancellation."""
-    arr, scalar = _prepare(x)
-    m, g = spec.shape, spec.mean_snr
-    y = m * arr / g
-    near, lower = _gamma_halves(m, y)
-    return _finish(np.where(lower, 1.0 - near, near), scalar)
+    """Direct-link SNR survival 1 − CDF = Q(m, m·x/γ̄)."""
+    return _sf(_direct_halves(spec, x))
 
 
 def pdf_ratio(spec: FadingSpec, x):
@@ -125,15 +137,10 @@ def pdf_ratio(spec: FadingSpec, x):
     arr, scalar = _prepare(x)
     m, s = spec.shape, spec.mean_snr
     y = arr / s
-    lnB = ln_beta(m, m)
-    out = np.zeros_like(y)
-    pos = y > 0.0
-    yp = y[pos]
-    out[pos] = np.exp((m - 1.0) * np.log(yp) - 2.0 * m * np.log1p(yp) - lnB) / s
-    if m < 1.0:
-        out[~pos] = np.inf
-    elif m == 1.0:
-        out[~pos] = 1.0 / s
+    out, inner = _density(y, m, 1.0 / s)
+    yp = y[inner]
+    out[inner] = np.exp((m - 1.0) * np.log(yp) - 2.0 * m * np.log1p(yp)
+                        - ln_beta(m, m)) / s
     return _finish(out, scalar)
 
 
@@ -170,15 +177,13 @@ def _ratio_halves(spec: FadingSpec, x):
 
 def cdf_ratio(spec: FadingSpec, x):
     """Gain-ratio SNR CDF via the hypergeometric closed form."""
-    near, lower, scalar = _ratio_halves(spec, x)
-    return _finish(np.where(lower, near, 1.0 - near), scalar)
+    return _cdf(_ratio_halves(spec, x))
 
 
 def sf_ratio(spec: FadingSpec, x):
     """Gain-ratio SNR survival 1 − CDF; above the unit point it is the
     series itself, so the power-law tail keeps full relative precision."""
-    near, lower, scalar = _ratio_halves(spec, x)
-    return _finish(np.where(lower, 1.0 - near, near), scalar)
+    return _sf(_ratio_halves(spec, x))
 
 
 @dataclass(frozen=True)

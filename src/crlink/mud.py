@@ -6,6 +6,7 @@ L·f(x)·F(x)^{L-1}, CDF F(x)^L and survival function S(x) = 1 − F(x)^L.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Tuple
@@ -14,6 +15,26 @@ import numpy as np
 
 from .fading import FadingSpec, LinkKind, SnrDistribution, _best_draws
 from .numerics import _survival_tables
+
+
+def _is_number(v) -> bool:
+    """A real number that is not a boolean."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _whole_numbers(key: str, vals) -> Tuple[int, ...]:
+    """vals as ints; a fraction, a boolean or a non-number fails naming key."""
+    if not all(_is_number(v) and float(v).is_integer() for v in vals):
+        raise ValueError(f"{key} takes whole numbers only, got {vals}")
+    return tuple(int(v) for v in vals)
+
+
+def _whole_number(key: str, value, low: int) -> int:
+    """value as an int, refused naming key unless whole and >= low."""
+    (n,) = _whole_numbers(key, (value,))
+    if n < low:
+        raise ValueError(f"{key} must be >= {low}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -30,8 +51,8 @@ class MudDistribution:
     tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.num_users < 1:
-            raise ValueError(f"num_users must be >= 1, got {self.num_users}")
+        object.__setattr__(self, "num_users",
+                           _whole_number("num_users", self.num_users, 1))
 
     def pdf(self, x):
         return mud_pdf(self, x)

@@ -237,14 +237,16 @@ class SurvivalTable:
     rounds to 1 and the first where it is 0 (or 48). Below s_lo, S is
     taken as 1, dropping 1 − S < 1.2e-16, and the integrals are closed
     form. Beyond s_hi, one semi-infinite integral of S per G is computed
-    at the build (none where S is 0 at s_hi: the integral of zeros is 0);
-    a τ beyond s_hi is answered by the same integral from τ. The panels in
-    between are split in rounds until each panel's G7/K15 difference is at
-    most 1e-13 of the integral from its left edge to infinity (or 1e-313
-    where that underflows). A query adds the integral over the panels to
-    its right, a cumulative sum, to the one over its partial panel, read
-    from the Legendre series of the degree-14 interpolant through that
-    panel's 15 node values.
+    at the build; a τ beyond s_hi is answered by the integral from τ, taken
+    in y/τ so that S/y² does not underflow before S does (S counts as 0
+    past the largest double). Where S is 0 at s_hi both are 0, with no
+    quadrature, as they are at τ = ∞. The panels in between are split in
+    rounds until each panel's G7/K15 difference is at most 1e-13 of the
+    integral from its left edge to infinity (or 1e-313 where that
+    underflows). A query adds the integral over the panels to its right, a
+    cumulative sum, to the one over its partial panel, read from the
+    Legendre series of the degree-14 interpolant through that panel's 15
+    node values.
 
     The table of S = law(Q) reads the base Q from a node store that the
     tables of one batch share (_survival_tables). A built table holds its
@@ -264,7 +266,8 @@ class SurvivalTable:
             raise ValueError("survival function has no transition on the grid")
         self.s_lo, self.s_hi = float(edges[0]), float(edges[-1])
         self._tail = np.zeros((2, 2))       # (value, error) × (G2, G1)
-        if not zeros.size:
+        self._open = not zeros.size         # S > 0 at s_hi
+        if self._open:
             for which, fn in enumerate(self._integrands()):
                 self._tail[:, which] = integrate_to_inf(fn, math.exp(self.s_hi),
                                                         0.0, _TABLE_REL)
@@ -319,13 +322,21 @@ class SurvivalTable:
         estimate."""
         if power not in (1, 2):
             raise ValueError(f"power must be 1 or 2, got {power}")
-        if not tau > 0.0:
+        if math.isnan(tau):
+            raise ValueError("tau must be a number, got nan")
+        if tau <= 0.0:
             return math.inf, 0.0
         row = 0 if power == 2 else 1            # rows are (G2, G1)
         s = math.log(tau)
         if s >= self.s_hi:
-            return integrate_to_inf(self._integrands()[row], tau, 0.0,
-                                    _TABLE_REL)
+            if not self._open or tau == math.inf:
+                return 0.0, 0.0
+            law, base, scale = self._law, self._nodes.base, tau ** (1 - power)
+            with np.errstate(over="ignore"):    # τ·z = inf, where S is 0
+                val, err = integrate_to_inf(
+                    lambda z: law(base(tau * z)) / z ** power, 1.0, 0.0,
+                    _TABLE_REL)
+            return val * scale, err * scale
         if s < self.s_lo:
             head = (1.0 / tau - math.exp(-self.s_lo) if row == 0
                     else self.s_lo - s)

@@ -16,13 +16,16 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .mud import MudDistribution
+from .mud import MudDistribution, _whole_number
 from .power import ConstellationSet, CutoffSolution, DrPolicy
 
 
 # fewest draws per estimate accepted from a user: below this a 3-sigma band
 # is too loose to check anything
 MIN_SAMPLES = 10 ** 5
+
+# draws per batch, fewer where the batch would exceed _MAX_BASE_DRAWS
+_BATCH = 200_000
 
 # base draws per batch: one (L, batch) float64 array stays within 32 MB
 _MAX_BASE_DRAWS = 4_000_000
@@ -36,15 +39,11 @@ _CHUNK = 16384
 class McConfig:
     samples: int
     seed: int = 0
-    batch: int = 200_000
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for key, low in (("samples", 1), ("seed", 0)):
+            object.__setattr__(self, key,
+                               _whole_number(key, getattr(self, key), low))
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def _accumulate(dist: MudDistribution, cfg: McConfig, maps,
     operands kept finite at draws of 0 and +inf, so each value is the one
     the np.where form gives; an outage value may be −0, which no sum
     tells from 0."""
-    batch = min(cfg.batch, max(1, _MAX_BASE_DRAWS // dist.num_users))
+    batch = min(_BATCH, max(1, _MAX_BASE_DRAWS // dist.num_users))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     out = np.empty(min(batch, _CHUNK))
     square = np.empty_like(out)

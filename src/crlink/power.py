@@ -19,26 +19,13 @@ and the derivative for the Newton step is closed-form.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .mud import MudDistribution
+from .mud import MudDistribution, _whole_numbers
 from .numerics import solve_decreasing
-
-
-def _is_number(v) -> bool:
-    """A real number that is not a boolean."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _whole_numbers(key: str, vals) -> Tuple[int, ...]:
-    """vals as ints; a fraction, a boolean or a non-number fails naming key."""
-    if not all(_is_number(v) and float(v).is_integer() for v in vals):
-        raise ValueError(f"{key} takes whole numbers only, got {vals}")
-    return tuple(int(v) for v in vals)
 
 
 @dataclass(frozen=True)

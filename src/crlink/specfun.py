@@ -75,33 +75,6 @@ def _gamma_cf(a: float, x: float) -> float:
     )
 
 
-def _check_gamma_args(name: str, a: float, x: float) -> None:
-    if a <= 0.0:
-        raise ValueError(f"{name} requires a > 0, got a={a}")
-    if x < 0.0:
-        raise ValueError(f"{name} requires x >= 0, got x={x}")
-
-
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a,x) = γ(a,x)/Γ(a), in [0,1],
-    selected from _gamma_halves."""
-    _check_gamma_args("reg_lower_gamma", a, x)
-    near, lower = _gamma_halves(a, x)
-    return float(near if lower else 1.0 - near)
-
-
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a,x) = 1 − P(a,x), in [0,1],
-    selected from _gamma_halves.
-
-    The continued fraction for x ≥ a+1 keeps full relative precision deep
-    in the tail, where 1 − P(a,x) would cancel.
-    """
-    _check_gamma_args("reg_upper_gamma", a, x)
-    near, lower = _gamma_halves(a, x)
-    return float(1.0 - near if lower else near)
-
-
 def _near_scalar(a: float, x: float, pre: float) -> float:
     """_gamma_halves' value at one element by the scalar loops, given its
     prefactor: P(a,x) for x < a+1, Q(a,x) otherwise."""

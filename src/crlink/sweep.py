@@ -19,11 +19,11 @@ import numpy as np
 
 from .fading import LinkKind, SnrDistribution, nakagami
 from .metrics import capacity, spectral_efficiency_cr, spectral_efficiency_dr
-from .mud import MudDistribution, _unit_tables
+from .mud import (MudDistribution, _is_number, _unit_tables, _whole_number,
+                  _whole_numbers)
 from .oracle import MIN_SAMPLES, McConfig, mc_point
 from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
-                    _is_number, _whole_numbers, solve_cutoff, solve_cutoff_cr,
-                    solve_dr_policy)
+                    solve_cutoff, solve_cutoff_cr, solve_dr_policy)
 
 _MODES = ("osa", "ss")
 _AXES = ("p_av_db", "q_av_db", "num_users")
@@ -118,10 +118,8 @@ class SweepConfig:
                            _whole_numbers("constellations", self.constellations))
         ConstellationSet(self.constellations, self.ber_target)  # validates both
         for key, low in (("mc_samples", MIN_SAMPLES), ("seed", 0)):
-            (value,) = _whole_numbers(key, (getattr(self, key),))
-            if value < low:
-                raise ValueError(f"{key} must be >= {low}, got {value}")
-            object.__setattr__(self, key, value)
+            object.__setattr__(self, key,
+                               _whole_number(key, getattr(self, key), low))
         if not isinstance(self.mc_validate, bool):
             raise ValueError(f"mc_validate must be true or false, "
                              f"got {self.mc_validate!r}")

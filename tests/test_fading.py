@@ -10,7 +10,7 @@ from scipy import integrate as sp_integrate
 from scipy import special as sp
 
 from crlink.fading import (FadingSpec, LinkKind, SnrDistribution, cdf_direct,
-                           cdf_ratio, nakagami, pdf_direct, pdf_ratio, rayleigh,
+                           cdf_ratio, nakagami, pdf_direct, pdf_ratio,
                            sf_direct)
 from crlink.numerics import integrate, integrate_to_inf
 
@@ -33,16 +33,17 @@ def test_spec_rejects_non_finite(mean_snr, m):
 
 
 def test_pdf_direct_rayleigh_origin():
-    assert pdf_direct(rayleigh(1.0), 0.0) == 1.0
-    assert abs(pdf_direct(rayleigh(2.0), 0.0) - 0.5) < 1e-15
+    assert pdf_direct(nakagami(1.0, 1.0), 0.0) == 1.0
+    assert abs(pdf_direct(nakagami(1.0, 2.0), 0.0) - 0.5) < 1e-15
 
 
 def test_nakagami_m1_is_rayleigh():
+    # Rayleigh fading's exponential SNR law, e^{−x} at unit mean
     for x in (0.1, 1.0, 5.0):
-        r = pdf_direct(rayleigh(1.0), x)
+        r = math.exp(-x)
         n = pdf_direct(nakagami(1.0, 1.0), x)
         assert abs(r - n) <= 1e-12 * r
-        assert abs(cdf_direct(rayleigh(1.0), x)
+        assert abs(-math.expm1(-x)
                    - cdf_direct(nakagami(1.0, 1.0), x)) <= 1e-12
 
 
@@ -57,8 +58,8 @@ def test_nakagami_m2_mode():
 
 
 def test_cdf_direct_anchors():
-    assert abs(cdf_direct(rayleigh(1.0), math.log(2.0)) - 0.5) < 1e-14
-    assert cdf_direct(rayleigh(1.0), 0.0) == 0.0
+    assert abs(cdf_direct(nakagami(1.0, 1.0), math.log(2.0)) - 0.5) < 1e-14
+    assert cdf_direct(nakagami(1.0, 1.0), 0.0) == 0.0
     assert cdf_direct(nakagami(2.0, 1.0), 0.0) == 0.0
     assert abs(cdf_direct(nakagami(2.0, 1.0), 1.0) - P_2_2) < 1e-10
 
@@ -80,6 +81,19 @@ def test_direct_laws_at_infinity(m, n):
     x = np.full(n, np.inf)
     assert sf_direct(spec, x).tolist() == [0.0] * n
     assert cdf_direct(spec, x).tolist() == [1.0] * n
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 7.3])
+@pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
+def test_pdf_at_infinity_is_zero(link, m):
+    # both densities fall to 0 as x grows, at every shape; the formula's
+    # log terms would give inf − inf or 0·inf there
+    d = SnrDistribution(FadingSpec(2.0, m), link)
+    assert d.pdf(math.inf) == 0.0
+    x = np.array([math.inf, 1.0, math.inf])
+    got = d.pdf(x)
+    assert got[0] == got[2] == 0.0
+    assert got[1] == d.pdf(1.0) > 0.0
 
 
 def test_cdf_direct_noninteger_against_scipy():
@@ -195,7 +209,7 @@ def test_cdf_matches_cumulative_quadrature():
 
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
-        pdf_direct(rayleigh(1.0), -0.5)
+        pdf_direct(nakagami(1.0, 1.0), -0.5)
     with pytest.raises(ValueError):
         cdf_ratio(nakagami(1.0, 1.0), np.array([0.5, -1.0]))
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crlink.fading import LinkKind, SnrDistribution, nakagami, rayleigh
+from crlink.fading import LinkKind, SnrDistribution, nakagami
 from crlink.mud import MudDistribution, mud_cdf, mud_pdf, mud_sample
 from crlink.numerics import integrate, integrate_to_inf
 
@@ -25,8 +25,20 @@ def test_num_users_validation():
         _direct(L=0)
 
 
+@pytest.mark.parametrize("users", [2.5, True, "2", None])
+def test_num_users_takes_whole_numbers_only(users):
+    with pytest.raises(ValueError, match="num_users"):
+        _direct(L=users)
+
+
+def test_whole_float_user_count_is_that_integer():
+    d = _direct(L=5.0)
+    assert d.num_users == 5 and type(d.num_users) is int
+    assert d == _direct(L=5)
+
+
 def test_single_user_collapses_to_base():
-    base = SnrDistribution(rayleigh(1.0), LinkKind.DIRECT)
+    base = SnrDistribution(nakagami(1.0, 1.0), LinkKind.DIRECT)
     d = MudDistribution(base, 1)
     for x in (0.1, 1.0, 5.0):
         assert mud_pdf(d, x) == base.pdf(x)

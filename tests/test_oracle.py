@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import crlink.oracle as oracle
 from crlink.fading import LinkKind, SnrDistribution, nakagami
 from crlink.metrics import capacity, spectral_efficiency_dr
 from crlink.mud import MudDistribution
@@ -33,10 +34,22 @@ def _mc(dist, per_draw, cfg, pol=None):
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(samples=0)
-    with pytest.raises(ValueError):
-        McConfig(samples=10, batch=0)
     with pytest.raises(ValueError, match="seed"):
         McConfig(samples=10, seed=-1)
+
+
+@pytest.mark.parametrize("key,value", [("samples", 1e5 + 0.5),
+                                       ("samples", True), ("seed", 2.5),
+                                       ("seed", False), ("samples", "10")])
+def test_mc_config_takes_whole_numbers_only(key, value):
+    with pytest.raises(ValueError, match=key):
+        McConfig(**{"samples": 10, key: value})
+
+
+def test_mc_config_whole_floats_are_integers():
+    cfg = McConfig(samples=1e5, seed=3.0)
+    assert cfg == McConfig(samples=10 ** 5, seed=3)
+    assert type(cfg.samples) is int and type(cfg.seed) is int
 
 
 def test_seed_determinism():
@@ -137,27 +150,31 @@ def test_stderr_scales_inverse_sqrt_n():
     assert expect / 2.0 < ratio < expect * 2.0
 
 
-def test_batch_size_changes_grouping_only():
+def test_batch_size_changes_grouping_only(monkeypatch):
     # a different batch size regroups draws; estimates stay statistically
     # compatible even though the stream is consumed in different shapes
     dist = _direct(mean=10.0, L=2)
     cut = solve_cutoff(dist, TX)
-    a = mc_capacity(dist, cut, McConfig(samples=3 * 10 ** 5, seed=5, batch=10 ** 5))
-    b = mc_capacity(dist, cut, McConfig(samples=3 * 10 ** 5, seed=5, batch=7919))
+    cfg = McConfig(samples=3 * 10 ** 5, seed=5)
+    monkeypatch.setattr(oracle, "_BATCH", 10 ** 5)
+    a = mc_capacity(dist, cut, cfg)
+    monkeypatch.setattr(oracle, "_BATCH", 7919)
+    b = mc_capacity(dist, cut, cfg)
     assert abs(a.value - b.value) < 6.0 * a.stderr
 
 
 @pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
 @pytest.mark.parametrize("L", [1, 5])
-def test_mc_point_equals_single_estimates(link, L):
+def test_mc_point_equals_single_estimates(link, L, monkeypatch):
     # one shared stream gives each estimate bit for bit, including a batch
     # that does not divide the sample count
+    monkeypatch.setattr(oracle, "_BATCH", 7919)
     dist = MudDistribution(SnrDistribution(nakagami(2.0, 10.0), link), L)
     constraint = TX if link is LinkKind.DIRECT else ConstraintSpec(0.1)
     cut = solve_cutoff(dist, constraint)
     cut_cr = solve_cutoff_cr(dist, constraint, CSET.k)
     pol = solve_dr_policy(dist, constraint, CSET)
-    cfg = McConfig(samples=3 * 10 ** 5, seed=31, batch=7919)
+    cfg = McConfig(samples=3 * 10 ** 5, seed=31)
     est = mc_point(dist, cut, cut_cr, pol, CSET, cfg)
     single = {
         "capacity": mc_capacity(dist, cut, cfg),

@@ -15,15 +15,9 @@ from crlink.fading import (FadingSpec, LinkKind, SnrDistribution, cdf_direct,
                            cdf_ratio, pdf_direct, pdf_ratio, sf_direct,
                            sf_ratio)
 from crlink.mud import MudDistribution, _best_of, _unit_tables
-from crlink.specfun import _gamma_halves, reg_upper_gamma
+from incomplete_gamma import reg_upper_gamma, upper_gamma_many
 
 USERS = [1, 5, 15, 200, 1000]
-
-
-def upper_gamma_many(a, x):
-    """Q over an array, selected from the paired halves as sf_direct does."""
-    near, lower = _gamma_halves(a, x)
-    return np.where(lower, 1.0 - near, near)
 
 
 def _bits(a) -> bytes:
@@ -32,10 +26,10 @@ def _bits(a) -> bytes:
 
 
 @pytest.mark.parametrize("a", [0.5, 1.5, 2.5, 7.3, 13.1])
-def test_reg_upper_gamma_many_is_elementwise(a):
-    # each element of Q over an array from _gamma_halves is
-    # reg_upper_gamma's value, whatever array it comes in and wherever the
-    # array loops hand it to the scalar ones
+def test_gamma_halves_is_elementwise(a):
+    # each element of Q over an array from _gamma_halves is its value at
+    # that point alone, whatever array it comes in and wherever the array
+    # loops hand it to the scalar ones
     rng = np.random.default_rng(11)
     x = np.concatenate([[0.0, a + 1.0], rng.uniform(0.0, 3.0 * a + 3.0, 1500),
                         np.geomspace(1e-8, 800.0, 500)])

@@ -17,7 +17,7 @@ import pytest
 from crlink import numerics
 from crlink.exceptions import ConvergenceError
 from crlink.fading import FadingSpec, LinkKind, SnrDistribution
-from crlink.mud import MudDistribution
+from crlink.mud import MudDistribution, _unit_tables
 from crlink.numerics import _survival_tables, integrate, integrate_to_inf
 
 TAUS = [10.0 ** k for k in range(-20, 21, 4)] + [0.3, 3.0]
@@ -115,6 +115,42 @@ def test_query_beyond_the_table_and_at_the_origin():
     ref = integrate_to_inf(lambda y: dist.sf(y) / y, tau, 0.0, 1e-13)[0]
     assert abs(table.integral(tau, 1)[0] - ref) <= REL * ref
     assert table.integral(0.0, 2)[0] == table.integral(0.0, 1)[0] == math.inf
+
+
+@pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
+def test_query_at_infinity_and_at_nan(link):
+    (table,) = _unit_tables(link, 2.0, [5]).values()
+    for power in (1, 2):
+        assert table.integral(math.inf, power) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="nan"):
+            table.integral(math.nan, power)
+
+
+def test_direct_table_past_its_end_is_zero_without_quadrature(monkeypatch):
+    # the direct-link law is 0 at s_hi, so is all that lies beyond it
+    (table,) = _unit_tables(LinkKind.DIRECT, 2.0, [5]).values()
+
+    def refuse(*args):
+        raise AssertionError("quadrature past a table that ends at S = 0")
+    monkeypatch.setattr(numerics, "integrate_to_inf", refuse)
+    for tau in (math.exp(table.s_hi), 1e30, 1e300):
+        assert table.integral(tau, 1) == table.integral(tau, 2) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("m", [0.5, 2.0])
+def test_ratio_table_far_past_its_end(m):
+    # there S = c·y^{−m}(1 + O(1/y)) to double precision, so G1 = S(τ)/m and
+    # G2 = S(τ)/(τ·(m + 1)); S/y² underflows long before these do
+    dist = _unit(LinkKind.RATIO, m, 5)
+    dist.sf_integral(1.0, 1)
+    (table,) = dist.tables.values()
+    for tau in (1e60, 1e100, 1e150):
+        sf = dist.sf(tau)
+        for power, ref in ((1, sf / m), (2, sf / tau / (m + 1.0))):
+            got = table.integral(tau, power)[0]
+            assert abs(got - ref) <= REL * ref, (tau, power)
+    g1, err = table.integral(1e300, 1)
+    assert math.isfinite(g1) and math.isfinite(err)
 
 
 def test_distributions_share_a_tables_dict():

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -199,6 +200,20 @@ def test_cli_sweep_and_set_override(tmp_path):
     assert rc == 0
     lines = out.read_text().rstrip("\n").split("\n")
     assert len(lines) == 3              # header + 2 rows
+
+
+def test_point_far_below_the_root_domain_fails_quietly(capsys):
+    # at −3000 dB every table query lies past the direct-link table, where
+    # the law is 0; the row fails with the domain error and nothing else
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["point", "--mode", "osa", "--m", "2", "--ns", "5",
+                   "--p-av-db", "-3000"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and err == ""
+    assert out.split("\n")[1].endswith(
+        "NoSolutionError: constraint stays below target 1.0 as the cutoff "
+        "vanishes; value 0.0 at 1e-14")
 
 
 def test_cli_point_stdout_matches_sweep(tmp_path):
