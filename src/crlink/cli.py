@@ -65,9 +65,8 @@ def cmd_point(args) -> int:
     except ValueError as exc:
         args.parser.error(str(exc))
     res = run_sweep(cfg)
-    text = render_csv(res)
     if cfg.output == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(render_csv(res))
     else:
         emit_csv(res, cfg.output)
         print(f"wrote {cfg.output}")

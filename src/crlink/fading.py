@@ -68,8 +68,8 @@ def nakagami(m: float, mean_snr: float) -> FadingSpec:
 
 def _prepare(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("SNR arguments must be >= 0")
+    if not np.all(arr >= 0.0):              # NaN fails the comparison too
+        raise ValueError("SNR arguments must be numbers >= 0")
     return arr, np.isscalar(x) or arr.ndim == 0
 
 

@@ -191,29 +191,23 @@ class _Nodes:
         """The rows of the panels [lo, hi]; the base is evaluated at the
         nodes of the panels not seen before, _TABLE_CALL panels a call."""
         known = len(self.lo)
-        every_lo = np.concatenate([self.lo, lo])
-        every_hi = np.concatenate([self.hi, hi])
-        # equal panels fall together, each known row ahead of its copies
-        order = np.lexsort((every_hi, every_lo))
-        ends = np.empty(len(order), dtype=bool)
-        ends[0] = True
-        ends[1:] = ((every_lo[order[1:]] != every_lo[order[:-1]])
-                    | (every_hi[order[1:]] != every_hi[order[:-1]]))
-        lead = order[ends]                  # the first of each set of equals
-        fresh = lead >= known
-        row = np.where(fresh, known + np.cumsum(fresh) - 1, lead)
-        rows = np.empty(len(order), dtype=np.intp)
-        rows[order] = row[np.cumsum(ends) - 1]
-        new = lead[fresh]
+        # one key per panel, sorted by lo and then hi; first is each key's
+        # first occurrence, so a known panel keeps its row
+        keys = np.concatenate([self.lo + 1j * self.hi, lo + 1j * hi])
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        fresh = first >= known
+        row = np.where(fresh, known + np.cumsum(fresh) - 1, first)
+        new = keys[first[fresh]]
         if len(new):
-            self.lo = np.concatenate([self.lo, every_lo[new]])
-            self.hi = np.concatenate([self.hi, every_hi[new]])
+            self.lo = np.concatenate([self.lo, new.real])
+            self.hi = np.concatenate([self.hi, new.imag])
             self.q = np.concatenate([self.q] + [
                 np.asarray(self.base(y.ravel()), dtype=float).reshape(y.shape)
                 for y in (_node_y(self.lo[i:i + _TABLE_CALL],
                                   self.hi[i:i + _TABLE_CALL])
                           for i in range(known, len(self.lo), _TABLE_CALL))])
-        return rows[known:]
+        return row[inverse[known:]]
 
     def values(self, law, rows: np.ndarray) -> np.ndarray:
         """Both integrands in s, S·e^{−s} and S with S = law(base), at the
@@ -236,11 +230,11 @@ class SurvivalTable:
     [s_lo, s_hi], the last point of the grid −300, −296, ..., 48 where S
     rounds to 1 and the first where it is 0 (or 48). Below s_lo, S is
     taken as 1, dropping 1 − S < 1.2e-16, and the integrals are closed
-    form. Beyond s_hi, one semi-infinite integral of S per G is computed
-    at the build; a τ beyond s_hi is answered by the integral from τ, taken
-    in y/τ so that S/y² does not underflow before S does (S counts as 0
-    past the largest double). Where S is 0 at s_hi both are 0, with no
-    quadrature, as they are at τ = ∞. The panels in between are split in
+    form. Beyond s_hi, a G is one semi-infinite integral from τ, taken in
+    y/τ so that S/y² does not underflow before S does (S counts as 0 past
+    the largest double): from e^{s_hi} once at the build, and from τ at a
+    query past s_hi. Where S is 0 at s_hi both are 0, with no quadrature,
+    as they are at τ = ∞. The panels in between are split in
     rounds until each panel's G7/K15 difference is at most 1e-13 of the
     integral from its left edge to infinity (or 1e-313 where that
     underflows). A query adds the integral over the panels to its right, a
@@ -265,12 +259,9 @@ class SurvivalTable:
         if len(edges) < 2:
             raise ValueError("survival function has no transition on the grid")
         self.s_lo, self.s_hi = float(edges[0]), float(edges[-1])
-        self._tail = np.zeros((2, 2))       # (value, error) × (G2, G1)
         self._open = not zeros.size         # S > 0 at s_hi
-        if self._open:
-            for which, fn in enumerate(self._integrands()):
-                self._tail[:, which] = integrate_to_inf(fn, math.exp(self.s_hi),
-                                                        0.0, _TABLE_REL)
+        self._tail = np.array([self._beyond(math.exp(self.s_hi), p)
+                               for p in (2, 1)]).T  # (value, error) × (G2, G1)
         self._rows = np.empty(0, dtype=np.intp)
         self._new = edges[:-1], edges[1:]   # the panels the next round adds
 
@@ -308,9 +299,16 @@ class SurvivalTable:
                      np.where(i + 1 == kk, b, a + (b - a) * ((i + 1) / kk)))
         return True
 
-    def _integrands(self):
-        law, base = self._law, self._nodes.base
-        return (lambda y: law(base(y)) / (y * y), lambda y: law(base(y)) / y)
+    def _beyond(self, tau: float, power: int) -> Tuple[float, float]:
+        """∫_τ^∞ S(y)/y^power dy for τ ≥ e^{s_hi} and its error estimate,
+        as τ^(1−power)·∫_1^∞ S(τz)/z^power dz."""
+        if not self._open or tau == math.inf:
+            return 0.0, 0.0
+        law, base, scale = self._law, self._nodes.base, tau ** (1 - power)
+        with np.errstate(over="ignore"):    # τ·z = inf, where S is 0
+            val, err = integrate_to_inf(
+                lambda z: law(base(tau * z)) / z ** power, 1.0, 0.0, _TABLE_REL)
+        return val * scale, err * scale
 
     def _derive(self) -> None:
         f = self._nodes.values(self._law, self._rows)
@@ -329,14 +327,7 @@ class SurvivalTable:
         row = 0 if power == 2 else 1            # rows are (G2, G1)
         s = math.log(tau)
         if s >= self.s_hi:
-            if not self._open or tau == math.inf:
-                return 0.0, 0.0
-            law, base, scale = self._law, self._nodes.base, tau ** (1 - power)
-            with np.errstate(over="ignore"):    # τ·z = inf, where S is 0
-                val, err = integrate_to_inf(
-                    lambda z: law(base(tau * z)) / z ** power, 1.0, 0.0,
-                    _TABLE_REL)
-            return val * scale, err * scale
+            return self._beyond(tau, power)
         if s < self.s_lo:
             head = (1.0 / tau - math.exp(-self.s_lo) if row == 0
                     else self.s_lo - s)

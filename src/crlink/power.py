@@ -53,26 +53,28 @@ def power_loss_factor(target_ber: float) -> float:
     """Effective SNR penalty K = −1.5/ln(5·BER) that pins M-QAM at the
     target bit error rate; lies in (0,1) for targets below 4e-2."""
     if not 0.0 < target_ber < 0.04:
-        raise ValueError(f"target_ber must be in (0, 0.04), got {target_ber}")
+        raise ValueError(f"ber_target must be in (0, 0.04), got {target_ber}")
     return -1.5 / math.log(5.0 * target_ber)
 
 
 @dataclass(frozen=True)
 class ConstellationSet:
-    """Discrete M-QAM sizes, leading 0 meaning no transmission."""
+    """Discrete M-QAM sizes, leading 0 meaning no transmission. Its errors
+    name the sweep config keys, constellations and ber_target."""
 
     sizes: Tuple[int, ...]
     target_ber: float
 
     def __post_init__(self):
-        sizes = _whole_numbers("sizes", self.sizes)
+        sizes = _whole_numbers("constellations", self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) < 2 or sizes[0] != 0:
-            raise ValueError("sizes must start with 0 and offer at least one constellation")
+            raise ValueError(f"constellations must start with 0 and offer at "
+                             f"least one constellation, got {sizes}")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError(f"sizes must be strictly increasing, got {sizes}")
+            raise ValueError(f"constellations must be strictly increasing, got {sizes}")
         if sizes[1] < 2:
-            raise ValueError("smallest active constellation must have >= 2 points")
+            raise ValueError(f"constellations cannot offer size 1, got {sizes}")
         self.k  # validates target_ber
 
     @property

@@ -78,7 +78,7 @@ class SweepConfig:
         if self.axis not in _AXES:
             raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
         if self.mode == "osa" and self.axis == "q_av_db":
-            raise ValueError("the interference axis applies to sharing mode only")
+            raise ValueError("axis q_av_db applies to ss mode only")
         for key, vals in (("axis_range", self.axis_range), ("m", self.m_values),
                           ("p_av_db", (self.p_av_db,)),
                           ("q_av_db", (self.q_av_db,)),
@@ -90,7 +90,8 @@ class SweepConfig:
                                tuple(float(v) for v in getattr(self, key)))
         start, stop, step = self.axis_range
         if step <= 0 or stop < start:
-            raise ValueError(f"bad axis_range {self.axis_range}")
+            raise ValueError(f"axis_range needs step > 0 and stop >= start, "
+                             f"got {self.axis_range}")
         if self.axis == "num_users":
             _whole_numbers("axis_range", self.axis_range)
         object.__setattr__(self, "num_users",
@@ -98,7 +99,7 @@ class SweepConfig:
         if not self.num_users or any(n < 1 for n in self.num_users):
             raise ValueError(f"num_users must be positive, got {self.num_users}")
         if not self.m_values or any(m < 0.5 for m in self.m_values):
-            raise ValueError(f"shape factors must be >= 0.5, got {self.m_values}")
+            raise ValueError(f"m must list shape factors >= 0.5, got {self.m_values}")
         max_m = _SS_MAX_M if self.mode == "ss" else _OSA_MAX_M
         if any(m > max_m for m in self.m_values):
             raise ValueError(f"m must be <= {max_m:g} in {self.mode} mode, "

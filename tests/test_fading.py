@@ -11,7 +11,7 @@ from scipy import special as sp
 
 from crlink.fading import (FadingSpec, LinkKind, SnrDistribution, cdf_direct,
                            cdf_ratio, nakagami, pdf_direct, pdf_ratio,
-                           sf_direct)
+                           sf_direct, sf_ratio)
 from crlink.numerics import integrate, integrate_to_inf
 
 P_2_2 = 0.5939941502901619
@@ -212,6 +212,16 @@ def test_negative_argument_rejected():
         pdf_direct(nakagami(1.0, 1.0), -0.5)
     with pytest.raises(ValueError):
         cdf_ratio(nakagami(1.0, 1.0), np.array([0.5, -1.0]))
+
+
+@pytest.mark.parametrize("law", [pdf_direct, cdf_direct, sf_direct,
+                                 pdf_ratio, cdf_ratio, sf_ratio])
+@pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan, 2.0])])
+def test_nan_argument_rejected(law, x):
+    # a NaN once came back as a silent 0 or 1, or as a ConvergenceError
+    # after the continued fraction's budget
+    with pytest.raises(ValueError, match="numbers >= 0"):
+        law(nakagami(1.5, 1.0), x)
 
 
 def test_sampling_means():

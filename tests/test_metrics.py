@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import rayleigh
 from scipy import special as sp
 
 from crlink.fading import LinkKind, SnrDistribution, nakagami
@@ -160,10 +161,11 @@ def test_monotone_in_budget():
 
 
 def test_nakagami_m1_equals_rayleigh_metrics():
+    # against the Rayleigh closed forms, which share no code with crlink
     dn = _direct(mean=5.0, L=5, m=1.0)
-    dr = MudDistribution(
-        SnrDistribution(nakagami(1.0, 5.0), LinkKind.DIRECT), 5)
-    for a, b in zip(_all_three(dn, TX), _all_three(dr, TX)):
+    closed = rayleigh.metrics(5.0, 5, TX.budget_ratio, CSET.target_ber,
+                              CSET.sizes)
+    for a, b in zip(_all_three(dn, TX), closed):
         assert abs(a - b) <= 1e-8
 
 

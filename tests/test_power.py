@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import rayleigh
 from scipy import integrate as sp_integrate
 from scipy import special as sp
 from scipy.optimize import brentq
@@ -158,12 +159,10 @@ def test_cutoff_far_scale_concentrated_mass():
 
 
 def test_representation_invariance_rayleigh_vs_m1():
-    dr = MudDistribution(
-        SnrDistribution(nakagami(1.0, 2.0), LinkKind.DIRECT), 3)
+    # shape factor 1 against the Rayleigh closed form, solved by brentq
     dn = _direct(mean=2.0, L=3, m=1.0)
-    g_r = solve_cutoff(dr, TX).gamma0
     g_n = solve_cutoff(dn, TX).gamma0
-    assert abs(g_r - g_n) < 1e-9
+    assert abs(rayleigh.cutoff(2.0, 3, TX.budget_ratio) - g_n) < 1e-9
 
 
 def test_cr_cutoff_reductions():

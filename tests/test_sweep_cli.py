@@ -3,6 +3,9 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -37,7 +40,7 @@ def test_config_validation():
         small_cfg(mode="other")
     with pytest.raises(ValueError):
         small_cfg(axis="frequency")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^axis q_av_db"):
         small_cfg(axis="q_av_db")                 # interference axis in osa
     with pytest.raises(ValueError):
         small_cfg(axis_range=(5.0, 1.0, 1.0))
@@ -230,6 +233,39 @@ def test_cli_point_stdout_matches_sweep(tmp_path):
     assert lines == expected
 
 
+def test_cli_import_leaves_yaml_and_process_pool_out():
+    # only a config load needs yaml and only --workers > 1 a process pool;
+    # a fresh interpreter shows what importing the CLI pulls in
+    code = ("import sys, crlink.cli as cli; "
+            "cli.build_parser().parse_args(['validate']); "
+            "print(sorted(m for m in ('yaml', 'concurrent.futures') "
+            "if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_cli_point_output_file_renders_once(tmp_path, capsys, monkeypatch):
+    # -o writes the bytes stdout gets; the CSV used to be rendered twice
+    import crlink.cli as cli
+    import crlink.sweep as sweep
+    argv = ["point", "--mode", "osa", "--ns", "5", "--p-av-db", "10"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    calls = []
+
+    def counted(res):
+        calls.append(res)
+        return render_csv(res)
+    monkeypatch.setattr(cli, "render_csv", counted)
+    monkeypatch.setattr(sweep, "render_csv", counted)
+    out = tmp_path / "point.csv"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert out.read_text() == printed and len(calls) == 1
+
+
 def test_cli_selftest():
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -257,12 +293,19 @@ def test_cli_selftest():
     ("p_av_db", "10"),
     ("m", ["abc"]),
     ("output", 5),
+    ("constellations", [0, 8, 4]),
+    ("constellations", [0]),
+    ("constellations", [0, 1, 4]),
+    ("ber_target", 0.5),
+    ("m", []),
+    ("axis_range", [4, 0, 2]),
 ])
 def test_config_rejects_bad_values_at_load(key, value):
-    # caught when the config is read, with the key named, never per point
+    # caught when the config is read, never per point, by a message that
+    # starts with the key (a bare search for "m" would find "must")
     raw = {"mode": "ss", "axis": "p_av_db", "axis_range": [0, 4, 2],
            "num_users": [1, 5], "m": 1.0, key: value}
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=rf"^{key}\b"):
         config_from_dict(raw)
 
 
