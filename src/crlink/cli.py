@@ -63,7 +63,9 @@ def cmd_point(args) -> int:
         if cfg.output != "-":
             _check_output(cfg.output)
     except ValueError as exc:
-        args.parser.error(str(exc))
+        key, _, rest = str(exc).partition(" ")     # name the flag typed
+        flags = {"num_users": "--ns", "ber_target": "--ber", "constellations": "--sizes"}
+        args.parser.error(f"{flags.get(key, key)} {rest}")
     res = run_sweep(cfg)
     if cfg.output == "-":
         sys.stdout.write(render_csv(res))

@@ -67,23 +67,31 @@ class MudDistribution:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return mud_sample(self, rng, n)
 
+    def _table(self):
+        """The SurvivalTable of S₁ (built unless the dict holds it) and γ̄."""
+        key = (self.base.link, self.base.spec.m, self.num_users)
+        if key not in self.tables:
+            self.tables.update(_unit_tables(key[0], key[1], [key[2]]))
+        return self.tables[key], self.base.spec.mean_snr
+
     def sf_integral(self, t: float, power: int) -> Tuple[float, float]:
         """∫_t^∞ S(x)/x^power dx for power 1 or 2, and its error estimate.
 
         The scale enters S only through its argument, S(x) = S₁(x/γ̄) with
         S₁ the law at unit mean (unit scale for the ratio link), so the
-        integral is G(t/γ̄)·γ̄^(1−power) from the SurvivalTable of S₁, built
-        by _unit_tables at the first call for this (link, m, L) unless the
-        dict already holds it.
+        integral is G(t/γ̄)·γ̄^(1−power) from the SurvivalTable of S₁.
         """
-        link, m, users = self.base.link, self.base.spec.m, self.num_users
-        key = (link, m, users)
-        if key not in self.tables:
-            self.tables.update(_unit_tables(link, m, [users]))
-        g = self.base.spec.mean_snr
-        val, err = self.tables[key].integral(t / g, power)
+        table, g = self._table()
+        val, err = table.integral(t / g, power)
         scale = g ** (power - 1)
         return val / scale, err / scale
+
+    def sf_pdf(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """S(x) = S₁(x/γ̄) and f_max(x) = −S₁′(x/γ̄)/x at the points x > 0,
+        with S₁′ the slope in ln τ, from SurvivalTable.survival."""
+        table, g = self._table()
+        sf, slope = table.survival(np.divide(x, g))
+        return sf, -slope / x
 
 
 def mud_pdf(d: MudDistribution, x):

@@ -142,6 +142,20 @@ def _legendre_table(u: np.ndarray, n: int) -> np.ndarray:
 # Kronrod nodes: coefficients = values @ _LEG_FROM_NODES.
 _LEG_FROM_NODES = np.linalg.inv(_legendre_table(_NODES, 15)).T
 
+
+def _legendre_sum(c, u: float, du_ds: float) -> Tuple[float, float]:
+    """Σ c_k·P_k(u) for 15 Legendre coefficients c and its derivative times
+    du_ds, by _legendre_table's recurrence and P'_{k+1} = P'_{k−1} + (2k+1)P_k."""
+    p0, p1, d0, d1 = 1.0, u, 0.0, 1.0
+    value, slope = c[0] + c[1] * u, c[1]
+    for k in range(1, 14):
+        p0, p1 = p1, ((2 * k + 1) * u * p1 - k * p0) / (k + 1)
+        d0, d1 = d1, d0 + (2 * k + 1) * p0
+        value += c[k + 1] * p1
+        slope += c[k + 1] * d1
+    return value, slope * du_ds
+
+
 _TABLE_REL = 1e-13      # panel error bound, relative to the integral to its right
 _TABLE_ABS = 1e-313     # ... or absolute, where that integral underflows
 _TABLE_GRID = np.arange(-300.0, 49.0, 4.0)  # extent search in s = ln y
@@ -240,13 +254,13 @@ class SurvivalTable:
     underflows). A query adds the integral over the panels to its right, a
     cumulative sum, to the one over its partial panel, read from the
     Legendre series of the degree-14 interpolant through that panel's 15
-    node values.
+    node values; survival reads S and its slope from the series of S.
 
     The table of S = law(Q) reads the base Q from a node store that the
     tables of one batch share (_survival_tables). A built table holds its
     panels' rows in that store and the cumulative sums of its last build
-    round; the series are derived from those rows at its first query
-    inside [s_lo, s_hi).
+    round; the series are derived from those rows when a query first needs
+    them.
     """
 
     def __init__(self, nodes: _Nodes, law: Callable[[np.ndarray], np.ndarray]):
@@ -312,8 +326,41 @@ class SurvivalTable:
 
     def _derive(self) -> None:
         f = self._nodes.values(self._law, self._rows)
+        # where S >= 1/2 on a panel, S − 1 is exact, and its series keeps
+        # the digits of the slope that the series of S would round off
+        lead = f[1].min(axis=-1) >= 0.5
+        f[1, lead] -= 1.0
         self._coef = f @ _LEG_FROM_NODES        # (2, panels, 15) Legendre series
-        self._edges = self._lo.tolist()
+        self._coef[1, lead, 0] += 1.0
+        self._edges, self._ends = self._lo.tolist(), self._hi.tolist()
+
+    def survival(self, tau) -> Tuple[np.ndarray, np.ndarray]:
+        """S(τ) and dS/ds (s = ln τ) at the points tau from the series of S, a
+        knot taking the panel to its left: 1 and 0 below s_lo, 0 and 0 from a
+        closed s_hi, and past an open one S and −m·S, m read at s_hi."""
+        tau = np.asarray(tau, dtype=float).reshape(-1)
+        if self._coef is None:
+            self._derive()
+        sf, slope, past = np.zeros(len(tau)), np.zeros(len(tau)), []
+        for i, t in enumerate(tau.tolist()):
+            if not t >= 0.0:                    # NaN fails the comparison too
+                raise ValueError(f"tau must be numbers >= 0, got {t}")
+            s = math.log(t) if t > 0.0 else -math.inf
+            if s < self.s_lo:
+                sf[i] = 1.0
+            elif s < self.s_hi:
+                j = max(bisect.bisect_left(self._edges, s) - 1, 0)
+                a, b = self._edges[j], self._ends[j]
+                sf[i], slope[i] = _legendre_sum(
+                    self._coef[1, j].tolist(), (2.0 * s - a - b) / (b - a), 2.0 / (b - a))
+            elif self._open:
+                past.append(i)
+        if past:
+            end, rate = _legendre_sum(self._coef[1, -1].tolist(), 1.0,
+                                      2.0 / (self._ends[-1] - self._edges[-1]))
+            sf[past] = self._law(self._nodes.base(tau[past]))
+            slope[past] = rate / end * sf[past]
+        return sf, slope
 
     def integral(self, tau: float, power: int) -> Tuple[float, float]:
         """∫_τ^∞ S(y)/y^power dy for power 1 (G1) or 2 (G2), and its error
@@ -335,14 +382,12 @@ class SurvivalTable:
         if self._coef is None:
             self._derive()
         j = bisect.bisect_right(self._edges, s) - 1
-        a, b = self._lo[j], self._hi[j]
+        a, b = self._edges[j], self._ends[j]
         u = (2.0 * s - a - b) / (b - a)
-        # ∫_u^1 P_k = (P_{k−1}(u) − P_{k+1}(u))/(2k+1), and 1 − u for k = 0
-        p = [1.0, u]
-        for k in range(1, 15):
-            p.append(((2 * k + 1) * u * p[k] - k * p[k - 1]) / (k + 1))
-        w = [1.0 - u] + [(p[k - 1] - p[k + 1]) / (2 * k + 1) for k in range(1, 15)]
-        part = 0.5 * (b - a) * float(np.dot(self._coef[row, j], w))
+        # ∫_u^1 P_k = (1 − u²)·P'_k(u)/(k(k+1)) for k >= 1, and 1 − u for k = 0
+        c = self._coef[row, j].tolist()
+        _, dc = _legendre_sum([0.0] + [c[k] / (k * k + k) for k in range(1, 15)], u, 1.0)
+        part = 0.5 * (b - a) * (c[0] * (1.0 - u) + (1.0 - u * u) * dc)
         return self._right[row, j + 1] + part, self._right_err[row, j]
 
 

@@ -13,7 +13,8 @@ power, the same g* appearing in the rate mapping and the power law.
 
 Integration by parts puts every constraint on the survival function
 S(x) = 1 − F(x)^L of the selected SNR, so no density enters a quadrature
-and the derivative for the Newton step is closed-form.
+and the derivative for the Newton step is closed-form, with S and f_max
+read from the survival table (MudDistribution.sf_pdf).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _waterfill_spent(dist: MudDistribution, gamma0: float,
     """Average power ∫_t^∞ (1/γ₀ − 1/(x·k)) f_max(x) dx with t = γ₀/k,
     which is (1/k)∫_t^∞ S(x)/x² dx, and its derivative −S(t)/γ₀²."""
     t = gamma0 / k
-    return dist.sf_integral(t, 2)[0] / k, -float(dist.sf(t)) / gamma0 ** 2
+    return dist.sf_integral(t, 2)[0] / k, -float(dist.sf_pdf(t)[0][0]) / gamma0 ** 2
 
 
 def solve_cutoff(dist: MudDistribution, c: ConstraintSpec) -> CutoffSolution:
@@ -136,11 +137,11 @@ def _dr_spent(dist: MudDistribution, gamma_star: float,
     edges = m * gamma_star
     b1 = edges[0]
     c = (m - 1.0) / gamma_star
-    s_edge = dist.sf(edges)
+    s_edge, f_edge = dist.sf_pdf(edges)
     probs = -np.diff(s_edge, append=0.0)
     tail = s_edge[0] / b1 - dist.sf_integral(b1, 2)[0]
     spent = float(np.dot(c, probs)) - tail / k
-    mf = np.append(m * dist.pdf(edges), 0.0)
+    mf = np.append(m * f_edge, 0.0)
     slope = (float(np.dot(c, mf[1:] - mf[:-1]) - np.dot(c, probs) / gamma_star)
              + mf[0] / (m[0] * k * gamma_star))
     return spent, slope
@@ -157,7 +158,7 @@ def solve_dr_policy(dist: MudDistribution, c: ConstraintSpec,
         lambda g: _dr_spent(dist, g, cset.sizes, k), target,
         x0=(cset.sizes[-1] - 1.0) / target)
     boundaries = tuple(mj * gs for mj in cset.sizes[1:])
-    probs = -np.diff(dist.sf(np.array(boundaries)), append=0.0)
+    probs = -np.diff(dist.sf_pdf(boundaries)[0], append=0.0)
     return DrPolicy(gamma_star=gs, boundaries=boundaries,
                     region_probs=tuple(float(p) for p in probs),
                     residual=residual, iterations=iters)

@@ -4,7 +4,9 @@ perfbench/tracer.py hooks crlink by rebinding module attributes and skips a
 name that no longer exists, so a rename or deletion in crlink would make a
 layer read zero instead of failing. This runs one sweep point and one
 validate pass under the tracer and asserts each layer it reports counted
-something.
+something. The solvers read the best-of-L law from its survival table, so
+the pass also evaluates the density once at a non-integer direct-link
+point, which still runs through the hooked fading.cdf_direct.
 """
 
 import io
@@ -29,6 +31,8 @@ def test_traced_layers_are_nonzero():
                                 axis_range=(10.0, 10.0, 1.0), num_users=(5,),
                                 m_values=(1.5,))
         row = sweep.evaluate_point(cfg, 10.0, 5, 1.5)
+        dist, _ = sweep.build_point("osa", 1.5, 5, 10.0, None)
+        dist.pdf(3.0)
         with redirect_stdout(io.StringIO()):
             rc = cli.main(["validate", "--samples", "100000"])
         tracer.end_pass()

@@ -78,6 +78,7 @@ def test_newton_derivatives_match_central_differences(link, m, L):
                           gs, 1e-4 * gs)
         assert exact < 0.0
         assert abs(exact - approx) <= 1e-6 * abs(exact)
-    # the water-filling derivative is −S(t)/γ₀², no quadrature involved
+    # the water-filling derivative is −S(t)/γ₀² with S read from the
+    # survival table, no quadrature involved
     assert math.isclose(_waterfill_spent(dist, 2.0, K)[1],
-                        -float(dist.sf(2.0 / K)) / 4.0, rel_tol=1e-15)
+                        -float(dist.sf_pdf(2.0 / K)[0][0]) / 4.0, rel_tol=1e-15)

@@ -328,7 +328,7 @@ def test_cli_point_rejects_fractional_sizes(capsys):
 
 
 @pytest.mark.parametrize("argv,key", [
-    (["point", "--mode", "osa", "--ns", "0"], "num_users"),
+    (["point", "--mode", "osa", "--ns", "0"], "--ns"),
     (["point", "--mode", "osa", "--seed", "-1"], "seed"),
     (["validate", "--seed", "-1"], "seed"),
     (["point", "--mode", "osa", "--m", "6000", "--ns", "5"], "m"),
@@ -344,6 +344,21 @@ def test_cli_bad_value_is_usage_error(argv, key, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"error: {key} must be" in err
+
+
+@pytest.mark.parametrize("argv,flag,key", [
+    (["--ber", "0.5"], "--ber", "ber_target"),
+    (["--ns", "0"], "--ns", "num_users"),
+    (["--sizes", "0,8,4"], "--sizes", "constellations"),
+])
+def test_cli_point_errors_name_the_flag(argv, flag, key, capsys):
+    # the sweep config key behind the flag has another name
+    with pytest.raises(SystemExit) as exc:
+        main(["point", "--mode", "osa"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {flag} must be" in err
+    assert key not in err
 
 
 def test_config_rejects_fractional_user_axis():
