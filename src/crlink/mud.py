@@ -86,6 +86,20 @@ class MudDistribution:
         scale = g ** (power - 1)
         return val / scale, err / scale
 
+    def sf_point(self, x: float, g2: bool = False) -> Tuple[float, float, float]:
+        """S(x), f_max(x) and, if g2, ∫_x^∞ S(y)/y² dy at one point x > 0,
+        from one panel lookup (SurvivalTable.point); the integral is nan
+        when not asked for."""
+        table, g = self._table()
+        sf, slope, tail = table.point(x / g, g2)
+        return sf, -slope / x, tail / g
+
+    def sf_integral_inverse(self, value: float) -> float:
+        """An estimate of the t where ∫_t^∞ S(x)/x² dx = value > 0:
+        γ̄·SurvivalTable.inverse_g2(γ̄·value)."""
+        table, g = self._table()
+        return g * table.inverse_g2(g * value)
+
     def sf_pdf(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """S(x) = S₁(x/γ̄) and f_max(x) = −S₁′(x/γ̄)/x at the points x > 0,
         with S₁′ the slope in ln τ, from SurvivalTable.survival."""

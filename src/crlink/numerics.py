@@ -141,19 +141,28 @@ def _legendre_table(u: np.ndarray, n: int) -> np.ndarray:
 # Legendre-series coefficients of the degree-14 interpolant through the 15
 # Kronrod nodes: coefficients = values @ _LEG_FROM_NODES.
 _LEG_FROM_NODES = np.linalg.inv(_legendre_table(_NODES, 15)).T
+# Row k holds the coefficients of P_k in u⁰..u¹⁴, fitted at the nodes; 2¹⁴·P_k
+# has integer coefficients, so rounding to 2⁻¹⁴ makes them exact.
+_MONO_FROM_LEG = np.round(np.linalg.solve(
+    np.vander(_NODES, 15, increasing=True) / 2.0 ** 14,
+    _legendre_table(_NODES, 15)).T) / 2.0 ** 14
 
 
-def _legendre_sum(c, u: float, du_ds: float) -> Tuple[float, float]:
-    """Σ c_k·P_k(u) for 15 Legendre coefficients c and its derivative times
-    du_ds, by _legendre_table's recurrence and P'_{k+1} = P'_{k−1} + (2k+1)P_k."""
-    p0, p1, d0, d1 = 1.0, u, 0.0, 1.0
-    value, slope = c[0] + c[1] * u, c[1]
-    for k in range(1, 14):
-        p0, p1 = p1, ((2 * k + 1) * u * p1 - k * p0) / (k + 1)
-        d0, d1 = d1, d0 + (2 * k + 1) * p0
-        value += c[k + 1] * p1
-        slope += c[k + 1] * d1
-    return value, slope * du_ds
+def _horner(c, u: float) -> float:
+    """Σ c_i·u^(n−1−i) for the n coefficients c, highest degree first."""
+    value = 0.0
+    for a in c:
+        value = value * u + a
+    return value
+
+
+def _horner_slope(c, u: float) -> Tuple[float, float]:
+    """_horner's polynomial and its derivative in u."""
+    value = slope = 0.0
+    for a in c:
+        slope = slope * u + value
+        value = value * u + a
+    return value, slope
 
 
 _TABLE_REL = 1e-13      # panel error bound, relative to the integral to its right
@@ -251,20 +260,21 @@ class SurvivalTable:
     as they are at τ = ∞. The panels in between are split in
     rounds until each panel's G7/K15 difference is at most 1e-13 of the
     integral from its left edge to infinity (or 1e-313 where that
-    underflows). A query adds the integral over the panels to its right, a
-    cumulative sum, to the one over its partial panel, read from the
-    Legendre series of the degree-14 interpolant through that panel's 15
-    node values; survival reads S and its slope from the series of S.
+    underflows). A query finds the panel holding ln τ by one bisect and
+    adds the integral over the panels to its right, a cumulative sum, to
+    the one over its partial panel. That one, S and its slope are read by
+    Horner's rule from the degree-14 interpolant through the panel's 15
+    node values, in monomial form (_panel).
 
     The table of S = law(Q) reads the base Q from a node store that the
     tables of one batch share (_survival_tables). A built table holds its
     panels' rows in that store and the cumulative sums of its last build
-    round; the series are derived from those rows when a query first needs
-    them.
+    round; a panel's polynomials are formed from its row when a query
+    first lands in it, and kept.
     """
 
     def __init__(self, nodes: _Nodes, law: Callable[[np.ndarray], np.ndarray]):
-        self._nodes, self._law, self._coef = nodes, law, None
+        self._nodes, self._law = nodes, law
         at = law(nodes.grid)
         ones = np.flatnonzero(at == 1.0)
         zeros = np.flatnonzero(at == 0.0)
@@ -297,6 +307,7 @@ class SurvivalTable:
             del self._new
             self._lo, self._hi, self._right = lo, hi, right
             self._right_err = _right_sums(errs, self._tail[1])
+            self._edges, self._panels = None, {}     # formed by queries
             return False
         # about excess^(1/10) pieces: the G7 error falls as width^14 once a
         # panel resolves S, and a slower guess splits one that does not yet
@@ -324,43 +335,72 @@ class SurvivalTable:
                 lambda z: law(base(tau * z)) / z ** power, 1.0, 0.0, _TABLE_REL)
         return val * scale, err * scale
 
-    def _derive(self) -> None:
-        f = self._nodes.values(self._law, self._rows)
-        # where S >= 1/2 on a panel, S − 1 is exact, and its series keeps
-        # the digits of the slope that the series of S would round off
-        lead = f[1].min(axis=-1) >= 0.5
-        f[1, lead] -= 1.0
-        self._coef = f @ _LEG_FROM_NODES        # (2, panels, 15) Legendre series
-        self._coef[1, lead, 0] += 1.0
-        self._edges, self._ends = self._lo.tolist(), self._hi.tolist()
+    def _panel(self, j: int) -> tuple:
+        """Panel j [a, b] as (a, b, S, parts, rights), formed at its first
+        touch and kept. S is the interpolant of S in u = (2s − a − b)/(b − a),
+        parts the integrals in s of the G2 and G1 integrands from u to b,
+        each a list of monomial coefficients in u, highest degree first, for
+        _horner; rights holds G2 and G1 at b."""
+        panel = self._panels.get(j)
+        if panel is None:
+            f = self._nodes.values(self._law, self._rows[j:j + 1])[:, 0]
+            # where S >= 1/2 on the panel, S − 1 is exact, and its polynomial
+            # keeps the digits of the slope that the one of S would round off
+            lead = f[1].min() >= 0.5
+            if lead:
+                f[1] -= 1.0
+            # the Legendre series first: converting the values in one product
+            # would cancel entries of order 1e4 and keep 1e-12 of the values
+            c = f @ _LEG_FROM_NODES @ _MONO_FROM_LEG   # (G2, G1) in u⁰..u¹⁴
+            if lead:
+                c[1, 0] += 1.0
+            a, b = float(self._lo[j]), float(self._hi[j])
+            # ∫_u^1 u'^k du' = (1 − u^(k+1))/(k + 1), and ds = (b − a)/2·du
+            q = 0.5 * (b - a) * c / np.arange(1.0, 16.0)
+            parts = np.concatenate([-q[:, ::-1], q.sum(axis=1)[:, None]], axis=1)
+            panel = (a, b, c[1, ::-1].tolist(), parts.tolist(),
+                     self._right[:, j + 1].tolist())
+            self._panels[j] = panel
+        return panel
+
+    def _find(self, s: float) -> int:
+        """The panel holding s_lo <= s < s_hi, a knot taking the panel to its
+        left."""
+        if self._edges is None:
+            self._edges = self._lo.tolist()
+        return max(bisect.bisect_left(self._edges, s) - 1, 0)
+
+    def point(self, tau: float, g2: bool = False) -> Tuple[float, float, float]:
+        """S(τ), dS/ds (s = ln τ) and, if g2, G2(τ) at one τ >= 0 from one
+        panel lookup; G2 is nan when not asked for. Below s_lo, S is 1 and
+        its slope 0; past a closed s_hi all three are 0, and past an open
+        one S is the law and its slope −m·S, m read at s_hi."""
+        if not tau >= 0.0:                      # NaN fails the comparison too
+            raise ValueError(f"tau must be numbers >= 0, got {tau}")
+        s = math.log(tau) if tau > 0.0 else -math.inf
+        if s < self.s_lo:
+            head = 1.0 / tau - math.exp(-self.s_lo) if tau > 0.0 else math.inf
+            return 1.0, 0.0, float(self._right[0, 0]) + head if g2 else math.nan
+        if s >= self.s_hi:
+            if not self._open:
+                return 0.0, 0.0, 0.0 if g2 else math.nan
+            a, b, sc, *_ = self._panel(len(self._lo) - 1)
+            end, rate = _horner_slope(sc, 1.0)
+            sf = float(self._law(self._nodes.base(np.array([tau])))[0])
+            return (sf, 2.0 * rate / (end * (b - a)) * sf,
+                    self._beyond(tau, 2)[0] if g2 else math.nan)
+        j = self._find(s)
+        a, b, sc, parts, rights = self._panel(j)
+        u = (2.0 * s - a - b) / (b - a)
+        sf, slope = _horner_slope(sc, u)
+        return (sf, 2.0 * slope / (b - a),
+                rights[0] + _horner(parts[0], u) if g2 else math.nan)
 
     def survival(self, tau) -> Tuple[np.ndarray, np.ndarray]:
-        """S(τ) and dS/ds (s = ln τ) at the points tau from the series of S, a
-        knot taking the panel to its left: 1 and 0 below s_lo, 0 and 0 from a
-        closed s_hi, and past an open one S and −m·S, m read at s_hi."""
+        """S(τ) and dS/ds at each of the points tau, by point."""
         tau = np.asarray(tau, dtype=float).reshape(-1)
-        if self._coef is None:
-            self._derive()
-        sf, slope, past = np.zeros(len(tau)), np.zeros(len(tau)), []
-        for i, t in enumerate(tau.tolist()):
-            if not t >= 0.0:                    # NaN fails the comparison too
-                raise ValueError(f"tau must be numbers >= 0, got {t}")
-            s = math.log(t) if t > 0.0 else -math.inf
-            if s < self.s_lo:
-                sf[i] = 1.0
-            elif s < self.s_hi:
-                j = max(bisect.bisect_left(self._edges, s) - 1, 0)
-                a, b = self._edges[j], self._ends[j]
-                sf[i], slope[i] = _legendre_sum(
-                    self._coef[1, j].tolist(), (2.0 * s - a - b) / (b - a), 2.0 / (b - a))
-            elif self._open:
-                past.append(i)
-        if past:
-            end, rate = _legendre_sum(self._coef[1, -1].tolist(), 1.0,
-                                      2.0 / (self._ends[-1] - self._edges[-1]))
-            sf[past] = self._law(self._nodes.base(tau[past]))
-            slope[past] = rate / end * sf[past]
-        return sf, slope
+        out = np.array([self.point(t)[:2] for t in tau.tolist()]).reshape(-1, 2)
+        return out[:, 0], out[:, 1]
 
     def integral(self, tau: float, power: int) -> Tuple[float, float]:
         """∫_τ^∞ S(y)/y^power dy for power 1 (G1) or 2 (G2), and its error
@@ -379,16 +419,26 @@ class SurvivalTable:
             head = (1.0 / tau - math.exp(-self.s_lo) if row == 0
                     else self.s_lo - s)
             return self._right[row, 0] + head, self._right_err[row, 0]
-        if self._coef is None:
-            self._derive()
-        j = bisect.bisect_right(self._edges, s) - 1
-        a, b = self._edges[j], self._ends[j]
+        j = self._find(s)
+        a, b, _, parts, rights = self._panel(j)
         u = (2.0 * s - a - b) / (b - a)
-        # ∫_u^1 P_k = (1 − u²)·P'_k(u)/(k(k+1)) for k >= 1, and 1 − u for k = 0
-        c = self._coef[row, j].tolist()
-        _, dc = _legendre_sum([0.0] + [c[k] / (k * k + k) for k in range(1, 15)], u, 1.0)
-        part = 0.5 * (b - a) * (c[0] * (1.0 - u) + (1.0 - u * u) * dc)
-        return self._right[row, j + 1] + part, self._right_err[row, j]
+        return rights[row] + _horner(parts[row], u), self._right_err[row, j]
+
+    def inverse_g2(self, value: float) -> float:
+        """The τ where G2 = value > 0, estimated without a query: closed
+        form below s_lo, and in between where ln G2, linear in s between the
+        panel edges, meets ln value (G2 itself where it falls to 0 at a
+        closed s_hi). Past s_hi it is e^{s_hi}."""
+        right = self._right[0]
+        if value >= right[0]:
+            return 1.0 / (value - float(right[0]) + math.exp(-self.s_lo))
+        i = int(np.searchsorted(-right, -value))    # right[i-1] > value >= right[i]
+        if i == len(right):
+            return math.exp(self.s_hi)
+        a, b, ra, rb = self._lo[i - 1], self._hi[i - 1], right[i - 1], right[i]
+        w = ((ra - value) / (ra - rb) if rb == 0.0
+             else math.log(ra / value) / math.log(ra / rb))
+        return math.exp(a + (b - a) * w)
 
 
 def _survival_tables(base: Callable[[np.ndarray], np.ndarray],

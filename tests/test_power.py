@@ -15,6 +15,7 @@ from crlink.mud import MudDistribution
 from crlink.power import (ConstellationSet, ConstraintSpec, power_loss_factor,
                           solve_cutoff, solve_cutoff_cr, solve_dr_policy,
                           _dr_spent)
+from crlink.sweep import build_point, solve_point
 
 TX = ConstraintSpec(1.0)
 
@@ -285,3 +286,25 @@ def test_small_budget_solves_to_budget_relative_residual():
     ref = _scipy_survival_solve(100.0, 1, 1.0, budget, cset.k)
     for got, want in zip((cut.gamma0, cut_cr.gamma0, pol.gamma_star), ref):
         assert abs(got - want) <= 1e-9 * want
+
+
+FIG4_GRID = [("ss", m, ns, 10.0, float(q)) for q in range(-10, 11, 2)
+             for ns in (5, 15) for m in (1.0, 2.0)]
+USERS_GRID = [("osa", 1.5, ns, 10.0, None) for ns in range(1, 21)]
+
+
+@pytest.mark.parametrize("grid", [FIG4_GRID, USERS_GRID],
+                         ids=["fig4", "osa_users"])
+def test_solves_start_near_their_roots(grid):
+    # every solve starts at the table's inverse: water-filling takes at most
+    # 3.4 evaluations a solve and the discrete rate at most 5, where a start
+    # at the bound (M_max − 1)/budget takes 8 on the user-count grid
+    cset = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
+    tables = {}
+    waterfill = discrete = 0
+    for point in grid:
+        sol = solve_point(*build_point(*point, tables=tables), cset)
+        waterfill += sol.cut.iterations + sol.cut_cr.iterations
+        discrete += sol.pol.iterations
+    assert waterfill <= 3.4 * 2 * len(grid)
+    assert discrete <= 5.0 * len(grid)

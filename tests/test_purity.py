@@ -25,6 +25,14 @@ def _bits(a) -> bytes:
     return repr(a.shape).encode() + a.tobytes()
 
 
+def _every_panel(table) -> np.ndarray:
+    """Every panel of table as SurvivalTable._panel forms it, one row each;
+    this fills the panel cache."""
+    return np.array([[a, b, *sf, *parts[0], *parts[1], *rights]
+                     for a, b, sf, parts, rights in map(table._panel,
+                                                        range(len(table._lo)))])
+
+
 @pytest.mark.parametrize("a", [0.5, 1.5, 2.5, 7.3, 13.1])
 def test_gamma_halves_is_elementwise(a):
     # each element of Q over an array from _gamma_halves is its value at
@@ -69,10 +77,9 @@ def test_batch_tables_equal_their_one_user_count_builds(link, m):
         (alone,) = _unit_tables(link, m, [L]).values()
         table = batch[link, m, L]
         assert (table.s_lo, table.s_hi) == (alone.s_lo, alone.s_hi)
-        table._derive()
-        alone._derive()
-        for name in ("_lo", "_hi", "_right", "_right_err", "_coef"):
+        for name in ("_lo", "_hi", "_right", "_right_err"):
             assert _bits(getattr(table, name)) == _bits(getattr(alone, name)), name
+        assert _bits(_every_panel(table)) == _bits(_every_panel(alone))
         for tau in (1e-9, 0.3, 3.0, 1e25):
             assert table.integral(tau, 2) == alone.integral(tau, 2)
             assert table.integral(tau, 1) == alone.integral(tau, 1)
@@ -90,7 +97,7 @@ def test_batch_evaluates_the_base_once_per_node():
     tables = numerics._survival_tables(
         counted, [partial(_best_of, users=L) for L in range(1, 21)])
     for t in tables:
-        t._derive()
+        _every_panel(t)
     panels = np.concatenate([y.reshape(-1, 15) for y in calls[1:]])
     assert len(np.unique(panels, axis=0)) == len(panels)   # calls[0]: the grid
     assert len(panels) < sum(len(t._lo) for t in tables) / 5
@@ -114,6 +121,6 @@ def test_a_tail_of_zeros_is_not_integrated(m, monkeypatch):
     for power in (2, 1):
         assert real(lambda y: dist.sf(y) / y ** power, start, 0.0,
                     numerics._TABLE_REL) == (0.0, 0.0)
-    table._derive()
+    assert _every_panel(table)[-1, -2:].tolist() == [0.0, 0.0]
     assert table._right[:, -1].tolist() == [0.0, 0.0]
     assert table._right_err[:, -1].tolist() == [0.0, 0.0]

@@ -1,19 +1,22 @@
 """The survival and density that the solvers read from a survival table.
 
-MudDistribution.sf_pdf reads S and f_max = −(dS/ds)/x from the Legendre
-series of S that each SurvivalTable holds. Each is checked against the
-exact laws, MudDistribution.sf and .pdf, on both links, and the ends of the
-table (below s_lo, past s_hi, τ = 0, τ = ∞, NaN) are checked on their own.
-The last test makes sure that a solve no longer evaluates a base law once
-its tables are built.
+MudDistribution.sf_pdf reads S and f_max = −(dS/ds)/x from the
+interpolant of S on each panel of a SurvivalTable. Each is checked against
+the exact laws, MudDistribution.sf and .pdf, on both links, and the ends of
+the table (below s_lo, past s_hi, τ = 0, τ = ∞, NaN) are checked on their
+own. A solve evaluates no base law once its tables are built. The table
+evaluates the interpolant and its integrals in monomial form by Horner's
+rule; the last test holds that form to the panel's Legendre series.
 """
 
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legder, legval
 
 import crlink.fading as fading
+import crlink.numerics as numerics
 from crlink.fading import FadingSpec, LinkKind, SnrDistribution
 from crlink.mud import MudDistribution, _unit_tables
 from crlink.power import ConstellationSet
@@ -91,3 +94,50 @@ def test_solve_reads_no_base_law(monkeypatch):
     for dist, constraint in points:
         sol = solve_point(dist, constraint, cset)
         assert sol.capacity > sol.se_cr > sol.se_dr > 0.0
+
+
+def _legendre_panel(table, tau):
+    """S, dS/ds, G2 and G1 at tau inside the table from the Legendre series
+    of the panel that holds it, as the table read them before it took the
+    monomial form: S − 1 on a panel where S >= 1/2, and the part-panel
+    integrals from ∫_u^1 P_k = (1 − u²)·P'_k(u)/(k(k+1))."""
+    s = math.log(tau)
+    j = max(int(np.searchsorted(table._lo, s)) - 1, 0)
+    f = table._nodes.values(table._law, table._rows[j:j + 1])[:, 0]
+    lead = 1.0 if f[1].min() >= 0.5 else 0.0
+    f[1] -= lead
+    c = f @ numerics._LEG_FROM_NODES
+    c[1, 0] += lead
+    a, b = table._lo[j], table._hi[j]
+    u = (2.0 * s - a - b) / (b - a)
+    k = np.arange(15.0)
+    parts = [0.5 * (b - a) * (ck[0] * (1.0 - u) + (1.0 - u * u) * legval(
+        u, legder(np.concatenate([[0.0], ck[1:] / (k[1:] * k[1:] + k[1:])]))))
+        for ck in c]
+    return (legval(u, c[1]), legval(u, legder(c[1])) * 2.0 / (b - a),
+            table._right[0, j + 1] + parts[0], table._right[1, j + 1] + parts[1])
+
+
+@pytest.mark.parametrize("L", [1, 5, 200])
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 7.3, 15.0])
+@pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
+def test_horner_form_matches_the_legendre_series(link, m, L):
+    # the monomial coefficients that the table evaluates by Horner's rule
+    # give the interpolant that the panel's Legendre series gives
+    table = MudDistribution(SnrDistribution(FadingSpec(MEAN, m), link),
+                            L)._table()[0]
+    tau = [t for t in (X / MEAN).tolist()
+           if table.s_lo <= math.log(t) < table.s_hi]
+    got = np.array([table.point(t, g2=True)[:3] + (table.integral(t, 1)[0],)
+                    for t in tau])
+    ref = np.array([_legendre_panel(table, t) for t in tau])
+    assert got[:, 2].tolist() == [table.integral(t, 2)[0] for t in tau]
+    held = ref[:, 0] > 1e-280               # as the exact laws are held above
+    assert held.sum() > 100
+    got, ref, tau = got[held], ref[held], np.array(tau)[held]
+    for col in (0, 2, 3):                   # S, G2, G1
+        assert np.all(np.abs(got[:, col] - ref[:, col]) <= 1e-14 * ref[:, col])
+    f_max = -ref[:, 1] / tau
+    held = f_max > 1e-6 * f_max.max()
+    assert np.all(np.abs(got[held, 1] - ref[held, 1])
+                  <= 1e-12 * np.abs(ref[held, 1]))

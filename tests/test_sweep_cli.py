@@ -219,6 +219,20 @@ def test_point_far_below_the_root_domain_fails_quietly(capsys):
         "vanishes; value 0.0 at 1e-14")
 
 
+@pytest.mark.parametrize("p_db,cap", [("150", "50.6506611"),
+                                       ("200", "67.2603016"),
+                                       ("1400", "465.891673")])
+def test_point_far_above_the_table_still_solves(p_db, cap, capsys):
+    # at these mean SNRs the table's inverse starts each solve near
+    # γ₀ = 1, well inside the root domain [1e-14, 1e14]
+    rc = main(["point", "--mode", "osa", "--m", "2", "--ns", "5",
+               "--p-av-db", p_db])
+    out, err = capsys.readouterr()
+    row = out.split("\n")[1].split(",")
+    assert rc == 0 and err == ""
+    assert row[:4] == [p_db, "5", "2", cap] and row[-1] == ""
+
+
 def test_cli_point_stdout_matches_sweep(tmp_path):
     buf = io.StringIO()
     with redirect_stdout(buf):
