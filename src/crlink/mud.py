@@ -87,25 +87,34 @@ class MudDistribution:
         return val / scale, err / scale
 
     def sf_point(self, x: float, g2: bool = False) -> Tuple[float, float, float]:
-        """S(x), f_max(x) and, if g2, ∫_x^∞ S(y)/y² dy at one point x > 0,
+        """S(x), f_max(x) and, if g2, ∫_x^∞ S(y)/y² dy at one point x >= 0,
         from one panel lookup (SurvivalTable.point); the integral is nan
-        when not asked for."""
+        when not asked for. f_max is 0 where S is flat, as below s_lo."""
+        if not x >= 0.0:                        # NaN fails the comparison too
+            raise ValueError(f"x must be a number >= 0, got {x}")
         table, g = self._table()
         sf, slope, tail = table.point(x / g, g2)
-        return sf, -slope / x, tail / g
+        return sf, -slope / x if slope else 0.0, tail / g
 
     def sf_integral_inverse(self, value: float) -> float:
         """An estimate of the t where ∫_t^∞ S(x)/x² dx = value > 0:
         γ̄·SurvivalTable.inverse_g2(γ̄·value)."""
+        if not value >= 0.0:                    # NaN fails the comparison too
+            raise ValueError(f"value must be a number >= 0, got {value}")
         table, g = self._table()
         return g * table.inverse_g2(g * value)
 
     def sf_pdf(self, x) -> Tuple[np.ndarray, np.ndarray]:
-        """S(x) = S₁(x/γ̄) and f_max(x) = −S₁′(x/γ̄)/x at the points x > 0,
-        with S₁′ the slope in ln τ, from SurvivalTable.survival."""
+        """S(x) = S₁(x/γ̄) and f_max(x) = −S₁′(x/γ̄)/x at the points x >= 0,
+        with S₁′ the slope in ln τ, from SurvivalTable.survival; f_max is 0
+        where S is flat."""
+        x = np.asarray(x, dtype=float)
+        if not np.all(x >= 0.0):
+            raise ValueError(f"x must be numbers >= 0, got {x}")
         table, g = self._table()
-        sf, slope = table.survival(np.divide(x, g))
-        return sf, -slope / x
+        sf, slope = table.survival(x / g)
+        return sf, np.divide(-slope, x, out=np.zeros_like(slope),
+                             where=slope != 0.0)
 
 
 def mud_pdf(d: MudDistribution, x):
@@ -124,18 +133,30 @@ def _best_of(q, users: int):
     """The survival 1 − (1 − Q)^L of the best of L users from the base
     survival Q, as −expm1(L·log1p(−Q)) so the upper tail keeps full
     relative precision for any L."""
+    return _best_of_log(_log_cdf(q), users)
+
+
+def _log_cdf(q):
+    """ln F = log1p(−Q) of the base CDF F from its survival Q."""
     with np.errstate(divide="ignore"):      # Q = 1: log1p is −inf, S is 1
-        return -np.expm1(users * np.log1p(-q))
+        return np.log1p(-q)
+
+
+def _best_of_log(log_cdf, users: int):
+    """_best_of from ln F: −expm1(L·ln F)."""
+    return -np.expm1(users * log_cdf)
 
 
 def _unit_tables(link: LinkKind, m: float, users: Iterable[int]) -> dict:
     """The survival tables of the unit-scale best-of-L law for every L in
     users, keyed (link, m, L) as MudDistribution.tables is. They are built
-    in one batch on the base survival Q, which is evaluated once per node
-    for all of them; each table equals its one-L build bit for bit."""
+    in one batch on ln F = log1p(−Q) of the base survival Q, which is
+    evaluated once per node for all of them; each table equals its one-L
+    build bit for bit."""
     users = list(users)
-    base = SnrDistribution(FadingSpec(1.0, m), link).sf
-    tables = _survival_tables(base, [partial(_best_of, users=L) for L in users])
+    sf = SnrDistribution(FadingSpec(1.0, m), link).sf
+    tables = _survival_tables(lambda y: _log_cdf(sf(y)),
+                              [partial(_best_of_log, users=L) for L in users])
     return {(link, m, L): t for L, t in zip(users, tables)}
 
 

@@ -171,44 +171,37 @@ _TABLE_GRID = np.arange(-300.0, 49.0, 4.0)  # extent search in s = ln y
 _TABLE_MAX_PANELS = 20000
 _TABLE_MAX_SPLIT = 16
 _TABLE_CALL = 128       # panels per base call, to bound its working memory
-
-
-def _node_y(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """y = e^s at the 15 Kronrod nodes of each panel [lo, hi] in s: an
-    array (panels, 15)."""
-    return np.exp(0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES)
+_TABLE_BLOCK = 2048     # panels per block of a build round, to bound its memory
+_TABLE_EVAL = 512       # new panels per evaluation in a round, likewise
 
 
 def _panel_sums(f: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """K15 values and |K15 − G7| of both integrands from their values f
-    (2, panels, 15): arrays (2, panels). The sums over the nodes are
-    reductions, whose rows do not depend on how many rows there are."""
+    (2, panels, 15), which it overwrites: arrays (2, panels). The sums over
+    the nodes are reductions, whose rows do not depend on how many rows
+    there are."""
     half = 0.5 * (hi - lo)
-    g7 = half * (f[:, :, _GAUSS_IDX] * _WGL).sum(axis=-1)
-    weighted = f * _WK
-    k15 = half * weighted.sum(axis=-1)
-    np.abs(weighted, out=weighted)
-    floor = 50.0 * _EPS * half * weighted.sum(axis=-1)
+    g7 = f[:, :, _GAUSS_IDX]
+    g7 *= _WGL
+    g7 = half * g7.sum(axis=-1)
+    f *= _WK
+    k15 = half * f.sum(axis=-1)
+    np.abs(f, out=f)
+    floor = 50.0 * _EPS * half * f.sum(axis=-1)
     return k15, np.maximum(np.abs(k15 - g7), floor)
-
-
-def _right_sums(vals, tail):
-    """Σ_{i ≥ j} vals[:, i] + tail for each j, with the tail alone last."""
-    ext = np.concatenate([vals, np.array(tail, dtype=float)[:, None]], axis=1)
-    return np.cumsum(ext[:, ::-1], axis=1)[:, ::-1]
 
 
 class _Nodes:
     """A base function at the Kronrod nodes of every distinct panel that a
     batch of tables asks for, each evaluated once; two tables share a
     panel when its edges are the same floats. Row r holds the panel
-    [lo[r], hi[r]] and the base at its nodes, q[r]."""
+    [lo[r], hi[r]], its nodes y[r] and the base at them, q[r]."""
 
     def __init__(self, base: Callable[[np.ndarray], np.ndarray]):
         self.base = base
         self.grid = np.asarray(base(np.exp(_TABLE_GRID)), dtype=float)
         self.lo = self.hi = np.empty(0)
-        self.q = np.empty((0, len(_NODES)))
+        self.y = self.q = np.empty((0, len(_NODES)))
 
     def rows(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The rows of the panels [lo, hi]; the base is evaluated at the
@@ -223,13 +216,15 @@ class _Nodes:
         row = np.where(fresh, known + np.cumsum(fresh) - 1, first)
         new = keys[first[fresh]]
         if len(new):
+            y = np.exp(0.5 * (new.real + new.imag)[:, None]   # the nodes
+                       + 0.5 * (new.imag - new.real)[:, None] * _NODES)
             self.lo = np.concatenate([self.lo, new.real])
             self.hi = np.concatenate([self.hi, new.imag])
+            self.y = np.concatenate([self.y, y])
             self.q = np.concatenate([self.q] + [
-                np.asarray(self.base(y.ravel()), dtype=float).reshape(y.shape)
-                for y in (_node_y(self.lo[i:i + _TABLE_CALL],
-                                  self.hi[i:i + _TABLE_CALL])
-                          for i in range(known, len(self.lo), _TABLE_CALL))])
+                np.asarray(self.base(y[i:i + _TABLE_CALL].ravel()),
+                           dtype=float).reshape(-1, len(_NODES))
+                for i in range(0, len(y), _TABLE_CALL)])
         return row[inverse[known:]]
 
     def values(self, law, rows: np.ndarray) -> np.ndarray:
@@ -238,7 +233,7 @@ class _Nodes:
         q = self.q[rows]
         f = np.empty((2,) + q.shape)
         f[1] = law(q)
-        np.divide(f[1], _node_y(self.lo[rows], self.hi[rows]), out=f[0])
+        np.divide(f[1], self.y[rows], out=f[0])
         return f
 
 
@@ -268,9 +263,9 @@ class SurvivalTable:
 
     The table of S = law(Q) reads the base Q from a node store that the
     tables of one batch share (_survival_tables). A built table holds its
-    panels' rows in that store and the cumulative sums of its last build
-    round; a panel's polynomials are formed from its row when a query
-    first lands in it, and kept.
+    panels' rows in that store and their cumulative sums, which the last
+    round of its build formed; a panel's polynomials are formed from its
+    row when a query first lands in it, and kept.
     """
 
     def __init__(self, nodes: _Nodes, law: Callable[[np.ndarray], np.ndarray]):
@@ -284,45 +279,7 @@ class SurvivalTable:
             raise ValueError("survival function has no transition on the grid")
         self.s_lo, self.s_hi = float(edges[0]), float(edges[-1])
         self._open = not zeros.size         # S > 0 at s_hi
-        self._tail = np.array([self._beyond(math.exp(self.s_hi), p)
-                               for p in (2, 1)]).T  # (value, error) × (G2, G1)
-        self._rows = np.empty(0, dtype=np.intp)
-        self._new = edges[:-1], edges[1:]   # the panels the next round adds
-
-    def _split(self, new_rows: np.ndarray) -> bool:
-        """One round of the build: merge the panels of new_rows in and
-        split every panel that misses its error bound into the panels of
-        the next round. False once no panel splits."""
-        nodes = self._nodes
-        rows = np.concatenate([self._rows, new_rows])
-        rows = rows[np.argsort(nodes.lo[rows], kind="stable")]
-        lo, hi = nodes.lo[rows], nodes.hi[rows]
-        vals, errs = _panel_sums(nodes.values(self._law, rows), lo, hi)
-        right = _right_sums(vals, self._tail[0])
-        excess = (errs / np.maximum(_TABLE_REL * right[:, :-1],
-                                    _TABLE_ABS)).max(axis=0)
-        bad = (excess > 1.0) & (hi - lo > 1e-12)
-        self._rows = rows[~bad]
-        if not bad.any():               # the partition is final: keep its sums
-            del self._new
-            self._lo, self._hi, self._right = lo, hi, right
-            self._right_err = _right_sums(errs, self._tail[1])
-            self._edges, self._panels = None, {}     # formed by queries
-            return False
-        # about excess^(1/10) pieces: the G7 error falls as width^14 once a
-        # panel resolves S, and a slower guess splits one that does not yet
-        # resolve it finely enough in a single round
-        k = np.clip(np.ceil(excess[bad] ** (1.0 / 10.0)), 2,
-                    _TABLE_MAX_SPLIT).astype(int)
-        if len(rows) + k.sum() > _TABLE_MAX_PANELS:
-            raise ConvergenceError(
-                f"survival table did not reach tolerance in "
-                f"{_TABLE_MAX_PANELS} panels")
-        i = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
-        kk, a, b = np.repeat(k, k), np.repeat(lo[bad], k), np.repeat(hi[bad], k)
-        self._new = (a + (b - a) * (i / kk),
-                     np.where(i + 1 == kk, b, a + (b - a) * ((i + 1) / kk)))
-        return True
+        self._edges, self._panels = None, {}     # formed by queries
 
     def _beyond(self, tau: float, power: int) -> Tuple[float, float]:
         """∫_τ^∞ S(y)/y^power dy for τ ≥ e^{s_hi} and its error estimate,
@@ -429,6 +386,8 @@ class SurvivalTable:
         form below s_lo, and in between where ln G2, linear in s between the
         panel edges, meets ln value (G2 itself where it falls to 0 at a
         closed s_hi). Past s_hi it is e^{s_hi}."""
+        if not value >= 0.0:                    # NaN fails the comparison too
+            raise ValueError(f"value must be a number >= 0, got {value}")
         right = self._right[0]
         if value >= right[0]:
             return 1.0 / (value - float(right[0]) + math.exp(-self.s_lo))
@@ -444,23 +403,94 @@ class SurvivalTable:
 def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
                      laws) -> list:
     """One SurvivalTable of S = law(base(y)) per law, all on one node
-    store.
-
-    Every law must map base values to S elementwise. The tables are built
-    in lockstep: each round evaluates the base once, only at the nodes of
-    the panels that no table has asked for before, and then each table
-    refines its own partition. Provided the base is elementwise too, a
-    table is the same, bit for bit, whatever else is in its batch.
-    """
+    store, built in rounds (_build_round) over blocks of about _TABLE_BLOCK
+    panels. Every law must map base values to S elementwise; provided the
+    base is elementwise too, a table is the same, bit for bit, whatever
+    else is in its batch."""
     nodes = _Nodes(base)
     tables = [SurvivalTable(nodes, law) for law in laws]
-    live = tables
-    while live:
-        rows = nodes.rows(np.concatenate([t._new[0] for t in live]),
-                          np.concatenate([t._new[1] for t in live]))
-        cuts = np.cumsum([len(t._new[0]) for t in live])[:-1]
-        live = [t for t, r in zip(live, np.split(rows, cuts)) if t._split(r)]
+    # the integrals past s_hi: (tables, G2 or G1, value or error)
+    tails = np.array([[t._beyond(math.exp(t.s_hi), p) for p in (2, 1)]
+                      for t in tables])
+    grid = [_TABLE_GRID[(_TABLE_GRID >= t.s_lo) & (_TABLE_GRID <= t.s_hi)]
+            for t in tables]
+    rows = nodes.rows(np.concatenate([g[:-1] for g in grid]),
+                      np.concatenate([g[1:] for g in grid]))
+    # per live table: node rows, which panels are new, and sums (4, panels):
+    # the K15 values of the G2 and G1 integrands, then their G7/K15 errors
+    state = {t: (r, np.ones(len(r), bool), np.empty((4, len(r))))
+             for t, r in enumerate(np.split(
+                 rows, np.cumsum([len(g) - 1 for g in grid])[:-1]))}
+    while state:
+        live = np.array(list(state))
+        size = np.array([len(state[t][0]) for t in live])
+        for block in np.split(live, np.flatnonzero(np.diff(
+                (np.cumsum(size) - size) // _TABLE_BLOCK)) + 1):
+            _build_round(nodes, tables, tails[block], block, state)
     return tables
+
+
+def _build_round(nodes: _Nodes, tables: list, tails: np.ndarray,
+                 block: np.ndarray, state: dict) -> None:
+    """One round for the tables in block: their partitions, taken from
+    state into one array ordered by (table, s), get the sums of their new
+    panels, _TABLE_EVAL at a time with one call of each law, and the sums
+    from every panel on. A table with no panel over its bound receives its
+    partition and sums; in the others each such panel is split in place."""
+    parts = [state.pop(t) for t in block]
+    n = np.array([len(p[0]) for p in parts])
+    rows, new, sums = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    lo, hi, end, tab = (nodes.lo[rows], nodes.hi[rows], np.cumsum(n),
+                        np.repeat(np.arange(len(n)), n))
+    new = np.flatnonzero(new)
+    for c in range(0, len(new), _TABLE_EVAL):
+        p = new[c:c + _TABLE_EVAL]
+        e = [0, *(np.flatnonzero(np.diff(tab[p])) + 1).tolist(), len(p)]
+        f = np.concatenate([nodes.values(tables[block[tab[p[i]]]]._law,
+                                         rows[p[i:j]])
+                            for i, j in zip(e, e[1:])], axis=1)
+        sums[:, p] = np.concatenate(_panel_sums(f, lo[p], hi[p]))
+    # the sums from each panel on: one cumsum along zero-padded rows that
+    # hold a table's tail and then its panels from the last one down, the
+    # order in which the table's own cumsum would add them
+    width = n.max() + 1
+    at = np.repeat(np.arange(len(n)) * width + end, n) - np.arange(len(rows))
+    pad = np.zeros((2, len(n) * width))
+    pad[:, ::width] = tails[:, :, 0].T
+    pad[0, at], pad[1, at] = sums[:2]
+    right = np.cumsum(pad.reshape(2, len(n), width), axis=2)
+    excess = (sums[2:] / np.maximum(_TABLE_REL * right.reshape(2, -1).take(
+        at, axis=1), _TABLE_ABS)).max(axis=0)
+    bad = (excess > 1.0) & (hi - lo > 1e-12)
+    # about excess^(1/10) pieces: the G7 error falls as width^14 once a
+    # panel resolves S, and a slower guess splits one that does not yet
+    # resolve it finely enough in a single round
+    k = np.clip(np.ceil(excess[bad] ** (1.0 / 10.0)), 2,
+                _TABLE_MAX_SPLIT).astype(int)
+    more = np.bincount(tab[bad], k, len(n))
+    if (n + more > _TABLE_MAX_PANELS).any():
+        raise ConvergenceError(
+            f"survival table did not reach tolerance in "
+            f"{_TABLE_MAX_PANELS} panels")
+    for t in np.flatnonzero(more == 0):     # the partition is final
+        table, cut = tables[block[t]], slice(end[t] - n[t], end[t])
+        table._rows, table._lo, table._hi = (v[cut].copy()
+                                             for v in (rows, lo, hi))
+        table._right = right[:, t, n[t]::-1].copy()
+        table._right_err = np.cumsum(np.concatenate(
+            [tails[t, :, 1:], sums[2:, cut][:, ::-1]], 1), axis=1)[:, ::-1]
+    copies = (more > 0)[tab].astype(int)    # 1 per panel kept, k per split
+    copies[bad] = k
+    at = np.repeat(np.arange(len(rows)), copies)
+    i = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+    kk, a, b = np.repeat(k, k), np.repeat(lo[bad], k), np.repeat(hi[bad], k)
+    new, rows, sums, tab = bad[at], rows[at], sums.take(at, axis=1), tab[at]
+    rows[new] = nodes.rows(a + (b - a) * (i / kk), np.where(
+        i + 1 == kk, b, a + (b - a) * ((i + 1) / kk)))
+    size = np.bincount(tab, minlength=len(n))
+    for t, stop in zip(np.flatnonzero(more), np.cumsum(size)[more > 0]):
+        cut = slice(stop - size[t], stop)
+        state[block[t]] = rows[cut], new[cut], sums[:, cut]
 
 
 def solve_decreasing(g: Callable[[float], Tuple[float, float]], target: float,

@@ -10,6 +10,7 @@ rule; the last test holds that form to the panel's Legendre series.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,36 @@ def test_survival_below_the_table_and_at_the_ends(link):
     for bad in (math.nan, -1.0):
         with pytest.raises(ValueError, match=">= 0"):
             table.survival([1.0, bad])
+
+
+def test_density_at_the_origin_is_zero():
+    # osa m = 1.5, L = 5 at 10 dB: below s_lo S is 1 and its slope 0, so
+    # f_max is the exact pdf(0) = 0, with no division by x = 0
+    dist = MudDistribution(SnrDistribution(FadingSpec(10.0, 1.5),
+                                           LinkKind.DIRECT), 5)
+    assert dist.pdf(0.0) == 0.0
+    assert dist.sf_point(0.0)[:2] == (1.0, 0.0)
+    assert dist.sf_point(0.0, g2=True) == (1.0, 0.0, math.inf)
+    sf, pdf = dist.sf_pdf([0.0, 1.0])
+    assert sf[0] == 1.0 and pdf[0] == 0.0
+    assert (sf[1], pdf[1]) == dist.sf_point(1.0)[:2] and pdf[1] > 0.0
+
+
+def test_queries_refuse_nan_and_negative_arguments():
+    # each names the argument its caller passed, not the scaled τ
+    dist = MudDistribution(SnrDistribution(FadingSpec(10.0, 1.5),
+                                           LinkKind.DIRECT), 5)
+    table = dist._table()[0]
+    for bad in (math.nan, -1.0):
+        got = re.escape(f"got {bad}") + "$"
+        with pytest.raises(ValueError, match="^value must be a number >= 0, " + got):
+            table.inverse_g2(bad)
+        with pytest.raises(ValueError, match="^value must be a number >= 0, " + got):
+            dist.sf_integral_inverse(bad)
+        with pytest.raises(ValueError, match="^x must be a number >= 0, " + got):
+            dist.sf_point(bad)
+        with pytest.raises(ValueError, match="^x must be numbers >= 0"):
+            dist.sf_pdf([1.0, bad])
 
 
 def test_survival_past_a_closed_table_is_zero():

@@ -8,7 +8,9 @@ best-of-L mass lying beyond about 1e9·τ, which is up to 2e-9 of G2 at
 τ = 1e-8, while the table resolves it.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import rayleigh
 from crlink import numerics
 from crlink.exceptions import ConvergenceError
 from crlink.fading import FadingSpec, LinkKind, SnrDistribution
-from crlink.mud import MudDistribution, _unit_tables
+from crlink.mud import MudDistribution, _best_of, _unit_tables
 from crlink.numerics import _survival_tables, integrate, integrate_to_inf
 
 TAUS = [10.0 ** k for k in range(-20, 21, 4)] + [0.3, 3.0]
@@ -177,3 +179,45 @@ def test_only_powers_one_and_two_are_answered():
         with pytest.raises(ValueError,
                            match=f"^power must be 1 or 2, got {power}$"):
             dist.sf_integral(1.0, power)
+
+
+@pytest.mark.parametrize("link, m, users", [
+    (LinkKind.DIRECT, 1.5, range(1, 21)), (LinkKind.RATIO, 0.5, (1, 5, 15, 200))])
+def test_a_batch_evaluates_each_panel_of_a_table_once(link, m, users):
+    # the law of a table sees the 15 node values of every panel the table
+    # ever held once, whatever else is in its batch; built alone, a table's
+    # node store holds exactly those panels
+    sf = SnrDistribution(FadingSpec(1.0, m), link).sf
+
+    def counted(L, elems):
+        def law(q):
+            if np.ndim(q) == 2:             # panels; the grid and tail are 1-D
+                assert np.shape(q)[1] == 15
+                elems[L] = elems.get(L, 0) + np.size(q)
+            return _best_of(q, L)
+        return law
+    batch = {}
+    _survival_tables(sf, [counted(L, batch) for L in users])
+    for L in users:
+        alone = {}
+        (table,) = _survival_tables(sf, [counted(L, alone)])
+        assert batch[L] == alone[L] == 15 * len(table._nodes.lo), L
+
+
+def test_a_batch_build_holds_its_working_memory_to_a_block():
+    # 200 tables of about 370 panels each: what a build holds beyond the
+    # tables it returns is bounded by a block of panels, not by tables ×
+    # panels; MB as the benchmark's peak_rss_mb, 2^20 bytes
+    def build():
+        return _unit_tables(LinkKind.DIRECT, 0.5, range(1, 201))
+    build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tables = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 200
+    assert peak - retained <= 2.5 * 2 ** 20
+    assert retained <= 4.5 * 2 ** 20

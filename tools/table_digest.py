@@ -1,0 +1,51 @@
+"""Print one SHA-256 per link over the survival tables of a fixed grid.
+
+Two builds whose tables agree bit for bit print the same digests, so
+running this before and after a change to the table build shows whether
+any table moved. Each table contributes s_lo, s_hi, its panel edges
+(_lo, _hi), its right sums (_right, _right_err) and every panel as
+SurvivalTable._panel forms it.
+
+    PYTHONPATH=src python tools/table_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from crlink.fading import LinkKind
+from crlink.mud import _unit_tables
+
+GRID = {
+    LinkKind.DIRECT: ((0.5, 1.0, 1.5, 2.0, 2.5, 7.3, 15.0),
+                      tuple(range(1, 21)) + (200, 1000)),
+    LinkKind.RATIO: ((0.5, 1.0, 1.5, 2.0, 7.3, 15.0), (1, 5, 15, 200)),
+}
+
+
+def _feed(h, a) -> None:
+    a = np.asarray(a, dtype=float)
+    h.update(repr(a.shape).encode())
+    h.update(a.tobytes())
+
+
+def digest(link: LinkKind) -> str:
+    """SHA-256 over every table of link's grid, built one batch per m."""
+    ms, users = GRID[link]
+    h = hashlib.sha256()
+    for m in ms:
+        for table in _unit_tables(link, m, users).values():
+            _feed(h, [table.s_lo, table.s_hi])
+            for name in ("_lo", "_hi", "_right", "_right_err"):
+                _feed(h, getattr(table, name))
+            for j in range(len(table._lo)):
+                a, b, sf, parts, rights = table._panel(j)
+                _feed(h, [a, b, *sf, *parts[0], *parts[1], *rights])
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    for link in GRID:
+        print(f"{link.name.lower()} {digest(link)}")
