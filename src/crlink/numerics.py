@@ -479,6 +479,8 @@ def _build_round(nodes: _Nodes, tables: list, tails: np.ndarray,
         table._right = right[:, t, n[t]::-1].copy()
         table._right_err = np.cumsum(np.concatenate(
             [tails[t, :, 1:], sums[2:, cut][:, ::-1]], 1), axis=1)[:, ::-1]
+    if not more.any():
+        return
     copies = (more > 0)[tab].astype(int)    # 1 per panel kept, k per split
     copies[bad] = k
     at = np.repeat(np.arange(len(rows)), copies)
