@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import __version__
@@ -62,10 +63,11 @@ def cmd_point(args) -> int:
             output=args.output or "-")
         if cfg.output != "-":
             _check_output(cfg.output)
-    except ValueError as exc:
-        key, _, rest = str(exc).partition(" ")     # name the flag typed
-        flags = {"num_users": "--ns", "ber_target": "--ber", "constellations": "--sizes"}
-        args.parser.error(f"{flags.get(key, key)} {rest}")
+    except ValueError as exc:                   # name the flags typed
+        flags = {"num_users": "--ns", "ber_target": "--ber",
+                 "constellations": "--sizes"}
+        args.parser.error(re.sub(r"\b(" + "|".join(flags) + r")\b",
+                                 lambda key: flags[key.group()], str(exc)))
     res = run_sweep(cfg)
     if cfg.output == "-":
         sys.stdout.write(render_csv(res))

@@ -6,10 +6,11 @@ L·f(x)·F(x)^{L-1}, CDF F(x)^L and survival function S(x) = 1 − F(x)^L.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -86,16 +87,6 @@ class MudDistribution:
         scale = g ** (power - 1)
         return val / scale, err / scale
 
-    def sf_point(self, x: float, g2: bool = False) -> Tuple[float, float, float]:
-        """S(x), f_max(x) and, if g2, ∫_x^∞ S(y)/y² dy at one point x >= 0,
-        from one panel lookup (SurvivalTable.point); the integral is nan
-        when not asked for. f_max is 0 where S is flat, as below s_lo."""
-        if not x >= 0.0:                        # NaN fails the comparison too
-            raise ValueError(f"x must be a number >= 0, got {x}")
-        table, g = self._table()
-        sf, slope, tail = table.point(x / g, g2)
-        return sf, -slope / x if slope else 0.0, tail / g
-
     def sf_integral_inverse(self, value: float) -> float:
         """An estimate of the t where ∫_t^∞ S(x)/x² dx = value > 0:
         γ̄·SurvivalTable.inverse_g2(γ̄·value)."""
@@ -105,16 +96,77 @@ class MudDistribution:
         return g * table.inverse_g2(g * value)
 
     def sf_pdf(self, x) -> Tuple[np.ndarray, np.ndarray]:
-        """S(x) = S₁(x/γ̄) and f_max(x) = −S₁′(x/γ̄)/x at the points x >= 0,
-        with S₁′ the slope in ln τ, from SurvivalTable.survival; f_max is 0
-        where S is flat."""
-        x = np.asarray(x, dtype=float)
-        if not np.all(x >= 0.0):
+        """S(x) and f_max(x) at the points x >= 0 (SurvivalQuery)."""
+        x = np.asarray(x, dtype=float).reshape(-1)
+        self._table()                           # raises if it cannot be built
+        return SurvivalQuery([self])(np.zeros(len(x), dtype=int), x)[:2]
+
+
+class SurvivalQuery:
+    """The survival tables of several best-of-L laws, read together:
+    element i of a query reads law which[i] at x[i]. Each law is the
+    SurvivalTable of its S₁ and its scale γ̄, S(x) = S₁(x/γ̄); the elements
+    are answered by one _Batch.query per batch that holds their tables,
+    one in a sweep group. errors[d] holds the exception raised building
+    the table of law d (None if it was built); such a law cannot be read.
+    """
+
+    def __init__(self, dists):
+        self.errors, batches, where = [], {}, []
+        for d in dists:
+            try:
+                table, g = d._table()
+            except Exception as exc:
+                self.errors.append(exc)
+                where.append((-1, 0, math.nan))
+                continue
+            self.errors.append(None)
+            b = batches.setdefault(id(table._batch), (len(batches), table._batch))
+            where.append((b[0], table._index, g))
+        self._batches = [b for _, b in batches.values()]
+        batch, index, self._scale = zip(*where) if where else ((), (), ())
+        self._batch, self._index = np.array(batch), np.array(index, dtype=int)
+        self._scale = np.array(self._scale, dtype=float)
+
+    def _read(self, name: str, which: np.ndarray, *args) -> tuple:
+        """_Batch.name(table indices, *args) over the elements which, one
+        call per batch."""
+        if len(self._batches) == 1:
+            return getattr(self._batches[0], name)(self._index[which], *args)
+        outs = None
+        on = self._batch[which]
+        for b in dict.fromkeys(on.tolist()):
+            i = np.flatnonzero(on == b)
+            got = getattr(self._batches[b], name)(
+                self._index[which[i]], *(a[i] if np.ndim(a) else a
+                                         for a in args))
+            got = got if isinstance(got, tuple) else (got,)
+            if outs is None:
+                outs = tuple(np.empty(on.shape + o.shape[1:]) for o in got)
+            for o, v in zip(outs, got):
+                o[i] = v
+        return outs if len(outs) > 1 else outs[0]
+
+    def __call__(self, which: np.ndarray, x: np.ndarray, power: int = 0,
+                 want: Optional[np.ndarray] = None) -> tuple:
+        """S(x), f_max(x) = −(dS₁/ds)/x with s = ln(x/γ̄), and for power 1
+        or 2 ∫_x^∞ S(y)/y^power dy (where want, if given), of law which[i]
+        at x[i] >= 0; an element with no integral reads nan. f_max is 0
+        where S is flat, as below s_lo."""
+        if np.count_nonzero(x >= 0.0) < len(x):     # NaN fails it too
             raise ValueError(f"x must be numbers >= 0, got {x}")
-        table, g = self._table()
-        sf, slope = table.survival(x / g)
-        return sf, np.divide(-slope, x, out=np.zeros_like(slope),
-                             where=slope != 0.0)
+        g = self._scale[which]
+        sf, slope, tail, _ = self._read("query", which, x / g, power, want)
+        return (sf, np.divide(-slope, x, out=np.zeros(len(x)),
+                              where=slope != 0.0),
+                tail / g if power == 2 else tail)
+
+    def sf_integral_inverse(self, which: np.ndarray,
+                            value: np.ndarray) -> np.ndarray:
+        """An estimate of the x where ∫_x^∞ S(y)/y² dy = value[i] > 0 for
+        law which[i]: γ̄·_Batch.inverse_g2(γ̄·value)."""
+        g = self._scale[which]
+        return g * self._read("inverse_g2", which, g * value)
 
 
 def mud_pdf(d: MudDistribution, x):

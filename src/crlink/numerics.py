@@ -12,10 +12,9 @@ limit from panels built once.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -148,23 +147,6 @@ _MONO_FROM_LEG = np.round(np.linalg.solve(
     _legendre_table(_NODES, 15)).T) / 2.0 ** 14
 
 
-def _horner(c, u: float) -> float:
-    """Σ c_i·u^(n−1−i) for the n coefficients c, highest degree first."""
-    value = 0.0
-    for a in c:
-        value = value * u + a
-    return value
-
-
-def _horner_slope(c, u: float) -> Tuple[float, float]:
-    """_horner's polynomial and its derivative in u."""
-    value = slope = 0.0
-    for a in c:
-        slope = slope * u + value
-        value = value * u + a
-    return value, slope
-
-
 _TABLE_REL = 1e-13      # panel error bound, relative to the integral to its right
 _TABLE_ABS = 1e-313     # ... or absolute, where that integral underflows
 _TABLE_GRID = np.arange(-300.0, 49.0, 4.0)  # extent search in s = ln y
@@ -248,25 +230,24 @@ class SurvivalTable:
     [s_lo, s_hi], the last point of the grid −300, −296, ..., 48 where S
     rounds to 1 and the first where it is 0 (or 48). Below s_lo, S is
     taken as 1, dropping 1 − S < 1.2e-16, and the integrals are closed
-    form. Beyond s_hi, a G is one semi-infinite integral from τ, taken in
-    y/τ so that S/y² does not underflow before S does (S counts as 0 past
-    the largest double): from e^{s_hi} once at the build, and from τ at a
-    query past s_hi. Where S is 0 at s_hi both are 0, with no quadrature,
-    as they are at τ = ∞. The panels in between are split in
-    rounds until each panel's G7/K15 difference is at most 1e-13 of the
-    integral from its left edge to infinity (or 1e-313 where that
-    underflows). A query finds the panel holding ln τ by one bisect and
-    adds the integral over the panels to its right, a cumulative sum, to
-    the one over its partial panel. That one, S and its slope are read by
-    Horner's rule from the degree-14 interpolant through the panel's 15
-    node values, in monomial form (_panel).
+    form. Beyond s_hi, a G is one semi-infinite integral from τ (_beyond):
+    from e^{s_hi} once at the build, and from τ at a query past s_hi.
+    Where S is 0 at s_hi both are 0, with no quadrature, as they are at
+    τ = ∞. The panels in between are split in rounds until each panel's
+    G7/K15 difference is at most 1e-13 of the integral from its left edge
+    to infinity (or 1e-313 where that underflows).
 
     The table of S = law(Q) reads the base Q from a node store that the
-    tables of one batch share (_survival_tables). A built table holds its
-    panels' rows in that store and their cumulative sums, which the last
-    round of its build formed; a panel's polynomials are formed from its
-    row when a query first lands in it, and kept.
+    tables of one batch share (_survival_tables), and is read through that
+    batch (_Batch), which answers many (table, τ) pairs at once; survival,
+    integral and inverse_g2 are its queries on this table alone.
     """
+
+    # its panels' node rows, edges and right sums (G2, G1 from each panel
+    # edge on, and their error estimates): views into its batch's arrays
+    _rows, _lo, _hi, _right, _right_err = (
+        property(lambda self, k=k: self._batch.arrays(self._index)[k])
+        for k in range(5))
 
     def __init__(self, nodes: _Nodes, law: Callable[[np.ndarray], np.ndarray]):
         self._nodes, self._law = nodes, law
@@ -279,85 +260,14 @@ class SurvivalTable:
             raise ValueError("survival function has no transition on the grid")
         self.s_lo, self.s_hi = float(edges[0]), float(edges[-1])
         self._open = not zeros.size         # S > 0 at s_hi
-        self._edges, self._panels = None, {}     # formed by queries
 
-    def _beyond(self, tau: float, power: int) -> Tuple[float, float]:
-        """∫_τ^∞ S(y)/y^power dy for τ ≥ e^{s_hi} and its error estimate,
-        as τ^(1−power)·∫_1^∞ S(τz)/z^power dz."""
-        if not self._open or tau == math.inf:
-            return 0.0, 0.0
-        law, base, scale = self._law, self._nodes.base, tau ** (1 - power)
-        with np.errstate(over="ignore"):    # τ·z = inf, where S is 0
-            val, err = integrate_to_inf(
-                lambda z: law(base(tau * z)) / z ** power, 1.0, 0.0, _TABLE_REL)
-        return val * scale, err * scale
-
-    def _panel(self, j: int) -> tuple:
-        """Panel j [a, b] as (a, b, S, parts, rights), formed at its first
-        touch and kept. S is the interpolant of S in u = (2s − a − b)/(b − a),
-        parts the integrals in s of the G2 and G1 integrands from u to b,
-        each a list of monomial coefficients in u, highest degree first, for
-        _horner; rights holds G2 and G1 at b."""
-        panel = self._panels.get(j)
-        if panel is None:
-            f = self._nodes.values(self._law, self._rows[j:j + 1])[:, 0]
-            # where S >= 1/2 on the panel, S − 1 is exact, and its polynomial
-            # keeps the digits of the slope that the one of S would round off
-            lead = f[1].min() >= 0.5
-            if lead:
-                f[1] -= 1.0
-            # the Legendre series first: converting the values in one product
-            # would cancel entries of order 1e4 and keep 1e-12 of the values
-            c = f @ _LEG_FROM_NODES @ _MONO_FROM_LEG   # (G2, G1) in u⁰..u¹⁴
-            if lead:
-                c[1, 0] += 1.0
-            a, b = float(self._lo[j]), float(self._hi[j])
-            # ∫_u^1 u'^k du' = (1 − u^(k+1))/(k + 1), and ds = (b − a)/2·du
-            q = 0.5 * (b - a) * c / np.arange(1.0, 16.0)
-            parts = np.concatenate([-q[:, ::-1], q.sum(axis=1)[:, None]], axis=1)
-            panel = (a, b, c[1, ::-1].tolist(), parts.tolist(),
-                     self._right[:, j + 1].tolist())
-            self._panels[j] = panel
-        return panel
-
-    def _find(self, s: float) -> int:
-        """The panel holding s_lo <= s < s_hi, a knot taking the panel to its
-        left."""
-        if self._edges is None:
-            self._edges = self._lo.tolist()
-        return max(bisect.bisect_left(self._edges, s) - 1, 0)
-
-    def point(self, tau: float, g2: bool = False) -> Tuple[float, float, float]:
-        """S(τ), dS/ds (s = ln τ) and, if g2, G2(τ) at one τ >= 0 from one
-        panel lookup; G2 is nan when not asked for. Below s_lo, S is 1 and
-        its slope 0; past a closed s_hi all three are 0, and past an open
-        one S is the law and its slope −m·S, m read at s_hi."""
-        if not tau >= 0.0:                      # NaN fails the comparison too
-            raise ValueError(f"tau must be numbers >= 0, got {tau}")
-        s = math.log(tau) if tau > 0.0 else -math.inf
-        if s < self.s_lo:
-            head = 1.0 / tau - math.exp(-self.s_lo) if tau > 0.0 else math.inf
-            return 1.0, 0.0, float(self._right[0, 0]) + head if g2 else math.nan
-        if s >= self.s_hi:
-            if not self._open:
-                return 0.0, 0.0, 0.0 if g2 else math.nan
-            a, b, sc, *_ = self._panel(len(self._lo) - 1)
-            end, rate = _horner_slope(sc, 1.0)
-            sf = float(self._law(self._nodes.base(np.array([tau])))[0])
-            return (sf, 2.0 * rate / (end * (b - a)) * sf,
-                    self._beyond(tau, 2)[0] if g2 else math.nan)
-        j = self._find(s)
-        a, b, sc, parts, rights = self._panel(j)
-        u = (2.0 * s - a - b) / (b - a)
-        sf, slope = _horner_slope(sc, u)
-        return (sf, 2.0 * slope / (b - a),
-                rights[0] + _horner(parts[0], u) if g2 else math.nan)
-
-    def survival(self, tau) -> Tuple[np.ndarray, np.ndarray]:
-        """S(τ) and dS/ds at each of the points tau, by point."""
+    def survival(self, tau, g2: bool = False):
+        """S(τ) and dS/ds (s = ln τ) at each of the points tau >= 0, and
+        G2(τ) too if g2 (_Batch.query)."""
         tau = np.asarray(tau, dtype=float).reshape(-1)
-        out = np.array([self.point(t)[:2] for t in tau.tolist()]).reshape(-1, 2)
-        return out[:, 0], out[:, 1]
+        out = self._batch.query(np.full(tau.shape, self._index), tau,
+                                2 if g2 else 0)
+        return out[:3] if g2 else out[:2]
 
     def integral(self, tau: float, power: int) -> Tuple[float, float]:
         """∫_τ^∞ S(y)/y^power dy for power 1 (G1) or 2 (G2), and its error
@@ -368,49 +278,250 @@ class SurvivalTable:
             raise ValueError("tau must be a number, got nan")
         if tau <= 0.0:
             return math.inf, 0.0
-        row = 0 if power == 2 else 1            # rows are (G2, G1)
-        s = math.log(tau)
-        if s >= self.s_hi:
-            return self._beyond(tau, power)
-        if s < self.s_lo:
-            head = (1.0 / tau - math.exp(-self.s_lo) if row == 0
-                    else self.s_lo - s)
-            return self._right[row, 0] + head, self._right_err[row, 0]
-        j = self._find(s)
-        a, b, _, parts, rights = self._panel(j)
-        u = (2.0 * s - a - b) / (b - a)
-        return rights[row] + _horner(parts[row], u), self._right_err[row, j]
+        _, _, value, err = self._batch.query(np.array([self._index]),
+                                             np.array([tau]), power)
+        return float(value[0]), float(err[0])
+
+    def _forms(self) -> np.ndarray:
+        """The polynomials of every panel as the batch forms them, one row
+        per panel (_Batch._poly, coefficient by coefficient); this forms
+        them all."""
+        n, b = len(self._lo), self._batch
+        j = b._first[self._index] + np.arange(n)
+        b._form(j)
+        return b._poly[:, b._slot[j]].transpose(1, 0, 2).reshape(n, -1)
 
     def inverse_g2(self, value: float) -> float:
-        """The τ where G2 = value > 0, estimated without a query: closed
-        form below s_lo, and in between where ln G2, linear in s between the
-        panel edges, meets ln value (G2 itself where it falls to 0 at a
-        closed s_hi). Past s_hi it is e^{s_hi}."""
+        """The τ where G2 = value >= 0, estimated without a query
+        (_Batch.inverse_g2)."""
         if not value >= 0.0:                    # NaN fails the comparison too
             raise ValueError(f"value must be a number >= 0, got {value}")
-        right = self._right[0]
-        if value >= right[0]:
-            return 1.0 / (value - float(right[0]) + math.exp(-self.s_lo))
-        i = int(np.searchsorted(-right, -value))    # right[i-1] > value >= right[i]
-        if i == len(right):
-            return math.exp(self.s_hi)
-        a, b, ra, rb = self._lo[i - 1], self._hi[i - 1], right[i - 1], right[i]
-        w = ((ra - value) / (ra - rb) if rb == 0.0
-             else math.log(ra / value) / math.log(ra / rb))
-        return math.exp(a + (b - a) * w)
+        return float(self._batch.inverse_g2(np.array([self._index]),
+                                            np.array([value]))[0])
 
+
+def _beyond(law, base, tau: float, power: int) -> Tuple[float, float]:
+    """∫_τ^∞ S(y)/y^power dy of S = law(base) at τ past an open table's
+    s_hi, and its error estimate, as τ^(1−power)·∫_1^∞ S(τz)/z^power dz,
+    taken in y/τ so that S/y² does not underflow before S does (S counts as
+    0 past the largest double)."""
+    if tau == math.inf:
+        return 0.0, 0.0
+    scale = tau ** (1 - power)
+    with np.errstate(over="ignore"):    # τ·z = inf, where S is 0
+        val, err = integrate_to_inf(
+            lambda z: law(base(tau * z)) / z ** power, 1.0, 0.0, _TABLE_REL)
+    return val * scale, err * scale
+
+
+def _keys(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Complex keys t + i·s, which numpy sorts by t and then by s; built
+    part by part, as 1j·s would turn s = ±inf into nan."""
+    keys = np.empty(len(s), dtype=complex)
+    keys.real, keys.imag = t, s
+    return keys
+
+
+class _Batch:
+    """The survival tables of one build, read together: element i of a
+    query is table t[i] at τ[i].
+
+    The build hands each table's panels over as it finishes (_parts). The
+    first read joins them into one array ordered by (table, s), so one
+    searchsorted on the keys table + i·lo finds the panel of every element
+    at once, a knot taking the panel to its left. Table t's n panels start
+    at _first[t], and its n + 1 right sums at column _first[t] + t; a
+    table's own arrays are views of these (arrays).
+
+    The polynomials of a panel are formed when a query first lands in it,
+    together with those of every other new panel of the query, and kept:
+    column slot[j] of _poly holds, in u = (2s − a − b)/(b − a) on the
+    panel [a, b] and highest degree first, the interpolant of S through its
+    15 node values, its derivative in u, and the integrals in s of the G2
+    and G1 integrands from u to b. Horner's rule evaluates the four of every
+    element together. No operation mixes elements, so a query of one
+    element answers as a query of many.
+    """
+
+    def __init__(self, nodes: _Nodes, tables: list):
+        self._nodes = nodes
+        self._laws = [t._law for t in tables]
+        self._parts = [None] * len(tables)
+        self._s_lo, self._s_hi = (np.array([getattr(t, name) for t in tables])
+                                  for name in ("s_lo", "s_hi"))
+        self._exp_lo = np.array([math.exp(-t.s_lo) for t in tables])
+        self._exp_hi = np.array([math.exp(t.s_hi) for t in tables])
+        self._open = np.array([t._open for t in tables])
+        for i, t in enumerate(tables):
+            t._batch, t._index = self, i
+
+    def _join(self) -> None:
+        """One array of each kind for all tables, from their parts."""
+        parts, self._parts = self._parts, None
+        n = np.array([len(p[0]) for p in parts])
+        self._first = np.cumsum(n) - n
+        self._last = self._first + n - 1
+        self._rows, self._lo, self._hi = (np.concatenate([p[k] for p in parts])
+                                          for k in range(3))
+        self._right, self._right_err = (
+            np.concatenate([p[k] for p in parts], axis=1) for k in (3, 4))
+        tables = np.arange(len(n))
+        self._key = _keys(np.repeat(tables, n), self._lo)
+        # G2 from each edge on falls along a table: keys for inverse_g2
+        self._g2_key = _keys(np.repeat(tables, n + 1), -self._right[0])
+        self._slot = np.full(len(self._lo), -1)
+        self._poly = np.empty((16, 0, 4))       # (coefficient, panel, poly)
+
+    def arrays(self, t: int) -> tuple:
+        """Table t's node rows, panel edges lo and hi, and right sums with
+        their error estimates, as views."""
+        if self._parts is not None:
+            self._join()
+        panels = slice(self._first[t], self._last[t] + 1)
+        edges = slice(self._first[t] + t, self._last[t] + t + 2)
+        return (self._rows[panels], self._lo[panels], self._hi[panels],
+                self._right[:, edges], self._right_err[:, edges])
+
+    def _form(self, j: np.ndarray) -> None:
+        """The polynomials of the panels j not formed yet, in one product."""
+        missing = self._slot[j] < 0
+        if not np.count_nonzero(missing):
+            return
+        new = np.zeros(len(self._slot), dtype=bool)
+        new[j[missing]] = True
+        new = np.flatnonzero(new)               # by table, then by s
+        tab = np.searchsorted(self._first, new, side="right") - 1
+        f = np.concatenate([self._nodes.values(self._laws[t],
+                                               self._rows[new[tab == t]])
+                            for t in dict.fromkeys(tab.tolist())], axis=1)
+        f = f.transpose(1, 0, 2).copy()         # (panels, G2 or G1, nodes)
+        # where S >= 1/2 on the panel, S − 1 is exact, and its polynomial
+        # keeps the digits of the slope that the one of S would round off
+        lead = f[:, 1].min(axis=1) >= 0.5
+        f[lead, 1] -= 1.0
+        # the Legendre series first: converting the values in one product
+        # would cancel entries of order 1e4 and keep 1e-12 of the values
+        c = f @ _LEG_FROM_NODES @ _MONO_FROM_LEG   # (G2, G1) in u⁰..u¹⁴
+        c[lead, 1, 0] += 1.0
+        # ∫_u^1 u'^k du' = (1 − u^(k+1))/(k + 1), and ds = (b − a)/2·du
+        q = (0.5 * (self._hi[new] - self._lo[new]))[:, None, None] * c \
+            / np.arange(1.0, 16.0)
+        poly = np.zeros((16, len(new), 4))
+        poly[1:, :, 0] = c[:, 1, ::-1].T                         # S
+        poly[2:, :, 1] = (c[:, 1, 1:] * np.arange(1.0, 15.0))[:, ::-1].T
+        poly[:15, :, 2:] = -q[:, :, ::-1].transpose(2, 0, 1)
+        poly[15, :, 2:] = q.sum(axis=2)
+        self._slot[new] = self._poly.shape[1] + np.arange(len(new))
+        self._poly = np.concatenate([self._poly, poly], axis=1)
+
+    def query(self, t: np.ndarray, tau: np.ndarray, power: int = 0,
+              want: Optional[np.ndarray] = None) -> tuple:
+        """S(τ), dS/ds (s = ln τ), G_power(τ) and its error estimate at each
+        element, table t[i] at tau[i] >= 0. power is 1 or 2, or 0 for no
+        G; with the mask want, G is read only where it is set. An element
+        with no G reads nan.
+
+        Below s_lo, S is 1, its slope 0 and G closed form; past a closed
+        s_hi all are 0; past an open s_hi S is the law and its slope −m·S,
+        with m read from the last panel's interpolant at s_hi, and G is
+        _beyond."""
+        if np.count_nonzero(tau >= 0.0) < len(tau):     # NaN fails it too
+            raise ValueError(f"tau must be numbers >= 0, got {tau}")
+        if self._parts is not None:
+            self._join()
+        s = np.log(tau, out=np.full(len(tau), -math.inf), where=tau > 0.0)
+        below, past = s < self._s_lo[t], s >= self._s_hi[t]
+        # the panel holding s; past s_hi the last one, read at its end
+        j = np.maximum(np.searchsorted(self._key, _keys(t, s)) - 1,
+                       self._first[t])
+        a, b = self._lo[j], self._hi[j]
+        u = np.where(below | past, 1.0, (2.0 * s - a - b) / (b - a))
+        self._form(j)
+        c = self._poly[:, self._slot[j]].reshape(16, -1)
+        v, ur = c[0].copy(), np.repeat(u, 4)
+        for ci in c[1:]:
+            v *= ur
+            v += ci
+        v = v.reshape(-1, 4)            # S, its slope in u, G2 and G1 parts
+        row = 1 if power == 1 else 0            # G2 or G1 in _right
+        sf, slope = v[:, 0], 2.0 * v[:, 1] / (b - a)
+        g = self._right[row, j + t + 1] + v[:, 2 + row]
+        err = self._right_err[row, j + t]
+        if np.count_nonzero(below):
+            i = below.nonzero()[0]
+            ti, at = t[i], self._first[t[i]] + t[i]
+            sf[i], slope[i] = 1.0, 0.0
+            g[i] = self._right[row, at] + (
+                np.divide(1.0, tau[i], out=np.full(len(i), math.inf),
+                          where=tau[i] > 0.0) - self._exp_lo[ti]
+                if row == 0 else self._s_lo[ti] - s[i])
+            err[i] = self._right_err[row, at]
+        if np.count_nonzero(past):
+            i = past.nonzero()[0]
+            i, shut = i[self._open[t[i]]], i[~self._open[t[i]]]
+            sf[shut] = slope[shut] = g[shut] = err[shut] = 0.0
+            if i.size:
+                self._past(t, tau, power, want, i, v[i, :2], (b - a)[i],
+                           sf, slope, g, err)
+        if not power:
+            g[:] = err[:] = math.nan
+        elif want is not None:
+            g[~want] = err[~want] = math.nan
+        return sf, slope, g, err
+
+    def _past(self, t, tau, power, want, i, end, width, sf, slope, g,
+              err) -> None:
+        """Fill in the elements i, past an open s_hi, with end the last
+        panel's interpolant of S and its slope in u at s_hi."""
+        for table in dict.fromkeys(t[i].tolist()):
+            on = i[t[i] == table]
+            sf[on] = self._laws[table](self._nodes.base(tau[on]))
+        slope[i] = 2.0 * end[:, 1] / (end[:, 0] * width) * sf[i]
+        for k in (i if want is None else i[want[i]]).tolist() if power else ():
+            g[k], err[k] = _beyond(self._laws[t[k]], self._nodes.base,
+                                   float(tau[k]), power)
+
+    def inverse_g2(self, t: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """The τ where G2 of table t[i] is value[i] >= 0, estimated without
+        a query: closed form below s_lo, and in between where ln G2, linear
+        in s between the panel edges, meets ln value (G2 itself where it
+        falls to 0 at a closed s_hi). Past s_hi it is e^{s_hi}."""
+        if self._parts is not None:
+            self._join()
+        at = self._first[t] + t                 # G2 at s_lo
+        top = self._right[0, at]
+        # right[i-1] > value >= right[i] along the table's edges
+        i = np.searchsorted(self._g2_key, _keys(t, -value))
+        out = self._exp_hi[t]
+        head = value >= top
+        out[head] = 1.0 / (value[head] - top[head] + self._exp_lo[t[head]])
+        mid = (~head & (i <= self._last[t] + t + 1)).nonzero()[0]
+        if mid.size:
+            k, v = i[mid], value[mid]
+            j = k - t[mid] - 1                  # the panel ending at column k
+            a, b, ra, rb = self._lo[j], self._hi[j], self._right[0, k - 1], \
+                self._right[0, k]
+            w = np.empty(len(mid))
+            zero = rb == 0.0
+            w[zero] = (ra[zero] - v[zero]) / (ra[zero] - rb[zero])
+            w[~zero] = (np.log(ra[~zero] / v[~zero])
+                        / np.log(ra[~zero] / rb[~zero]))
+            out[mid] = np.exp(a + (b - a) * w)
+        return out
 
 def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
                      laws) -> list:
     """One SurvivalTable of S = law(base(y)) per law, all on one node
     store, built in rounds (_build_round) over blocks of about _TABLE_BLOCK
-    panels. Every law must map base values to S elementwise; provided the
-    base is elementwise too, a table is the same, bit for bit, whatever
-    else is in its batch."""
+    panels, and read together through one _Batch. Every law must map base
+    values to S elementwise; provided the base is elementwise too, a table
+    is the same, bit for bit, whatever else is in its batch."""
     nodes = _Nodes(base)
     tables = [SurvivalTable(nodes, law) for law in laws]
+    batch = _Batch(nodes, tables)
     # the integrals past s_hi: (tables, G2 or G1, value or error)
-    tails = np.array([[t._beyond(math.exp(t.s_hi), p) for p in (2, 1)]
+    tails = np.array([[_beyond(t._law, base, math.exp(t.s_hi), p)
+                       if t._open else (0.0, 0.0) for p in (2, 1)]
                       for t in tables])
     grid = [_TABLE_GRID[(_TABLE_GRID >= t.s_lo) & (_TABLE_GRID <= t.s_hi)]
             for t in tables]
@@ -426,17 +537,18 @@ def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
         size = np.array([len(state[t][0]) for t in live])
         for block in np.split(live, np.flatnonzero(np.diff(
                 (np.cumsum(size) - size) // _TABLE_BLOCK)) + 1):
-            _build_round(nodes, tables, tails[block], block, state)
+            _build_round(nodes, batch, tails[block], block, state)
     return tables
 
 
-def _build_round(nodes: _Nodes, tables: list, tails: np.ndarray,
+def _build_round(nodes: _Nodes, batch: _Batch, tails: np.ndarray,
                  block: np.ndarray, state: dict) -> None:
     """One round for the tables in block: their partitions, taken from
     state into one array ordered by (table, s), get the sums of their new
     panels, _TABLE_EVAL at a time with one call of each law, and the sums
-    from every panel on. A table with no panel over its bound receives its
-    partition and sums; in the others each such panel is split in place."""
+    from every panel on. A table with no panel over its bound hands its
+    partition and sums to the batch; in the others each such panel is
+    split in place."""
     parts = [state.pop(t) for t in block]
     n = np.array([len(p[0]) for p in parts])
     rows, new, sums = (np.concatenate(p, axis=-1) for p in zip(*parts))
@@ -446,7 +558,7 @@ def _build_round(nodes: _Nodes, tables: list, tails: np.ndarray,
     for c in range(0, len(new), _TABLE_EVAL):
         p = new[c:c + _TABLE_EVAL]
         e = [0, *(np.flatnonzero(np.diff(tab[p])) + 1).tolist(), len(p)]
-        f = np.concatenate([nodes.values(tables[block[tab[p[i]]]]._law,
+        f = np.concatenate([nodes.values(batch._laws[block[tab[p[i]]]],
                                          rows[p[i:j]])
                             for i, j in zip(e, e[1:])], axis=1)
         sums[:, p] = np.concatenate(_panel_sums(f, lo[p], hi[p]))
@@ -473,12 +585,12 @@ def _build_round(nodes: _Nodes, tables: list, tails: np.ndarray,
             f"survival table did not reach tolerance in "
             f"{_TABLE_MAX_PANELS} panels")
     for t in np.flatnonzero(more == 0):     # the partition is final
-        table, cut = tables[block[t]], slice(end[t] - n[t], end[t])
-        table._rows, table._lo, table._hi = (v[cut].copy()
-                                             for v in (rows, lo, hi))
-        table._right = right[:, t, n[t]::-1].copy()
-        table._right_err = np.cumsum(np.concatenate(
-            [tails[t, :, 1:], sums[2:, cut][:, ::-1]], 1), axis=1)[:, ::-1]
+        cut = slice(end[t] - n[t], end[t])
+        batch._parts[block[t]] = (
+            *(v[cut].copy() for v in (rows, lo, hi)),
+            right[:, t, n[t]::-1].copy(),
+            np.cumsum(np.concatenate([tails[t, :, 1:], sums[2:, cut][:, ::-1]],
+                                     1), axis=1)[:, ::-1])
     if not more.any():
         return
     copies = (more > 0)[tab].astype(int)    # 1 per panel kept, k per split
@@ -495,54 +607,149 @@ def _build_round(nodes: _Nodes, tables: list, tails: np.ndarray,
         state[block[t]] = rows[cut], new[cut], sums[:, cut]
 
 
-def solve_decreasing(g: Callable[[float], Tuple[float, float]], target: float,
-                     x0: float = 1.0) -> Tuple[float, float, int]:
-    """Solve g(x) = target > 0 for positive, strictly decreasing g on
-    [1e-14, 1e14].
+def _apart(fn: Callable[[np.ndarray], tuple], idx: np.ndarray):
+    """fn(idx) for an array of element indices, with each element's
+    exception its own: where fn raises, each element is evaluated alone.
+    Returns the indices answered, fn's outputs for them (None if none) and
+    {index: exception} for the others. An elementwise fn gives every
+    answered element the value it has in the whole call."""
+    try:
+        return idx, fn(idx), {}
+    except Exception:
+        ok, outs, errors = [], [], {}
+        for i in idx.tolist():
+            try:
+                outs.append(fn(np.array([i])))
+                ok.append(i)
+            except Exception as exc:
+                errors[i] = exc
+        return (np.array(ok, dtype=int),
+                tuple(np.concatenate(o) for o in zip(*outs)) if outs else None,
+                errors)
 
-    g returns (value, derivative). Newton steps act on ln g against ln x,
-    which is exact for power laws such as 1/x. The tightest bracket seen is
-    kept; a step that leaves it is replaced by the geometric midpoint, and
-    any step moves x by at most a factor of 100. Stops when
-    |g(x) − target| <= 1e-10·target. Returns (x, residual, evaluations)
-    with residual = g(x) − target. Raises NoSolutionError when the root
-    lies outside the domain.
+
+class Roots(NamedTuple):
+    """solve_decreasing's answer per element: x and residual g(x) − target,
+    evals the evaluations each took, kept the extra output of g at x (or
+    None) and errors the exception of each element that has no root (or
+    None); calls counts the evaluations of g, one per round."""
+
+    x: np.ndarray
+    residual: np.ndarray
+    calls: int
+    evals: np.ndarray
+    kept: Optional[np.ndarray]
+    errors: list
+
+
+def solve_decreasing(g: Callable[[np.ndarray, np.ndarray], tuple], target,
+                     x0=1.0) -> Roots:
+    """Solve g_i(x_i) = target_i > 0 for every element i of the arrays
+    target and x0, each g_i positive and strictly decreasing on
+    [1e-14, 1e14], all in lockstep.
+
+    g(x, i) evaluates the elements i at x, returning (value, derivative)
+    arrays and, optionally, a third array whose row at the root is kept.
+    Per element, Newton steps act on ln g against ln x, which is exact for
+    power laws such as 1/x. The tightest bracket seen is kept; a step that
+    leaves it is replaced by the geometric midpoint, and any step moves x
+    by at most a factor of 100. An element stops when
+    |g(x) − target| <= 1e-10·target, or at the closest point seen once its
+    bracket is exhausted at floating-point resolution. It gets
+    NoSolutionError when its root lies outside the domain, ConvergenceError
+    after 100 evaluations, or the exception that g raised on it alone
+    (_apart). Every operation is elementwise, so an element's answer does
+    not depend on the others.
     """
-    lo, hi = 0.0, math.inf
-    x = min(max(x0, _X_MIN), _X_MAX)
-    best = None
-    for evals in range(1, _MAX_EVALS + 1):
-        val, slope = g(x)
-        res = val - target
-        if best is None or abs(res) < abs(best[1]):
-            best = (x, res)
-        if abs(res) <= _SOLVE_REL * target:
-            return x, res, evals
-        if res > 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= 4.0 * _EPS * hi < math.inf:
-            # bracket exhausted at floating-point resolution
-            return best[0], best[1], evals
-        log_slope = x * slope / val if val > 0.0 else 0.0
-        if log_slope < 0.0:
-            step = (math.log(target) - math.log(val)) / log_slope
-            x_new = x * math.exp(max(-_MAX_LOG_STEP, min(_MAX_LOG_STEP, step)))
-        else:
-            x_new = x * math.exp(_MAX_LOG_STEP if res > 0.0 else -_MAX_LOG_STEP)
-        if lo > 0.0 and hi < math.inf and not lo < x_new < hi:
-            x_new = math.sqrt(lo * hi)
-        if not _X_MIN <= x_new <= _X_MAX:
-            edge = _X_MIN if x_new < _X_MIN else _X_MAX
-            if x == edge:
-                where = "vanishes" if edge == _X_MIN else "grows"
-                raise NoSolutionError(
-                    f"constraint stays {'below' if res < 0.0 else 'above'} "
-                    f"target {target} as the cutoff {where}; value {val} at {x}")
-            x_new = edge
-        x = x_new
-    raise ConvergenceError(
-        f"root refinement did not reach |residual| <= {_SOLVE_REL}·{target} in "
-        f"{_MAX_EVALS} evaluations; last x={x}, residual={best[1]}"
-    )
+    target = np.array(target, dtype=float).reshape(-1)
+    n = len(target)
+    out_x, out_res = np.full((2, n), math.nan)
+    evals, errors, out_kept = np.zeros(n, dtype=int), [None] * n, None
+    # per element still solving (i): x, the bracket, the target and the
+    # closest point seen with its residual; rows of one array, so that
+    # dropping the elements that stop is one step
+    i, state = np.arange(n), np.empty((6, n))
+    state[0] = np.minimum(np.maximum(x0, _X_MIN), _X_MAX)
+    state[1:] = np.array([0.0, math.inf, 0.0, math.nan, math.nan])[:, None]
+    state[3] = target
+    best_kept, calls = None, 0
+
+    def keep(go):
+        nonlocal i, state, best_kept
+        i, state = i[go], state[:, go]
+        best_kept = None if best_kept is None else best_kept[go]
+
+    while i.size and calls < _MAX_EVALS:
+        calls += 1
+        evals[i] = calls            # every element still solving is evaluated
+        try:
+            got = g(state[0], i)
+        except Exception:           # find the elements that raise
+            ok, got, failed = _apart(lambda k: g(state[0, k], i[k]),
+                                    np.arange(len(i)))
+            for k, exc in failed.items():
+                errors[i[k]] = exc
+            keep(ok)
+            if got is None:
+                break
+        x, lo, hi, tgt, best_x, best_res = state
+        val, slope = got[:2]
+        kept = got[2] if len(got) > 2 else None
+        res = val - tgt
+        better = abs(res) < abs(best_res) if calls > 1 else np.ones(len(i), bool)
+        best_x[better], best_res[better] = x[better], res[better]
+        if kept is not None:
+            best_kept = kept if best_kept is None else np.where(
+                better[:, None], kept, best_kept)
+            if out_kept is None:
+                out_kept = np.full((n,) + kept.shape[1:], math.nan)
+        up = res > 0.0
+        lo[up], hi[~up] = x[up], x[~up]
+        found = abs(res) <= _SOLVE_REL * tgt
+        # or the bracket is exhausted at floating-point resolution
+        stop = found | ((hi - lo <= 4.0 * _EPS * hi)
+                        & (4.0 * _EPS * hi < math.inf))
+        if np.count_nonzero(stop):
+            done = i[stop]
+            out_x[done] = np.where(found, x, best_x)[stop]
+            out_res[done] = np.where(found, res, best_res)[stop]
+            if kept is not None:
+                out_kept[done] = np.where(found[:, None], kept,
+                                          best_kept)[stop]
+            go = ~stop
+            keep(go)
+            val, slope, res = val[go], slope[go], res[go]
+            x, lo, hi, tgt = state[:4]
+        log_slope = np.divide(x * slope, val, out=np.zeros(len(x)),
+                              where=val > 0.0)
+        step = np.where(res > 0.0, _MAX_LOG_STEP, -_MAX_LOG_STEP)
+        newton = log_slope < 0.0
+        if np.count_nonzero(newton):
+            step[newton] = np.minimum(np.maximum(
+                (np.log(tgt[newton]) - np.log(val[newton])) / log_slope[newton],
+                -_MAX_LOG_STEP), _MAX_LOG_STEP)
+        x_new = x * np.exp(step)
+        mid = (lo > 0.0) & (hi < math.inf) & ~((lo < x_new) & (x_new < hi))
+        if np.count_nonzero(mid):
+            x_new[mid] = np.sqrt(lo[mid] * hi[mid])
+        out = ~((x_new >= _X_MIN) & (x_new <= _X_MAX))
+        if np.count_nonzero(out):
+            edge = np.where(x_new < _X_MIN, _X_MIN, _X_MAX)
+            stuck = out & (x == edge)
+            for k in stuck.nonzero()[0].tolist():
+                where = "vanishes" if edge[k] == _X_MIN else "grows"
+                errors[i[k]] = NoSolutionError(
+                    f"constraint stays {'below' if res[k] < 0.0 else 'above'} "
+                    f"target {float(tgt[k])} as the cutoff {where}; "
+                    f"value {float(val[k])} at {float(x[k])}")
+            x_new[out] = edge[out]
+            if np.count_nonzero(stuck):
+                x_new = x_new[~stuck]
+                keep(~stuck)
+        state[0] = x_new
+    for k in range(len(i)):
+        errors[i[k]] = ConvergenceError(
+            f"root refinement did not reach |residual| <= {_SOLVE_REL}·"
+            f"{float(state[3, k])} in {_MAX_EVALS} evaluations; last "
+            f"x={float(state[0, k])}, residual={float(state[5, k])}")
+    return Roots(out_x, out_res, calls, evals, out_kept, errors)

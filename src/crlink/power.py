@@ -14,20 +14,22 @@ power, the same g* appearing in the rate mapping and the power law.
 Integration by parts puts every constraint on the survival function
 S(x) = 1 − F(x)^L of the selected SNR, so no density enters a quadrature
 and the derivative for the Newton step is closed-form, with S, f_max and
-∫S/x² read from the survival table (MudDistribution.sf_point). Each solve
-starts where the table's inverse puts the water-filling root
-(MudDistribution.sf_integral_inverse).
+∫S/x² read from the survival tables (SurvivalQuery). Each solve starts
+where the table's inverse puts the water-filling root. Any number of
+policies, of any laws and budgets, are solved in lockstep (_policies):
+one array Newton solve whose every evaluation reads all their tables in
+one query; the public solvers are its one-element case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .mud import MudDistribution, _whole_numbers
+from .mud import MudDistribution, SurvivalQuery, _whole_numbers
 from .numerics import solve_decreasing
 
 # The discrete-rate solve starts at this multiple of the start of
@@ -68,7 +70,9 @@ def power_loss_factor(target_ber: float) -> float:
 @dataclass(frozen=True)
 class ConstellationSet:
     """Discrete M-QAM sizes, leading 0 meaning no transmission. Its errors
-    name the sweep config keys, constellations and ber_target."""
+    name the sweep config keys, constellations and ber_target. The target
+    must leave the smallest size M₁ a penalty K with M₁(M₁ − 1)·K >= 1,
+    so that no region spends negative power."""
 
     sizes: Tuple[int, ...]
     target_ber: float
@@ -83,7 +87,16 @@ class ConstellationSet:
             raise ValueError(f"constellations must be strictly increasing, got {sizes}")
         if sizes[1] < 2:
             raise ValueError(f"constellations cannot offer size 1, got {sizes}")
-        self.k  # validates target_ber
+        # region 1 starts at b₁ = M₁·g*, where the policy spends
+        # (M₁(M₁ − 1)·K − 1)/(M₁·g*·K): negative unless M₁(M₁ − 1)·K >= 1
+        m1 = sizes[1]
+        if m1 * (m1 - 1) * self.k < 1.0:
+            raise ValueError(
+                f"ber_target must be at least "
+                f"{math.exp(-1.5 * m1 * (m1 - 1)) / 5.0:.3g} for "
+                f"constellations {sizes}: below it the discrete-rate policy "
+                f"spends negative power where constellation {m1} starts, "
+                f"got {self.target_ber}")
 
     @property
     def k(self) -> float:
@@ -102,12 +115,104 @@ class DrPolicy:
     iterations: int
 
 
-def _waterfill_spent(dist: MudDistribution, gamma0: float,
-                     k: float) -> Tuple[float, float]:
-    """Average power ∫_t^∞ (1/γ₀ − 1/(x·k)) f_max(x) dx with t = γ₀/k,
-    which is (1/k)∫_t^∞ S(x)/x² dx, and its derivative −S(t)/γ₀²."""
-    sf, _, g2 = dist.sf_point(gamma0 / k, g2=True)
-    return g2 / k, -sf / gamma0 ** 2
+# the penalty k that marks a discrete-rate element of _policies
+_DR = 0.0
+
+
+def _spent(query: SurvivalQuery, which: np.ndarray, x: np.ndarray,
+           k: np.ndarray, cset: Optional[ConstellationSet]) -> tuple:
+    """The average power that each element's policy spends at x, its
+    derivative in x, and S at the region edges of cset (rows of nan for
+    water-filling), for law which[i], from one query of the tables. The
+    water-filling elements come first.
+
+    Water-filling at penalty k (k = 1: capacity; x = γ₀): the power
+    ∫_t^∞ (1/γ₀ − 1/(y·k)) f_max(y) dy with t = γ₀/k, which by parts is
+    (1/k)∫_t^∞ S(y)/y² dy, and its derivative −S(t)/γ₀².
+
+    Discrete rate of cset (k = _DR; x = g*): with edges b_j = M_j·g*,
+    c_j = (M_j − 1)/g* and region probabilities P_j = S(b_j) − S(b_{j+1}),
+    the power is Σ_j c_j·P_j − (1/K)∫_{b₁}^∞ f_max(y)/y dy, and by parts
+    ∫_{b₁}^∞ f_max/y = S(b₁)/b₁ − ∫_{b₁}^∞ S/y². The derivative needs
+    f_max only at the edges: dP_j/dg* = M_{j+1}·f(b_{j+1}) − M_j·f(b_j),
+    and the last integral contributes f(b₁)/(K·g*).
+    """
+    nw = len(k) - np.count_nonzero(k == _DR)
+    m = np.array(cset.sizes[1:] if cset else (), dtype=float)[:, None]
+    gs, nr = x[nw:], len(x) - nw
+    want = np.zeros(nw + len(m) * nr, dtype=bool)
+    want[:nw + nr] = True                       # G2 at the first edge only
+    sf, f, g2 = query(np.concatenate([which[:nw]] + [which[nw:]] * len(m)),
+                      np.concatenate([x[:nw] / k[:nw], (m * gs).ravel()]), 2,
+                      want)
+    val, slope = g2[:nw] / k[:nw], -sf[:nw] / x[:nw] ** 2
+    kept = np.full((nw, len(m)), math.nan)
+    if nr:
+        kr = cset.k
+        sf, f, g2 = (v[nw:].reshape(-1, nr) for v in (sf, f, g2))
+        # S and M·f_max at the edges and then 0: region j lies between
+        # rows j and j + 1
+        s1, mf = np.zeros((2, len(m) + 1, nr))
+        s1[:-1], mf[:-1] = sf, m * f
+        prob = s1[:-1] - s1[1:]
+        terms = (m - 1.0) / gs * np.array(
+            [prob, mf[1:] - mf[:-1] - prob / gs])
+        spent, dspent = terms[:, 0]         # summed edge by edge, in order
+        for j in range(1, len(m)):
+            spent, dspent = spent + terms[0, j], dspent + terms[1, j]
+        tail = sf[0] / (m[0] * gs) - g2[0]
+        val = np.concatenate([val, spent - tail / kr])
+        slope = np.concatenate([slope, dspent + mf[0] / (m[0] * kr * gs)])
+        kept = np.concatenate([kept, sf.T])
+    return val, slope, kept
+
+
+def _policies(query: SurvivalQuery, which: np.ndarray, budget: np.ndarray,
+              k: np.ndarray, cset: Optional[ConstellationSet] = None) -> list:
+    """The policy of each element, law which[i] at budget[i]: the
+    water-filling cutoff at penalty k[i], or where k[i] is _DR the
+    discrete-rate policy of cset. All are solved in one lockstep solve,
+    and each evaluation reads the tables once (_spent). Each answer is a
+    CutoffSolution, a DrPolicy or the exception that its element met; the
+    region probabilities come from S at the edges of the root's
+    evaluation."""
+    order = np.argsort(k == _DR, kind="stable")     # water-filling first
+    which, budget, k = which[order], budget[order], k[order]
+    dr = k == _DR
+    kk = np.where(dr, cset.k if cset else 1.0, k)
+    # water-filling solves ∫_{γ₀/k}^∞ S/x² = k·budget, which the table
+    # inverts to a start; the spent power never exceeds 1/γ₀, so the root
+    # lies at or below 1/budget, which caps the start. The discrete rate
+    # starts at _DR_START times the continuous-rate start, capped at
+    # (M_max − 1)/budget as the power never exceeds (M_max − 1)/g*.
+    start = kk * query.sf_integral_inverse(which, kk * budget)
+    start = np.where(dr, np.minimum(_DR_START * start, (
+        cset.sizes[-1] - 1.0 if cset else 0.0) / budget),
+        np.minimum(start, 1.0 / budget))
+    roots = solve_decreasing(
+        lambda x, i: _spent(query, which[i], x, k[i], cset), budget, start)
+    probs = (-np.diff(roots.kept, axis=1, append=0.0)).tolist()
+    out = [None] * len(order)
+    for o, err, x, res, evals, p, d in zip(
+            order.tolist(), roots.errors, roots.x.tolist(),
+            roots.residual.tolist(), roots.evals.tolist(), probs, dr.tolist()):
+        out[o] = err or (DrPolicy(
+            gamma_star=x, boundaries=tuple(mj * x for mj in cset.sizes[1:]),
+            region_probs=tuple(p), residual=res, iterations=evals) if d else
+            CutoffSolution(gamma0=x, residual=res, iterations=evals))
+    return out
+
+
+def _alone(dist: MudDistribution, budget: float, k: float,
+           cset: Optional[ConstellationSet] = None):
+    """_policies for one element, law dist: its policy, or its exception
+    raised."""
+    query = SurvivalQuery([dist])
+    (out,) = query.errors if query.errors[0] else _policies(
+        query, np.zeros(1, dtype=int), np.array([budget]), np.array([k]), cset)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def solve_cutoff(dist: MudDistribution, c: ConstraintSpec) -> CutoffSolution:
@@ -121,56 +226,11 @@ def solve_cutoff_cr(dist: MudDistribution, c: ConstraintSpec,
     transmission above γ₀/K, power 1/γ₀ − 1/(x·K). K=1 is solve_cutoff."""
     if not 0.0 < k <= 1.0:
         raise ValueError(f"power-loss factor must be in (0, 1], got {k}")
-    # the root solves ∫_{γ₀/k}^∞ S/x² = k·budget, which the table inverts
-    # to a start; the spent power never exceeds 1/γ₀, so the root lies at
-    # or below 1/budget, which caps the start
-    target = c.budget_ratio
-    g0, residual, iters = solve_decreasing(
-        lambda g: _waterfill_spent(dist, g, k), target,
-        x0=min(k * dist.sf_integral_inverse(k * target), 1.0 / target))
-    return CutoffSolution(gamma0=g0, residual=residual, iterations=iters)
-
-
-def _dr_spent(dist: MudDistribution, gamma_star: float,
-              sizes: Sequence[int], k: float) -> Tuple[float, float]:
-    """Average power of the discrete-rate policy at a given region
-    parameter, and its derivative in g*.
-
-    With edges b_j = M_j·g*, c_j = (M_j − 1)/g* and region probabilities
-    P_j = S(b_j) − S(b_{j+1}), the power is
-    Σ_j c_j·P_j − (1/k)∫_{b₁}^∞ f_max(x)/x dx, and by parts
-    ∫_{b₁}^∞ f_max/x = S(b₁)/b₁ − ∫_{b₁}^∞ S/x². The derivative needs
-    f_max only at the edges: dP_j/dg* = M_{j+1}·f(b_{j+1}) − M_j·f(b_j),
-    and the last integral contributes f(b₁)/(k·g*).
-    """
-    m = sizes[1:]
-    edges = [dist.sf_point(mj * gamma_star, j == 0) for j, mj in enumerate(m)]
-    sf = [s for s, _, _ in edges] + [0.0]
-    mf = [mj * f for mj, (_, f, _) in zip(m, edges)] + [0.0]
-    spent = slope = 0.0
-    for j, mj in enumerate(m):
-        c = (mj - 1.0) / gamma_star
-        prob = sf[j] - sf[j + 1]
-        spent += c * prob
-        slope += c * (mf[j + 1] - mf[j] - prob / gamma_star)
-    tail = sf[0] / (m[0] * gamma_star) - edges[0][2]
-    return spent - tail / k, slope + mf[0] / (m[0] * k * gamma_star)
+    return _alone(dist, c.budget_ratio, k)
 
 
 def solve_dr_policy(dist: MudDistribution, c: ConstraintSpec,
                     cset: ConstellationSet) -> DrPolicy:
     """Find the region parameter g* spending exactly the power budget, then
     tabulate region edges and selection probabilities."""
-    # the spent power never exceeds (M_max − 1)/g*, so the root lies at or
-    # below (M_max − 1)/budget, which caps the start
-    k = cset.k
-    target = c.budget_ratio
-    x0 = min(_DR_START * (k * dist.sf_integral_inverse(k * target)),
-             (cset.sizes[-1] - 1.0) / target)
-    gs, residual, iters = solve_decreasing(
-        lambda g: _dr_spent(dist, g, cset.sizes, k), target, x0=x0)
-    boundaries = tuple(mj * gs for mj in cset.sizes[1:])
-    probs = -np.diff(dist.sf_pdf(boundaries)[0], append=0.0)
-    return DrPolicy(gamma_star=gs, boundaries=boundaries,
-                    region_probs=tuple(float(p) for p in probs),
-                    residual=residual, iterations=iters)
+    return _alone(dist, c.budget_ratio, _DR, cset)

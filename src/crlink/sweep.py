@@ -18,12 +18,15 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .fading import LinkKind, SnrDistribution, nakagami
-from .metrics import capacity, spectral_efficiency_cr, spectral_efficiency_dr
-from .mud import (MudDistribution, _is_number, _unit_tables, _whole_number,
-                  _whole_numbers)
+from .metrics import (_LOG2E, capacity, spectral_efficiency_cr,
+                      spectral_efficiency_dr)
+from .mud import (MudDistribution, SurvivalQuery, _is_number, _unit_tables,
+                  _whole_number, _whole_numbers)
+from .numerics import _apart
 from .oracle import MIN_SAMPLES, McConfig, mc_point
 from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
-                    solve_cutoff, solve_cutoff_cr, solve_dr_policy)
+                    _DR, _policies, solve_cutoff, solve_cutoff_cr,
+                    solve_dr_policy)
 
 _MODES = ("osa", "ss")
 _AXES = ("p_av_db", "q_av_db", "num_users")
@@ -195,10 +198,46 @@ class PointSolution(NamedTuple):
     se_dr: float
 
 
+def solve_points(dists, constraints, cset: ConstellationSet) -> list:
+    """The capacity, continuous-rate and discrete-rate policies of each
+    operating point (dists[i], constraints[i]) and their three metrics, all
+    points in lockstep: one SurvivalQuery reads every table, and the three
+    policies of all points are one solve (_policies). Each entry is a
+    PointSolution or the first exception its point met; a point's entry
+    does not depend on the other points."""
+    query = SurvivalQuery(dists)
+    ok = np.array([i for i, e in enumerate(query.errors) if e is None],
+                  dtype=int)
+    n, which = len(ok), np.tile(ok, 3)
+    budget = np.array([constraints[i].budget_ratio for i in ok])
+    k = np.repeat([1.0, cset.k, _DR], n)
+    sols = _policies(query, which, np.tile(budget, 3), k, cset)
+    cuts, pols = sols[:2 * n], sols[2 * n:]
+    # both rates are log₂e·∫_t^∞ S(x)/x dx at t = γ₀/K (metrics): one
+    # query for the cutoffs that solved, each rate or its exception
+    rates = [c if isinstance(c, Exception) else None for c in cuts]
+    good = np.array([i for i, r in enumerate(rates) if r is None], dtype=int)
+    t = np.array([cuts[i].gamma0 for i in good]) / k[good]
+    on, got, failed = _apart(lambda e: query(which[good[e]], t[e], 1)[2:3],
+                            np.arange(len(good)))
+    for e, g1 in zip(on.tolist(), (_LOG2E * got[0]).tolist() if got else ()):
+        rates[good[e]] = g1
+    for e, exc in failed.items():
+        rates[good[e]] = exc
+    out = list(query.errors)
+    for i, d in enumerate(ok.tolist()):
+        parts = (cuts[i], cuts[n + i], pols[i], rates[i], rates[n + i])
+        out[d] = next((a for a in parts if isinstance(a, Exception)), None) \
+            or PointSolution(*parts, spectral_efficiency_dr(
+                dists[d], pols[i], cset).value)
+    return out
+
+
 def solve_point(dist: MudDistribution, constraint: ConstraintSpec,
                 cset: ConstellationSet) -> PointSolution:
     """The capacity, continuous-rate and discrete-rate policies of one
-    operating point and their three metrics."""
+    operating point and their three metrics: each a one-element
+    solve_points step, so the point gets the answer it gets in a group."""
     cut = solve_cutoff(dist, constraint)
     cut_cr = solve_cutoff_cr(dist, constraint, cset.k)
     pol = solve_dr_policy(dist, constraint, cset)
@@ -207,17 +246,37 @@ def solve_point(dist: MudDistribution, constraint: ConstraintSpec,
                          spectral_efficiency_dr(dist, pol, cset).value)
 
 
+def _solve_group_points(cfg: SweepConfig, m: float, points, tables: dict) -> list:
+    """(dist, cset, PointSolution or exception) of each (axis value, users)
+    point of one (link, m) group, solved together on the tables dict."""
+    built, where = [], []
+    for v, ns in points:
+        p_db = v if cfg.axis == "p_av_db" else cfg.p_av_db
+        q_db = v if cfg.axis == "q_av_db" else cfg.q_av_db
+        try:
+            built.append(build_point(cfg.mode, m, ns, p_db, q_db, tables))
+            where.append(len(built) - 1)
+        except Exception as exc:
+            where.append(exc)
+    cset = ConstellationSet(cfg.constellations, cfg.ber_target)
+    sols = solve_points([d for d, _ in built], [c for _, c in built], cset)
+    return [(None, cset, w) if isinstance(w, Exception)
+            else (built[w][0], cset, sols[w]) for w in where]
+
+
 def evaluate_point(cfg: SweepConfig, axis_value: float, ns: int, m: float,
-                   mc_seed: int = 0, tables: Optional[dict] = None) -> SweepRow:
-    """Solve the three policies and metrics at one grid point; tables as
-    in build_point."""
+                   mc_seed: int = 0, tables: Optional[dict] = None,
+                   solved: Optional[tuple] = None) -> SweepRow:
+    """The row of one grid point from solved, its (dist, cset, solution)
+    as _solve_group solves it with the rest of its group; without solved
+    the point is solved alone, on tables as in build_point. The oracle
+    columns, if asked for, are estimated here."""
     row = SweepRow(axis_value=axis_value, ns=ns, m=m)
     try:
-        p_db = axis_value if cfg.axis == "p_av_db" else cfg.p_av_db
-        q_db = axis_value if cfg.axis == "q_av_db" else cfg.q_av_db
-        dist, constraint = build_point(cfg.mode, m, ns, p_db, q_db, tables)
-        cset = ConstellationSet(cfg.constellations, cfg.ber_target)
-        sol = solve_point(dist, constraint, cset)
+        dist, cset, sol = solved or _solve_group_points(
+            cfg, m, [(axis_value, ns)], tables)[0]
+        if isinstance(sol, Exception):
+            raise sol
         row.capacity, row.se_cr, row.se_dr = sol.capacity, sol.se_cr, sol.se_dr
         row.gamma0_cap, row.gamma0_cr, row.gamma_star_dr = (
             sol.cut.gamma0, sol.cut_cr.gamma0, sol.pol.gamma_star)
@@ -240,24 +299,21 @@ def _rel_gap(value: float, analytic: float) -> float:
 def _solve_group(task) -> List[SweepRow]:
     """The rows of one (link, m) group's points, in the order given.
 
-    The group's survival tables are built in one batch before its first
-    point, and each is released after the last point that reads it. Should
-    the batch fail, each point builds its own table and reports the
-    failure in its row."""
+    The group's survival tables are built in one batch, every point is
+    solved on them in lockstep (solve_points), and they are released
+    before the rows are assembled (evaluate_point). Should the batch fail,
+    each point builds its own table and reports the failure in its row."""
     cfg, m, points = task
-    link = _LINKS[cfg.mode]
     users = sorted({ns for _, _, ns, _ in points})
     try:
-        tables = _unit_tables(link, m, users)
-    except Exception:       # evaluate_point records each point's failure
+        tables = _unit_tables(_LINKS[cfg.mode], m, users)
+    except Exception:       # each point records its own failure
         tables = {}
-    last = {ns: k for k, (_, _, ns, _) in enumerate(points)}
-    rows = []
-    for k, (_, v, ns, seed) in enumerate(points):
-        rows.append(evaluate_point(cfg, v, ns, m, seed, tables))
-        if last[ns] == k:
-            tables.pop((link, m, ns), None)
-    return rows
+    solved = _solve_group_points(cfg, m, [(v, ns) for _, v, ns, _ in points],
+                                 tables)
+    tables.clear()
+    return [evaluate_point(cfg, v, ns, m, seed, None, s)
+            for (_, v, ns, seed), s in zip(points, solved)]
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:

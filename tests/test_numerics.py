@@ -96,8 +96,17 @@ def test_the_panel_budget_stops_integrate(monkeypatch):
         integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 0.0, 1e-14)
 
 
+def _solve(g, target):
+    """solve_decreasing on one element with g(x) of its x alone: (x,
+    residual, evaluations), or that element's exception raised."""
+    roots = solve_decreasing(lambda x, i: g(x), [target])
+    if roots.errors[0]:
+        raise roots.errors[0]
+    return float(roots.x[0]), float(roots.residual[0]), int(roots.evals[0])
+
+
 def test_solve_decreasing_reciprocal():
-    x, residual, iters = solve_decreasing(lambda t: (1.0 / t, -1.0 / t ** 2), 3.0)
+    x, residual, iters = _solve(lambda t: (1.0 / t, -1.0 / t ** 2), 3.0)
     assert abs(x - 1.0 / 3.0) < 1e-10
     assert abs(residual) <= 1e-10
     assert iters > 0
@@ -106,10 +115,10 @@ def test_solve_decreasing_reciprocal():
 def test_solve_decreasing_expands_bracket():
     # roots far outside the initial bracket on both sides; the contract is
     # on the residual, so translate it through g' for the position check
-    x, res, _ = solve_decreasing(lambda t: (1.0 / t, -1.0 / t ** 2), 2e4)
+    x, res, _ = _solve(lambda t: (1.0 / t, -1.0 / t ** 2), 2e4)
     assert abs(res) <= 1e-10
     assert abs(x - 5e-5) < 1e-12
-    x, res, _ = solve_decreasing(lambda t: (1.0 / t, -1.0 / t ** 2), 2e-4)
+    x, res, _ = _solve(lambda t: (1.0 / t, -1.0 / t ** 2), 2e-4)
     assert abs(res) <= 1e-10
     assert abs(x - 5e3) < 1e-10 * 5e3 ** 2
 
@@ -117,19 +126,19 @@ def test_solve_decreasing_expands_bracket():
 def test_solve_decreasing_no_solution():
     # bounded above by 1, can never reach 2
     with pytest.raises(NoSolutionError):
-        solve_decreasing(lambda t: (math.exp(-t), -math.exp(-t)), 2.0)
+        _solve(lambda t: (np.exp(-t), -np.exp(-t)), 2.0)
 
 
 def _recorded(g):
     xs = []
-    return xs, lambda x: xs.append(x) or g(x)
+    return xs, lambda x: xs.append(float(x[0])) or g(x)
 
 
 def test_solve_decreasing_bisects_when_newton_leaves_the_bracket():
     # a slope understated 4-fold makes the second Newton step overshoot
     # past the first point, so the third point is the geometric midpoint
     xs, g = _recorded(lambda t: (1.0 / t, -0.25 / t ** 2))
-    x, res, evals = solve_decreasing(g, 3.0)
+    x, res, evals = _solve(g, 3.0)
     assert xs[2] == math.sqrt(xs[0] * xs[1])
     assert abs(res) <= 1e-10 * 3.0 and abs(x - 1.0 / 3.0) < 1e-10
     assert evals == len(xs)
@@ -138,8 +147,8 @@ def test_solve_decreasing_bisects_when_newton_leaves_the_bracket():
 def test_solve_decreasing_stops_at_an_exhausted_bracket():
     # a step from 2 to 0.5 at 0.3 never meets the target 1: the bracket
     # shrinks onto the step and the closest point seen is returned
-    xs, g = _recorded(lambda t: (2.0 if t < 0.3 else 0.5, 0.0))
-    x, res, evals = solve_decreasing(g, 1.0)
+    xs, g = _recorded(lambda t: (np.where(t < 0.3, 2.0, 0.5), 0.0 * t))
+    x, res, evals = _solve(g, 1.0)
     assert (x, res) == (1.0, -0.5) and evals == len(xs) < 100
     below = max(t for t in xs if t < 0.3)
     above = min(t for t in xs if t >= 0.3)
@@ -150,4 +159,51 @@ def test_the_evaluation_budget_stops_solve_decreasing(monkeypatch):
     # a root 2e4-fold below the start needs more than three 100-fold steps
     monkeypatch.setattr(numerics, "_MAX_EVALS", 3)
     with pytest.raises(ConvergenceError, match="in 3 evaluations"):
-        solve_decreasing(lambda t: (1.0 / t, -1.0 / t ** 2), 2e4)
+        _solve(lambda t: (1.0 / t, -1.0 / t ** 2), 2e4)
+
+
+def _scalar_newton(g, target, x0):
+    """The safeguarded Newton loop one element at a time, with math's log
+    and exp: the reference the array solver is held to. Returns (x,
+    evaluations)."""
+    lo, hi, x = 0.0, math.inf, min(max(x0, 1e-14), 1e14)
+    for evals in range(1, 101):
+        val, slope = g(x)
+        if abs(val - target) <= 1e-10 * target:
+            return x, evals
+        lo, hi = (x, hi) if val > target else (lo, x)
+        log_slope = x * slope / val if val > 0.0 else 0.0
+        step = ((math.log(target) - math.log(val)) / log_slope
+                if log_slope < 0.0 else
+                (math.log(100.0) if val > target else -math.log(100.0)))
+        x_new = x * math.exp(max(-math.log(100.0), min(math.log(100.0), step)))
+        if lo > 0.0 and hi < math.inf and not lo < x_new < hi:
+            x_new = math.sqrt(lo * hi)
+        x = min(max(x_new, 1e-14), 1e14)
+    raise AssertionError("the reference did not converge")
+
+
+def test_solve_decreasing_is_the_scalar_loop_element_by_element():
+    # one array solve of 200 elements of three shapes, each with its own
+    # target and start, against the scalar loop on each alone: the same
+    # evaluations and the same root up to the last digits that numpy's
+    # log and exp may place differently from math's
+    rng = np.random.default_rng(5)
+    p = rng.uniform(0.5, 3.0, 200)
+    c = rng.uniform(0.0, 2.0, 200)
+    target = np.exp(rng.uniform(-8.0, 8.0, 200)) + c
+    x0 = np.exp(rng.uniform(-6.0, 6.0, 200))
+
+    def g(x, i):
+        return x ** -p[i] + c[i] * np.exp(-x), -p[i] * x ** (-p[i] - 1.0) \
+            - c[i] * np.exp(-x)
+    roots = solve_decreasing(g, target, x0)
+    assert roots.errors == [None] * 200
+    assert roots.calls == roots.evals.max()
+    for i in range(200):
+        x, evals = _scalar_newton(
+            lambda t: (t ** -p[i] + c[i] * math.exp(-t),
+                       -p[i] * t ** (-p[i] - 1.0) - c[i] * math.exp(-t)),
+            target[i], x0[i])
+        assert roots.evals[i] == evals
+        assert abs(roots.x[i] - x) <= 1e-13 * x

@@ -11,10 +11,10 @@ from scipy import special as sp
 from scipy.optimize import brentq
 
 from crlink.fading import LinkKind, SnrDistribution, nakagami
-from crlink.mud import MudDistribution
-from crlink.power import (ConstellationSet, ConstraintSpec, power_loss_factor,
-                          solve_cutoff, solve_cutoff_cr, solve_dr_policy,
-                          _dr_spent)
+from crlink.mud import MudDistribution, SurvivalQuery
+from crlink.power import (_DR, ConstellationSet, ConstraintSpec,
+                          power_loss_factor, solve_cutoff, solve_cutoff_cr,
+                          solve_dr_policy, _spent)
 from crlink.sweep import build_point, solve_point
 
 TX = ConstraintSpec(1.0)
@@ -74,6 +74,14 @@ def test_constellation_set_validation():
         with pytest.raises(ValueError, match="whole numbers"):
             ConstellationSet(sizes, 1e-3)
     assert ConstellationSet((0, 4.0, 16), 1e-3).sizes == (0, 4, 16)
+    # region 1 spends (M₁(M₁ − 1)·K − 1)/(M₁·g*·K) where it starts
+    for sizes, ber in (((0, 4, 16), 1e-9), ((0, 2, 4), 1e-3)):
+        m1, k = sizes[1], power_loss_factor(ber)
+        assert m1 * (m1 - 1) * k < 1.0
+        with pytest.raises(ValueError, match="^ber_target must be at least"):
+            ConstellationSet(sizes, ber)
+    for sizes, ber in (((0, 4, 16), 3.1e-9), ((0, 8), 1e-9), ((0, 2, 4), 1e-2)):
+        ConstellationSet(sizes, ber)
 
 
 def test_constraint_spec_validation():
@@ -216,7 +224,8 @@ def test_dr_spent_monotone_in_gamma_star():
     cset = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
     dist = _direct(mean=10.0)
     grid = np.geomspace(0.05, 20.0, 12)
-    spent = [_dr_spent(dist, g, cset.sizes, cset.k)[0] for g in grid]
+    spent = _spent(SurvivalQuery([dist]), np.zeros(len(grid), dtype=int),
+                   grid, np.full(len(grid), _DR), cset)[0].tolist()
     assert all(b < a for a, b in zip(spent, spent[1:]))
 
 

@@ -26,11 +26,11 @@ def _bits(a) -> bytes:
 
 
 def _every_panel(table) -> np.ndarray:
-    """Every panel of table as SurvivalTable._panel forms it, one row each;
-    this fills the panel cache."""
-    return np.array([[a, b, *sf, *parts[0], *parts[1], *rights]
-                     for a, b, sf, parts, rights in map(table._panel,
-                                                        range(len(table._lo)))])
+    """Every panel of table as its batch forms it, one row each: its edges,
+    its polynomials (SurvivalTable._forms) and its right sums; this forms
+    them all."""
+    return np.column_stack([table._lo, table._hi, table._forms(),
+                            table._right[:, 1:].T])
 
 
 @pytest.mark.parametrize("a", [0.5, 1.5, 2.5, 7.3, 13.1])

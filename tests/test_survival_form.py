@@ -13,16 +13,32 @@ import pytest
 
 from crlink.fading import LinkKind, SnrDistribution, nakagami
 from crlink.metrics import spectral_efficiency_cr
-from crlink.mud import MudDistribution, mud_pdf
+from crlink.mud import MudDistribution, SurvivalQuery, mud_pdf
 from crlink.numerics import integrate
-from crlink.power import (ConstellationSet, CutoffSolution, _dr_spent,
-                          _waterfill_spent)
+from crlink.power import _DR, ConstellationSet, CutoffSolution, _spent
 
 K = 0.6
 GAMMA0 = 0.7
 CSET = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
 CASES = [(link, m, L) for link in (LinkKind.DIRECT, LinkKind.RATIO)
          for m in (0.5, 1.0, 1.5, 2.0) for L in (1, 5, 15)]
+
+
+def _at(dist, x, k, cset=None):
+    """The spent power of one policy of dist at x, and its derivative in x
+    (power._spent): water-filling at penalty k, or the discrete rate of
+    cset where k is _DR."""
+    power, slope = _spent(SurvivalQuery([dist]), np.zeros(1, dtype=int),
+                          np.array([x]), np.array([k]), cset)[:2]
+    return float(power[0]), float(slope[0])
+
+
+def _waterfill_spent(dist, gamma0, k):
+    return _at(dist, gamma0, k)
+
+
+def _dr_spent(dist, gamma_star, cset):
+    return _at(dist, gamma_star, _DR, cset)
 
 
 def _dist(link, m, L):
@@ -73,8 +89,8 @@ def test_newton_derivatives_match_central_differences(link, m, L):
         assert exact < 0.0
         assert abs(exact - approx) <= 1e-6 * abs(exact)
     for gs in (0.05, 0.5, 3.0):
-        exact = _dr_spent(dist, gs, CSET.sizes, CSET.k)[1]
-        approx = _central(lambda x: _dr_spent(dist, x, CSET.sizes, CSET.k)[0],
+        exact = _dr_spent(dist, gs, CSET)[1]
+        approx = _central(lambda x: _dr_spent(dist, x, CSET)[0],
                           gs, 1e-4 * gs)
         assert exact < 0.0
         assert abs(exact - approx) <= 1e-6 * abs(exact)

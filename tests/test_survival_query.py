@@ -62,11 +62,12 @@ def test_density_at_the_origin_is_zero():
     dist = MudDistribution(SnrDistribution(FadingSpec(10.0, 1.5),
                                            LinkKind.DIRECT), 5)
     assert dist.pdf(0.0) == 0.0
-    assert dist.sf_point(0.0)[:2] == (1.0, 0.0)
-    assert dist.sf_point(0.0, g2=True) == (1.0, 0.0, math.inf)
+    assert [v.tolist() for v in dist.sf_pdf(0.0)] == [[1.0], [0.0]]
+    assert dist.sf_integral(0.0, 2)[0] == math.inf
     sf, pdf = dist.sf_pdf([0.0, 1.0])
     assert sf[0] == 1.0 and pdf[0] == 0.0
-    assert (sf[1], pdf[1]) == dist.sf_point(1.0)[:2] and pdf[1] > 0.0
+    assert (sf[1], pdf[1]) == tuple(v[0] for v in dist.sf_pdf(1.0)) \
+        and pdf[1] > 0.0
 
 
 def test_queries_refuse_nan_and_negative_arguments():
@@ -80,8 +81,6 @@ def test_queries_refuse_nan_and_negative_arguments():
             table.inverse_g2(bad)
         with pytest.raises(ValueError, match="^value must be a number >= 0, " + got):
             dist.sf_integral_inverse(bad)
-        with pytest.raises(ValueError, match="^x must be a number >= 0, " + got):
-            dist.sf_point(bad)
         with pytest.raises(ValueError, match="^x must be numbers >= 0"):
             dist.sf_pdf([1.0, bad])
 
@@ -159,8 +158,8 @@ def test_horner_form_matches_the_legendre_series(link, m, L):
                             L)._table()[0]
     tau = [t for t in (X / MEAN).tolist()
            if table.s_lo <= math.log(t) < table.s_hi]
-    got = np.array([table.point(t, g2=True)[:3] + (table.integral(t, 1)[0],)
-                    for t in tau])
+    got = np.column_stack(table.survival(tau, g2=True)
+                          + ([table.integral(t, 1)[0] for t in tau],))
     ref = np.array([_legendre_panel(table, t) for t in tau])
     assert got[:, 2].tolist() == [table.integral(t, 2)[0] for t in tau]
     held = ref[:, 0] > 1e-280               # as the exact laws are held above

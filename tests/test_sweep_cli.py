@@ -375,6 +375,24 @@ def test_cli_point_errors_name_the_flag(argv, flag, key, capsys):
     assert key not in err
 
 
+def test_cli_point_refuses_a_ber_that_spends_negative_power(capsys):
+    # below 3.05e-9, M₁(M₁ − 1)·K < 1 for M₁ = 4: the policy would spend
+    # negative power where region 1 starts
+    with pytest.raises(SystemExit) as exc:
+        main(["point", "--mode", "osa", "--ber", "1e-9"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("crlink point: error: --ber must be at least "
+                          "3.05e-09 for --sizes (0, 4, 8, 16, 64): ")
+    assert "ber_target" not in err and "constellations" not in err
+    assert main(["point", "--mode", "osa", "--ber", "1e-6"]) == 0
+    row = capsys.readouterr().out.split("\n")[1].split(",")
+    assert row[-1] == "" and float(row[5]) > 0.0
+    with pytest.raises(ValueError, match="^ber_target must be at least 3.05e-09 "
+                       r"for constellations \(0, 4, 8, 16, 64\): "):
+        small_cfg(ber_target=1e-9)
+
+
 def test_config_rejects_fractional_user_axis():
     with pytest.raises(ValueError, match="whole numbers"):
         small_cfg(axis="num_users", axis_range=(1.0, 5.0, 1.5))

@@ -3,8 +3,8 @@
 Two builds whose tables agree bit for bit print the same digests, so
 running this before and after a change to the table build shows whether
 any table moved. Each table contributes s_lo, s_hi, its panel edges
-(_lo, _hi), its right sums (_right, _right_err) and every panel as
-SurvivalTable._panel forms it.
+(_lo, _hi), its right sums (_right, _right_err) and the polynomials of
+every panel as its batch forms them (SurvivalTable._forms).
 
     PYTHONPATH=src python tools/table_digest.py
 """
@@ -40,9 +40,7 @@ def digest(link: LinkKind) -> str:
             _feed(h, [table.s_lo, table.s_hi])
             for name in ("_lo", "_hi", "_right", "_right_err"):
                 _feed(h, getattr(table, name))
-            for j in range(len(table._lo)):
-                a, b, sf, parts, rights = table._panel(j)
-                _feed(h, [a, b, *sf, *parts[0], *parts[1], *rights])
+            _feed(h, table._forms())
     return h.hexdigest()
 
 
