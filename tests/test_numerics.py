@@ -207,3 +207,26 @@ def test_solve_decreasing_is_the_scalar_loop_element_by_element():
             target[i], x0[i])
         assert roots.evals[i] == evals
         assert abs(roots.x[i] - x) <= 1e-13 * x
+
+
+def test_an_element_that_makes_g_raise_fails_alone():
+    # g refuses element 1 outright and element 2 once two evaluations
+    # have gone through (in the second round): each gets that exception,
+    # and the others solve as they do alone
+    target = np.array([3.0, 0.5, 2e4, 7.0])
+
+    def g(x, i):
+        if 1 in i or (2 in i and calls[0] >= 2):
+            raise ValueError(f"refused {sorted(set(i.tolist()) & {1, 2})}")
+        calls[0] += 1
+        return 1.0 / x, -1.0 / x ** 2
+    calls = [0]
+    roots = solve_decreasing(g, target)
+    assert [type(e).__name__ if e else None for e in roots.errors] == [
+        None, "ValueError", "ValueError", None]
+    assert str(roots.errors[1]) == "refused [1]"
+    assert str(roots.errors[2]) == "refused [2]"
+    for k in (0, 3):
+        calls[0] = 0
+        alone = solve_decreasing(g, target[k:k + 1])
+        assert (roots.x[k], roots.evals[k]) == (alone.x[0], alone.evals[0])
