@@ -26,7 +26,8 @@ def _parse_set(values):
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
         try:
-            overrides[key.strip()] = yaml.safe_load(val)
+            overrides[key.strip()] = yaml.load(
+                val, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError:
             raise ValueError(f"--set {key.strip()}: cannot parse {val!r}") from None
     return overrides

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -230,18 +231,21 @@ def _best_draws(dist: SnrDistribution, rng: np.random.Generator, users: int,
     denominators in row-major order until none is left. The direct link
     scales the maximum, which equals the maximum of the scaled draws
     because rounding is monotone. The ratio link holds one (users, n)
-    array and draws the denominators one user row at a time.
+    array and draws the denominators one user row at a time. At m = 1 it
+    draws from rng.standard_exponential, numpy's shape-1 gamma, bit for bit.
     """
     m = dist.spec.shape
+    draw = (rng.standard_exponential if m == 1.0
+            else partial(rng.standard_gamma, m))
     if dist.link is LinkKind.DIRECT:
-        best = rng.standard_gamma(m, (users, n)).max(axis=0)
+        best = draw((users, n)).max(axis=0)
         return np.multiply(best, dist.spec.mean_snr / m, out=best)
-    ratio = rng.standard_gamma(m, (users, n))
+    ratio = draw((users, n))
     np.multiply(ratio, dist.spec.mean_snr, out=ratio)
     den = np.empty(n)
     zeros = []
     for i, row in enumerate(ratio):
-        rng.standard_gamma(m, out=den)
+        draw(out=den)
         hit = np.flatnonzero(den == 0.0)
         if hit.size:
             zeros.append(i * n + hit)
@@ -250,7 +254,7 @@ def _best_draws(dist: SnrDistribution, rng: np.random.Generator, users: int,
     flat = ratio.reshape(-1)
     bad = np.concatenate(zeros) if zeros else np.empty(0, np.intp)
     while bad.size:
-        fresh = rng.standard_gamma(m, bad.size)
+        fresh = draw(bad.size)
         drawn = fresh != 0.0
         flat[bad[drawn]] /= fresh[drawn]
         bad = bad[~drawn]

@@ -204,11 +204,14 @@ def _unit_tables(link: LinkKind, m: float, users: Iterable[int]) -> dict:
     users, keyed (link, m, L) as MudDistribution.tables is. They are built
     in one batch on ln F = log1p(−Q) of the base survival Q, which is
     evaluated once per node for all of them; each table equals its one-L
-    build bit for bit."""
+    build bit for bit. Where L·S₁ <= 2⁻⁵⁴, S = −expm1(L·ln F) is L·S₁ to
+    rounding, so there each reads one table of S₁ times L
+    (_survival_tables)."""
     users = list(users)
     sf = SnrDistribution(FadingSpec(1.0, m), link).sf
     tables = _survival_tables(lambda y: _log_cdf(sf(y)),
-                              [partial(_best_of_log, users=L) for L in users])
+                              [partial(_best_of_log, users=L) for L in users],
+                              (partial(_best_of_log, users=1), users))
     return {(link, m, L): t for L, t in zip(users, tables)}
 
 

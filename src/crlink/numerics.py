@@ -155,6 +155,8 @@ _TABLE_MAX_SPLIT = 16
 _TABLE_CALL = 128       # panels per base call, to bound its working memory
 _TABLE_BLOCK = 2048     # panels per block of a build round, to bound its memory
 _TABLE_EVAL = 512       # new panels per evaluation in a round, likewise
+_TAIL_SF = 2.0 ** -54   # where L·S₁ is at most this, −expm1(L·ln F) is L·S₁
+_SPLIT_STEPS = np.arange(1.0, 17.0) / 4.0  # split lattice in a grid step
 
 
 def _panel_sums(f: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -240,7 +242,9 @@ class SurvivalTable:
     The table of S = law(Q) reads the base Q from a node store that the
     tables of one batch share (_survival_tables), and is read through that
     batch (_Batch), which answers many (table, τ) pairs at once; survival,
-    integral and inverse_g2 are its queries on this table alone.
+    integral and inverse_g2 are its queries on this table alone. A table
+    of S = L·S₁ may end at a split s_c < s_hi, past which it reads its
+    batch's table of S₁, its tail, times L; s_lo and s_hi stay its extent.
     """
 
     # its panels' node rows, edges and right sums (G2, G1 from each panel
@@ -260,6 +264,8 @@ class SurvivalTable:
             raise ValueError("survival function has no transition on the grid")
         self.s_lo, self.s_hi = float(edges[0]), float(edges[-1])
         self._open = not zeros.size         # S > 0 at s_hi
+        # where its tail (if any) takes over, and the factor on the tail
+        self._split, self._tail, self._factor = self.s_hi, None, 1.0
 
     def survival(self, tau, g2: bool = False):
         """S(τ) and dS/ds (s = ln τ) at each of the points tau >= 0, and
@@ -347,13 +353,17 @@ class _Batch:
         self._nodes = nodes
         self._laws = [t._law for t in tables]
         self._parts = [None] * len(tables)
-        self._s_lo, self._s_hi = (np.array([getattr(t, name) for t in tables])
-                                  for name in ("s_lo", "s_hi"))
+        self._s_lo, self._s_hi, self._split, self._factor = (
+            np.array([getattr(t, name) for t in tables])
+            for name in ("s_lo", "s_hi", "_split", "_factor"))
         self._exp_lo = np.array([math.exp(-t.s_lo) for t in tables])
         self._exp_hi = np.array([math.exp(t.s_hi) for t in tables])
         self._open = np.array([t._open for t in tables])
         for i, t in enumerate(tables):
             t._batch, t._index = self, i
+        # from its split on, table t reads table host[t] times factor[t]:
+        # its tail, or itself past s_hi
+        self._host = np.array([(t._tail or t)._index for t in tables])
 
     def _join(self) -> None:
         """One array of each kind for all tables, from their parts."""
@@ -367,10 +377,25 @@ class _Batch:
             np.concatenate([p[k] for p in parts], axis=1) for k in (3, 4))
         tables = np.arange(len(n))
         self._key = _keys(np.repeat(tables, n), self._lo)
-        # G2 from each edge on falls along a table: keys for inverse_g2
-        self._g2_key = _keys(np.repeat(tables, n + 1), -self._right[0])
         self._slot = np.full(len(self._lo), -1)
         self._poly = np.empty((16, 0, 4))       # (coefficient, panel, poly)
+        heads = np.flatnonzero(self._host != tables)
+        if heads.size:
+            # a head's sums from each edge on add its factor times its
+            # tail's from the split on, read as a query reads them
+            tail, s = self._host[heads], self._split[heads]
+            j = np.maximum(np.searchsorted(self._key, _keys(tail, s)) - 1,
+                           self._first[tail])
+            a, b = self._lo[j], self._hi[j]
+            v = self._read(j, (2.0 * s - a - b) / (b - a))
+            add = np.zeros((4, len(n)))             # G2, G1 and their errors
+            add[:2, heads] = self._right[:, j + tail + 1] + v[:, 2:].T
+            add[2:, heads] = self._right_err[:, j + tail]
+            add = (add * self._factor)[:, np.repeat(tables, n + 1)]
+            self._right += add[:2]
+            self._right_err += add[2:]
+        # G2 from each edge on falls along a table: keys for inverse_g2
+        self._g2_key = _keys(np.repeat(tables, n + 1), -self._right[0])
 
     def arrays(self, t: int) -> tuple:
         """Table t's node rows, panel edges lo and hi, and right sums with
@@ -414,6 +439,17 @@ class _Batch:
         self._slot[new] = self._poly.shape[1] + np.arange(len(new))
         self._poly = np.concatenate([self._poly, poly], axis=1)
 
+    def _read(self, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """S, its slope in u and the parts of G2 and G1 on panel j[i] from
+        u[i] to its end, by Horner's rule: an array (elements, 4)."""
+        self._form(j)
+        c = self._poly[:, self._slot[j]].reshape(16, -1)
+        v, ur = c[0].copy(), np.repeat(u, 4)
+        for ci in c[1:]:
+            v *= ur
+            v += ci
+        return v.reshape(-1, 4)
+
     def query(self, t: np.ndarray, tau: np.ndarray, power: int = 0,
               want: Optional[np.ndarray] = None) -> tuple:
         """S(τ), dS/ds (s = ln τ), G_power(τ) and its error estimate at each
@@ -424,25 +460,23 @@ class _Batch:
         Below s_lo, S is 1, its slope 0 and G closed form; past a closed
         s_hi all are 0; past an open s_hi S is the law and its slope −m·S,
         with m read from the last panel's interpolant at s_hi, and G is
-        _beyond."""
+        _beyond. From its split on, a head answers as its tail times its
+        factor, past s_hi too."""
         if np.count_nonzero(tau >= 0.0) < len(tau):     # NaN fails it too
             raise ValueError(f"tau must be numbers >= 0, got {tau}")
         if self._parts is not None:
             self._join()
         s = np.log(tau, out=np.full(len(tau), -math.inf), where=tau > 0.0)
+        over = s >= self._split[t]
+        factor = np.where(over, self._factor[t], 1.0)
+        t = np.where(over, self._host[t], t)
         below, past = s < self._s_lo[t], s >= self._s_hi[t]
         # the panel holding s; past s_hi the last one, read at its end
         j = np.maximum(np.searchsorted(self._key, _keys(t, s)) - 1,
                        self._first[t])
         a, b = self._lo[j], self._hi[j]
-        u = np.where(below | past, 1.0, (2.0 * s - a - b) / (b - a))
-        self._form(j)
-        c = self._poly[:, self._slot[j]].reshape(16, -1)
-        v, ur = c[0].copy(), np.repeat(u, 4)
-        for ci in c[1:]:
-            v *= ur
-            v += ci
-        v = v.reshape(-1, 4)            # S, its slope in u, G2 and G1 parts
+        v = self._read(j, np.where(below | past, 1.0,
+                                   (2.0 * s - a - b) / (b - a)))
         row = 1 if power == 1 else 0            # G2 or G1 in _right
         sf, slope = v[:, 0], 2.0 * v[:, 1] / (b - a)
         g = self._right[row, j + t + 1] + v[:, 2 + row]
@@ -467,6 +501,8 @@ class _Batch:
             g[:] = err[:] = math.nan
         elif want is not None:
             g[~want] = err[~want] = math.nan
+        for out in (sf, slope, g, err):
+            out *= factor
         return sf, slope, g, err
 
     def _past(self, t, tau, power, want, i, end, width, sf, slope, g,
@@ -485,9 +521,13 @@ class _Batch:
         """The τ where G2 of table t[i] is value[i] >= 0, estimated without
         a query: closed form below s_lo, and in between where ln G2, linear
         in s between the panel edges, meets ln value (G2 itself where it
-        falls to 0 at a closed s_hi). Past s_hi it is e^{s_hi}."""
+        falls to 0 at a closed s_hi). Past s_hi it is e^{s_hi}. Below its
+        G2 at the split, a head searches its tail at value/factor."""
         if self._parts is not None:
             self._join()
+        over = value < self._right[0, self._last[t] + t + 1]
+        value = np.where(over, value / self._factor[t], value)
+        t = np.where(over, self._host[t], t)
         at = self._first[t] + t                 # G2 at s_lo
         top = self._right[0, at]
         # right[i-1] > value >= right[i] along the table's edges
@@ -509,22 +549,59 @@ class _Batch:
             out[mid] = np.exp(a + (b - a) * w)
         return out
 
+
+def _splits(nodes: _Nodes, law, factors) -> np.ndarray:
+    """s_c(L) for each factor L: the first point of a lattice of step 1/4
+    in s where L·S₁ <= 2⁻⁵⁴, S₁ = law(base), searched in the grid step up
+    to the first grid point where that holds (inf where none does), so it
+    depends on the law and L alone."""
+    factors = np.asarray(factors, dtype=float)[:, None]
+    k = (factors * law(nodes.grid) <= _TAIL_SF).argmax(axis=1)  # 0: none
+    out, on = np.full(len(k), math.inf), k > 0
+    if on.any():
+        steps, row = np.unique(k[on], return_inverse=True)
+        # the lattice points of each step, the last one grid[k], which holds
+        s = _TABLE_GRID[steps - 1, None] + _SPLIT_STEPS
+        sf = law(nodes.base(np.exp(s.ravel()))).reshape(s.shape)[row]
+        out[on] = s[row, (factors[on] * sf <= _TAIL_SF).argmax(axis=1)]
+    return out
+
+
 def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
-                     laws) -> list:
+                     laws, tail=None) -> list:
     """One SurvivalTable of S = law(base(y)) per law, all on one node
     store, built in rounds (_build_round) over blocks of about _TABLE_BLOCK
     panels, and read together through one _Batch. Every law must map base
     values to S elementwise; provided the base is elementwise too, a table
-    is the same, bit for bit, whatever else is in its batch."""
+    is the same, bit for bit, whatever else is in its batch.
+
+    With tail = (law, factors), laws[i] is L = factors[i] times S₁ = law
+    to rounding wherever that is at most 2⁻⁵⁴, as the best of L users is.
+    Table i is then a head that ends at s_c(L) < s_hi (_splits) and reads
+    one more table, of S₁ from s_c(1) on, past it; that tail is built in
+    the same rounds. A head is refined as if its tail were 0, a lower bound
+    on its sums to the right, and then adds L times the tail's (_join)."""
     nodes = _Nodes(base)
     tables = [SurvivalTable(nodes, law) for law in laws]
-    batch = _Batch(nodes, tables)
-    # the integrals past s_hi: (tables, G2 or G1, value or error)
-    tails = np.array([[_beyond(t._law, base, math.exp(t.s_hi), p)
-                       if t._open else (0.0, 0.0) for p in (2, 1)]
-                      for t in tables])
-    grid = [_TABLE_GRID[(_TABLE_GRID >= t.s_lo) & (_TABLE_GRID <= t.s_hi)]
-            for t in tables]
+    built = list(tables)
+    if tail is not None:
+        law, factors = tail[0], list(tail[1])
+        split = _splits(nodes, law, [1.0, *factors])
+        rest = SurvivalTable(nodes, law)
+        rest.s_lo = float(split[0])
+        for t, factor, s in zip(tables, factors, split[1:].tolist()):
+            if s < t.s_hi:
+                t._split, t._tail, t._factor = s, rest, float(factor)
+        if any(t._tail for t in tables):
+            built.append(rest)
+    batch = _Batch(nodes, built)
+    # the integrals past the split: (tables, G2 or G1, value or error)
+    ends = np.array([[_beyond(t._law, base, math.exp(t.s_hi), p)
+                      if t._open and t._tail is None else (0.0, 0.0)
+                      for p in (2, 1)] for t in built])
+    grid = [np.concatenate([[t.s_lo], _TABLE_GRID[(_TABLE_GRID > t.s_lo)
+                                                  & (_TABLE_GRID < t._split)],
+                            [t._split]]) for t in built]
     rows = nodes.rows(np.concatenate([g[:-1] for g in grid]),
                       np.concatenate([g[1:] for g in grid]))
     # per live table: node rows, which panels are new, and sums (4, panels):
@@ -537,11 +614,11 @@ def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
         size = np.array([len(state[t][0]) for t in live])
         for block in np.split(live, np.flatnonzero(np.diff(
                 (np.cumsum(size) - size) // _TABLE_BLOCK)) + 1):
-            _build_round(nodes, batch, tails[block], block, state)
+            _build_round(nodes, batch, ends[block], block, state)
     return tables
 
 
-def _build_round(nodes: _Nodes, batch: _Batch, tails: np.ndarray,
+def _build_round(nodes: _Nodes, batch: _Batch, ends: np.ndarray,
                  block: np.ndarray, state: dict) -> None:
     """One round for the tables in block: their partitions, taken from
     state into one array ordered by (table, s), get the sums of their new
@@ -563,12 +640,12 @@ def _build_round(nodes: _Nodes, batch: _Batch, tails: np.ndarray,
                             for i, j in zip(e, e[1:])], axis=1)
         sums[:, p] = np.concatenate(_panel_sums(f, lo[p], hi[p]))
     # the sums from each panel on: one cumsum along zero-padded rows that
-    # hold a table's tail and then its panels from the last one down, the
-    # order in which the table's own cumsum would add them
+    # hold a table's integrals past its end and then its panels from the
+    # last one down, the order in which the table's own cumsum would add them
     width = n.max() + 1
     at = np.repeat(np.arange(len(n)) * width + end, n) - np.arange(len(rows))
     pad = np.zeros((2, len(n) * width))
-    pad[:, ::width] = tails[:, :, 0].T
+    pad[:, ::width] = ends[:, :, 0].T
     pad[0, at], pad[1, at] = sums[:2]
     right = np.cumsum(pad.reshape(2, len(n), width), axis=2)
     excess = (sums[2:] / np.maximum(_TABLE_REL * right.reshape(2, -1).take(
@@ -589,7 +666,7 @@ def _build_round(nodes: _Nodes, batch: _Batch, tails: np.ndarray,
         batch._parts[block[t]] = (
             *(v[cut].copy() for v in (rows, lo, hi)),
             right[:, t, n[t]::-1].copy(),
-            np.cumsum(np.concatenate([tails[t, :, 1:], sums[2:, cut][:, ::-1]],
+            np.cumsum(np.concatenate([ends[t, :, 1:], sums[2:, cut][:, ::-1]],
                                      1), axis=1)[:, ::-1])
     if not more.any():
         return

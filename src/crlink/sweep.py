@@ -396,7 +396,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> SweepConfig:
     import yaml
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                                yaml.SafeLoader)) or {}
     except OSError as exc:
         raise OSError(f"cannot read sweep config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -174,6 +174,9 @@ class _Underflowing:
     def standard_gamma(self, shape, size=None, out=None):
         return self._zeroed(self.rng.standard_gamma(shape, size, out=out))
 
+    def standard_exponential(self, size=None, out=None):
+        return self._zeroed(self.rng.standard_exponential(size, out=out))
+
 
 @pytest.mark.parametrize("link,m,floor", [
     (LinkKind.DIRECT, 0.5, None), (LinkKind.DIRECT, 2.0, None),

@@ -76,31 +76,51 @@ def test_batch_tables_equal_their_one_user_count_builds(link, m):
     for L in USERS:
         (alone,) = _unit_tables(link, m, [L]).values()
         table = batch[link, m, L]
-        assert (table.s_lo, table.s_hi) == (alone.s_lo, alone.s_hi)
-        for name in ("_lo", "_hi", "_right", "_right_err"):
-            assert _bits(getattr(table, name)) == _bits(getattr(alone, name)), name
-        assert _bits(_every_panel(table)) == _bits(_every_panel(alone))
+        assert (table.s_lo, table._split, table.s_hi, table._factor) == (
+            alone.s_lo, alone._split, alone.s_hi, alone._factor)
+        assert (table._tail is None) == (alone._tail is None)
+        # the head and the tail it reads past its split, if it has one
+        for part, own in ((table, alone), (table._tail, alone._tail)):
+            if part is None:
+                continue
+            assert (part.s_lo, part.s_hi) == (own.s_lo, own.s_hi)
+            for name in ("_lo", "_hi", "_right", "_right_err"):
+                assert _bits(getattr(part, name)) == _bits(
+                    getattr(own, name)), name
+            assert _bits(_every_panel(part)) == _bits(_every_panel(own))
         for tau in (1e-9, 0.3, 3.0, 1e25):
             assert table.integral(tau, 2) == alone.integral(tau, 2)
             assert table.integral(tau, 1) == alone.integral(tau, 1)
 
 
 def test_batch_evaluates_the_base_once_per_node():
-    # the base is called at the nodes of panels no earlier call saw, far
-    # fewer of them than the tables hold between them
+    # the base is called at the grid, once at the split lattice and then at
+    # the nodes of panels no earlier call saw, far fewer of them than the
+    # tables read between them: each its head and the tail they share
     base = SnrDistribution(FadingSpec(1.0, 1.5), LinkKind.DIRECT).sf
     calls = []
 
     def counted(y):
         calls.append(np.array(y, copy=True))
         return base(y)
+    users = range(1, 21)
     tables = numerics._survival_tables(
-        counted, [partial(_best_of, users=L) for L in range(1, 21)])
-    for t in tables:
+        counted, [partial(_best_of, users=L) for L in users],
+        (partial(_best_of, users=1), users))
+    tail = tables[0]._tail
+    assert all(t._tail is tail for t in tables)
+    for t in tables + [tail]:
         _every_panel(t)
-    panels = np.concatenate([y.reshape(-1, 15) for y in calls[1:]])
-    assert len(np.unique(panels, axis=0)) == len(panels)   # calls[0]: the grid
-    assert len(panels) < sum(len(t._lo) for t in tables) / 5
+    grid, lattice, *rest = calls
+    assert len(grid) == len(numerics._TABLE_GRID)
+    assert len(lattice) % len(numerics._SPLIT_STEPS) == 0
+    # every later call is at the nodes of new rows of the node store, each
+    # a panel of its own (two panels an ulp apart may share their nodes)
+    nodes = tail._nodes
+    panels = np.concatenate(rest).reshape(-1, 15)
+    assert np.array_equal(panels, nodes.y)
+    assert len(set(zip(nodes.lo.tolist(), nodes.hi.tolist()))) == len(panels)
+    assert len(panels) < sum(len(t._lo) + len(tail._lo) for t in tables) / 5
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 4.0, 7.3])

@@ -130,8 +130,12 @@ def _legendre_panel(table, tau):
     """S, dS/ds, G2 and G1 at tau inside the table from the Legendre series
     of the panel that holds it, as the table read them before it took the
     monomial form: S − 1 on a panel where S >= 1/2, and the part-panel
-    integrals from ∫_u^1 P_k = (1 − u²)·P'_k(u)/(k(k+1))."""
+    integrals from ∫_u^1 P_k = (1 − u²)·P'_k(u)/(k(k+1)). From its split
+    on, the panel is its tail's and the four are scaled by its factor."""
     s = math.log(tau)
+    if s >= table._split:
+        return tuple(table._factor * v
+                     for v in _legendre_panel(table._tail, tau))
     j = max(int(np.searchsorted(table._lo, s)) - 1, 0)
     f = table._nodes.values(table._law, table._rows[j:j + 1])[:, 0]
     lead = 1.0 if f[1].min() >= 0.5 else 0.0

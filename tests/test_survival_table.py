@@ -19,7 +19,7 @@ import rayleigh
 from crlink import numerics
 from crlink.exceptions import ConvergenceError
 from crlink.fading import FadingSpec, LinkKind, SnrDistribution
-from crlink.mud import MudDistribution, _best_of, _unit_tables
+from crlink.mud import MudDistribution, _best_of, _best_of_log, _unit_tables
 from crlink.numerics import _survival_tables, integrate, integrate_to_inf
 
 TAUS = [10.0 ** k for k in range(-20, 21, 4)] + [0.3, 3.0]
@@ -183,24 +183,78 @@ def test_only_powers_one_and_two_are_answered():
 @pytest.mark.parametrize("link, m, users", [
     (LinkKind.DIRECT, 1.5, range(1, 21)), (LinkKind.RATIO, 0.5, (1, 5, 15, 200))])
 def test_a_batch_evaluates_each_panel_of_a_table_once(link, m, users):
-    # the law of a table sees the 15 node values of every panel the table
-    # ever held once, whatever else is in its batch; built alone, a table's
-    # node store holds exactly those panels
+    # the law of a head, and the one-user law of the tail the heads share,
+    # sees the 15 node values of every panel it ever held once, whatever
+    # else is in its batch; built alone, a table's node store holds exactly
+    # the panels of its head and its tail (none on the ratio link at
+    # m = 0.5, whose tables are whole)
     sf = SnrDistribution(FadingSpec(1.0, m), link).sf
 
-    def counted(L, elems):
+    def counted(L, elems, key=None):
         def law(q):
-            if np.ndim(q) == 2:             # panels; the grid and tail are 1-D
+            if np.ndim(q) == 2:     # panels; the grid and lattice are 1-D
                 assert np.shape(q)[1] == 15
-                elems[L] = elems.get(L, 0) + np.size(q)
+                elems[key or L] = elems.get(key or L, 0) + np.size(q)
             return _best_of(q, L)
         return law
+
+    def build(users, elems):
+        return _survival_tables(sf, [counted(L, elems) for L in users],
+                                (counted(1, elems, "tail"), users))
     batch = {}
-    _survival_tables(sf, [counted(L, batch) for L in users])
+    build(users, batch)
+    tails = set()
     for L in users:
         alone = {}
-        (table,) = _survival_tables(sf, [counted(L, alone)])
-        assert batch[L] == alone[L] == 15 * len(table._nodes.lo), L
+        (table,) = build([L], alone)
+        assert batch[L] == alone[L]
+        assert batch.get("tail") == alone.get("tail")
+        assert 15 * len(table._nodes.lo) == alone[L] + alone.get("tail", 0), L
+        tails.add(table._tail is None)
+    assert tails == {link == LinkKind.RATIO}
+
+
+@pytest.mark.parametrize("link, m", [
+    *((LinkKind.DIRECT, m) for m in (0.5, 1.5, 2.5, 7.3, 15.0)),
+    *((LinkKind.RATIO, m) for m in (1.0, 2.0, 7.3))])
+def test_past_its_split_a_table_is_its_tail_times_the_users(link, m):
+    # from s_c(L) on, the best of L users is L times the one-user law to
+    # 4 ulp at every node of the shared tail, and table L answers there as
+    # L times the tail, past s_hi too
+    users = (1, 5, 20, 200, 1000)
+    tables = _unit_tables(link, m, users)
+    tail = tables[link, m, 1]._tail
+    rows = tail._rows
+    q, s = tail._nodes.q[rows], np.log(tail._nodes.y[rows])
+    for L in users:
+        table = tables[link, m, L]
+        assert table._tail is tail and table._factor == L
+        assert tail.s_lo <= table._split < table.s_hi == tail.s_hi
+        past = s >= table._split
+        assert past.sum() >= 15
+        exact = _best_of_log(q[past], L)
+        assert np.all(np.abs(L * _best_of_log(q[past], 1) - exact)
+                      <= 4.0 * np.spacing(exact)), L
+        tau = math.exp(table._split) * np.array([1.0, 1.3, 2.0, 10.0, 1e3,
+                                                 1e30])
+        for got, ref in zip(table.survival(tau, g2=True),
+                            tail.survival(tau, g2=True)):
+            assert got.tolist() == (L * ref).tolist(), L
+        for t in tau.tolist():
+            assert table.integral(t, 1) == tuple(
+                L * v for v in tail.integral(t, 1))
+
+
+def test_a_direct_batch_holds_one_tail():
+    # the direct link at m = 1.5, L = 1..20: heads that stop where L·S₁
+    # falls to 2⁻⁵⁴ and one shared tail, about 900 panels, where whole
+    # tables held 7425
+    tables = _unit_tables(LinkKind.DIRECT, 1.5, range(1, 21)).values()
+    tails = {id(t._tail): t._tail for t in tables
+             if getattr(t, "_tail", None) is not None}
+    panels = sum(len(t._lo) for t in [*tables, *tails.values()])
+    assert panels <= 1200, panels
+    assert len(tails) == 1
 
 
 def test_a_batch_build_holds_its_working_memory_to_a_block():

@@ -510,6 +510,26 @@ def test_cli_sweep_bad_config_file_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_the_fast_yaml_loader_reads_configs_as_the_pure_one():
+    # configs are parsed by libyaml's safe loader where PyYAML has it; it
+    # reads the shipped configs and the edge cases of a config value as
+    # the pure-Python safe loader does, and fails where it fails, at the
+    # same line
+    import yaml
+    fast = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    texts = [p.read_text() for p in sorted(CONFIGS.glob("*.cfg"))]
+    texts += ["x: 1e3", "x: .inf", "x: 0x10", "x: yes", "x: ~", "x: -.5",
+              "a: [1, 2\n", "a: 1\n  b: 2\n", "- a\nb: 1\n"]
+    for text in texts:
+        got = []
+        for loader in (yaml.SafeLoader, fast):
+            try:
+                got.append(yaml.load(text, Loader=loader))
+            except yaml.YAMLError as exc:
+                got.append((type(exc), exc.problem_mark.line))
+        assert got[0] == got[1], text
+
+
 def test_cli_sweep_failed_rows_exit_nonzero(tmp_path):
     # the 300 dB interference budget cannot be met; the 0 dB point can
     cfg = tmp_path / "fail.cfg"
@@ -581,9 +601,9 @@ def test_each_sweep_builds_its_own_tables(monkeypatch):
     built = []
     real = mud._survival_tables
 
-    def counted(base, laws):
+    def counted(base, laws, *tail):
         built.append(len(laws))
-        return real(base, laws)
+        return real(base, laws, *tail)
     monkeypatch.setattr(mud, "_survival_tables", counted)
     cfg = small_cfg(axis_range=(0.0, 4.0, 2.0), num_users=(1, 5))
     first = render_csv(run_sweep(cfg))

@@ -2,9 +2,11 @@
 
 Two builds whose tables agree bit for bit print the same digests, so
 running this before and after a change to the table build shows whether
-any table moved. Each table contributes s_lo, s_hi, its panel edges
-(_lo, _hi), its right sums (_right, _right_err) and the polynomials of
-every panel as its batch forms them (SurvivalTable._forms).
+any table moved. Each table contributes s_lo, its split, s_hi and the
+factor on its tail, its panel edges (_lo, _hi), its right sums (_right,
+_right_err) and the polynomials of every panel as its batch forms them
+(SurvivalTable._forms); each batch's shared tail, if it has one, then
+contributes the same once.
 
     PYTHONPATH=src python tools/table_digest.py
 """
@@ -36,8 +38,10 @@ def digest(link: LinkKind) -> str:
     ms, users = GRID[link]
     h = hashlib.sha256()
     for m in ms:
-        for table in _unit_tables(link, m, users).values():
-            _feed(h, [table.s_lo, table.s_hi])
+        tables = list(_unit_tables(link, m, users).values())
+        tails = {id(t._tail): t._tail for t in tables if t._tail is not None}
+        for table in tables + list(tails.values()):
+            _feed(h, [table.s_lo, table._split, table.s_hi, table._factor])
             for name in ("_lo", "_hi", "_right", "_right_err"):
                 _feed(h, getattr(table, name))
             _feed(h, table._forms())
