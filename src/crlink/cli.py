@@ -14,8 +14,9 @@ from .oracle import MIN_SAMPLES, McConfig, mc_point
 from .power import (ConstellationSet, power_loss_factor, solve_cutoff,
                     solve_cutoff_cr)
 from .specfun import exp_integral_e1
-from .sweep import (SweepConfig, _check_output, build_point, emit_csv,
-                    load_config, render_csv, run_sweep, solve_point)
+from .sweep import (SweepConfig, _check_output, _yaml_loader, build_point,
+                    emit_csv, load_config, render_csv, run_sweep,
+                    solve_point)
 
 
 def _parse_set(values):
@@ -26,8 +27,7 @@ def _parse_set(values):
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
         try:
-            overrides[key.strip()] = yaml.load(
-                val, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            overrides[key.strip()] = yaml.load(val, Loader=_yaml_loader())
         except yaml.YAMLError:
             raise ValueError(f"--set {key.strip()}: cannot parse {val!r}") from None
     return overrides

@@ -157,6 +157,7 @@ _TABLE_BLOCK = 2048     # panels per block of a build round, to bound its memory
 _TABLE_EVAL = 512       # new panels per evaluation in a round, likewise
 _TAIL_SF = 2.0 ** -54   # where L·S₁ is at most this, −expm1(L·ln F) is L·S₁
 _SPLIT_STEPS = np.arange(1.0, 17.0) / 4.0  # split lattice in a grid step
+_ALIGNED = np.array([2.0, 1.0, 0.5, 0.25])  # first panels by a split
 
 
 def _panel_sums(f: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -599,9 +600,14 @@ def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
     ends = np.array([[_beyond(t._law, base, math.exp(t.s_hi), p)
                       if t._open and t._tail is None else (0.0, 0.0)
                       for p in (2, 1)] for t in built])
-    grid = [np.concatenate([[t.s_lo], _TABLE_GRID[(_TABLE_GRID > t.s_lo)
-                                                  & (_TABLE_GRID < t._split)],
-                            [t._split]]) for t in built]
+    # the first partition: the grid within [s_lo, split] and, from an end
+    # off the grid, panels of width 2, 1, 1/2 and 1/4 aligned as [0, 4] is,
+    # so that panels split from them in different tables meet at equal floats
+    grid = [np.unique(np.concatenate([
+        [t.s_lo, t._split], np.ceil(t.s_lo / _ALIGNED) * _ALIGNED,
+        np.floor(t._split / _ALIGNED) * _ALIGNED,
+        _TABLE_GRID[(_TABLE_GRID > t.s_lo) & (_TABLE_GRID < t._split)]]))
+        for t in built]
     rows = nodes.rows(np.concatenate([g[:-1] for g in grid]),
                       np.concatenate([g[1:] for g in grid]))
     # per live table: node rows, which panels are new, and sums (4, panels):

@@ -391,13 +391,18 @@ def emit_csv(res: SweepResult, path: str) -> None:
         raise OSError(f"cannot write sweep output to {path!r}: {exc}") from exc
 
 
+def _yaml_loader():
+    """PyYAML's safe loader: libyaml's where PyYAML has it, which is faster."""
+    import yaml
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str, overrides: Optional[dict] = None) -> SweepConfig:
     """Read a YAML sweep definition; overrides replace top-level keys."""
     import yaml
     try:
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
-                                                yaml.SafeLoader)) or {}
+            raw = yaml.load(fh, Loader=_yaml_loader()) or {}
     except OSError as exc:
         raise OSError(f"cannot read sweep config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -96,7 +96,8 @@ def test_batch_tables_equal_their_one_user_count_builds(link, m):
 def test_batch_evaluates_the_base_once_per_node():
     # the base is called at the grid, once at the split lattice and then at
     # the nodes of panels no earlier call saw, far fewer of them than the
-    # tables read between them: each its head and the tail they share
+    # tables read between them: the heads, which share most of their
+    # panels, and the tail, counted once
     base = SnrDistribution(FadingSpec(1.0, 1.5), LinkKind.DIRECT).sf
     calls = []
 
@@ -114,13 +115,11 @@ def test_batch_evaluates_the_base_once_per_node():
     grid, lattice, *rest = calls
     assert len(grid) == len(numerics._TABLE_GRID)
     assert len(lattice) % len(numerics._SPLIT_STEPS) == 0
-    # every later call is at the nodes of new rows of the node store, each
-    # a panel of its own (two panels an ulp apart may share their nodes)
-    nodes = tail._nodes
-    panels = np.concatenate(rest).reshape(-1, 15)
-    assert np.array_equal(panels, nodes.y)
-    assert len(set(zip(nodes.lo.tolist(), nodes.hi.tolist()))) == len(panels)
-    assert len(panels) < sum(len(t._lo) + len(tail._lo) for t in tables) / 5
+    panels = np.concatenate([y.reshape(-1, 15) for y in rest])
+    assert len(np.unique(panels, axis=0)) == len(panels)
+    heads = np.concatenate([t._rows for t in tables])
+    assert len(np.unique(heads)) < len(heads) / 5
+    assert len(panels) < (len(heads) + len(tail._lo)) / 1.5
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 4.0, 7.3])

@@ -22,9 +22,10 @@ from crlink.mud import MudDistribution
 from crlink.oracle import McConfig, mc_capacity
 from crlink.power import (ConstellationSet, ConstraintSpec, CutoffSolution,
                           solve_cutoff, solve_cutoff_cr, solve_dr_policy)
-from crlink.sweep import (SweepConfig, SweepResult, config_from_dict,
-                          db_to_linear, emit_csv, evaluate_point, load_config,
-                          render_csv, run_sweep, solve_point)
+from crlink.sweep import (SweepConfig, SweepResult, _yaml_loader,
+                          config_from_dict, db_to_linear, emit_csv,
+                          evaluate_point, load_config, render_csv, run_sweep,
+                          solve_point)
 
 
 def small_cfg(**kw):
@@ -516,7 +517,7 @@ def test_the_fast_yaml_loader_reads_configs_as_the_pure_one():
     # the pure-Python safe loader does, and fails where it fails, at the
     # same line
     import yaml
-    fast = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    fast = _yaml_loader()
     texts = [p.read_text() for p in sorted(CONFIGS.glob("*.cfg"))]
     texts += ["x: 1e3", "x: .inf", "x: 0x10", "x: yes", "x: ~", "x: -.5",
               "a: [1, 2\n", "a: 1\n  b: 2\n", "- a\nb: 1\n"]
