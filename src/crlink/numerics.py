@@ -602,12 +602,13 @@ def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
                       for p in (2, 1)] for t in built])
     # the first partition: the grid within [s_lo, split] and, from an end
     # off the grid, panels of width 2, 1, 1/2 and 1/4 aligned as [0, 4] is,
-    # so that panels split from them in different tables meet at equal floats
-    grid = [np.unique(np.concatenate([
+    # so that panels split from them in different tables meet at equal
+    # floats (sorted(set()): np.unique's first call here cost 1 MB of RSS)
+    grid = [np.array(sorted(set(np.concatenate([
         [t.s_lo, t._split], np.ceil(t.s_lo / _ALIGNED) * _ALIGNED,
         np.floor(t._split / _ALIGNED) * _ALIGNED,
-        _TABLE_GRID[(_TABLE_GRID > t.s_lo) & (_TABLE_GRID < t._split)]]))
-        for t in built]
+        _TABLE_GRID[(_TABLE_GRID > t.s_lo) & (_TABLE_GRID < t._split)]
+    ]).tolist()))) for t in built]
     rows = nodes.rows(np.concatenate([g[:-1] for g in grid]),
                       np.concatenate([g[1:] for g in grid]))
     # per live table: node rows, which panels are new, and sums (4, panels):
