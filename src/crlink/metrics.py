@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mud import MudDistribution
+import numpy as np
+
+from .mud import MudDistribution, SurvivalQuery
 from .power import ConstellationSet, CutoffSolution, DrPolicy
 
 
@@ -32,9 +34,14 @@ def spectral_efficiency_cr(dist: MudDistribution, cut: CutoffSolution,
                            k: float) -> MetricResult:
     """Continuous-rate spectral efficiency with the BER power penalty K:
     ∫_t^∞ log₂(x/t) f_max(x) dx with t = γ₀/K, which by parts is
-    log₂e·∫_t^∞ S(x)/x dx. K=1 is capacity."""
-    val, err = dist.sf_integral(cut.gamma0 / k, 1)
-    return MetricResult(_LOG2E * val, _LOG2E * err)
+    log₂e·∫_t^∞ S(x)/x dx, read from the table of dist. K=1 is
+    capacity."""
+    query = SurvivalQuery([dist])
+    if query.errors[0]:
+        raise query.errors[0]
+    _, _, val, err = query(np.zeros(1, dtype=int),
+                           np.array([cut.gamma0 / k]), 1)
+    return MetricResult(_LOG2E * float(val[0]), _LOG2E * float(err[0]))
 
 
 def spectral_efficiency_dr(dist: MudDistribution, pol: DrPolicy,

@@ -42,9 +42,9 @@ def _whole_number(key: str, value, low: int) -> int:
 class MudDistribution:
     """Distribution of the maximum SNR among num_users i.i.d. links.
 
-    tables holds the survival tables of sf_integral, keyed by (link, m, L);
-    distributions that share the dict share a table. By default each
-    distribution has its own.
+    tables holds the survival tables that SurvivalQuery reads, keyed by
+    (link, m, L); distributions that share the dict share a table. By
+    default each distribution has its own.
     """
 
     base: SnrDistribution
@@ -75,40 +75,16 @@ class MudDistribution:
             self.tables.update(_unit_tables(key[0], key[1], [key[2]]))
         return self.tables[key], self.base.spec.mean_snr
 
-    def sf_integral(self, t: float, power: int) -> Tuple[float, float]:
-        """∫_t^∞ S(x)/x^power dx for power 1 or 2, and its error estimate.
-
-        The scale enters S only through its argument, S(x) = S₁(x/γ̄) with
-        S₁ the law at unit mean (unit scale for the ratio link), so the
-        integral is G(t/γ̄)·γ̄^(1−power) from the SurvivalTable of S₁.
-        """
-        table, g = self._table()
-        val, err = table.integral(t / g, power)
-        scale = g ** (power - 1)
-        return val / scale, err / scale
-
-    def sf_integral_inverse(self, value: float) -> float:
-        """An estimate of the t where ∫_t^∞ S(x)/x² dx = value > 0:
-        γ̄·SurvivalTable.inverse_g2(γ̄·value)."""
-        if not value >= 0.0:                    # NaN fails the comparison too
-            raise ValueError(f"value must be a number >= 0, got {value}")
-        table, g = self._table()
-        return g * table.inverse_g2(g * value)
-
-    def sf_pdf(self, x) -> Tuple[np.ndarray, np.ndarray]:
-        """S(x) and f_max(x) at the points x >= 0 (SurvivalQuery)."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        self._table()                           # raises if it cannot be built
-        return SurvivalQuery([self])(np.zeros(len(x), dtype=int), x)[:2]
-
 
 class SurvivalQuery:
     """The survival tables of several best-of-L laws, read together:
     element i of a query reads law which[i] at x[i]. Each law is the
     SurvivalTable of its S₁ and its scale γ̄, S(x) = S₁(x/γ̄); the elements
     are answered by one _Batch.query per batch that holds their tables,
-    one in a sweep group. errors[d] holds the exception raised building
-    the table of law d (None if it was built); such a law cannot be read.
+    one in a sweep group. It is the one reader of the tables: a single
+    law is a one-element SurvivalQuery. errors[d] holds the exception
+    raised building the table of law d (None if it was built); such a law
+    cannot be read.
     """
 
     def __init__(self, dists):
@@ -147,19 +123,20 @@ class SurvivalQuery:
                 o[i] = v
         return outs if len(outs) > 1 else outs[0]
 
-    def __call__(self, which: np.ndarray, x: np.ndarray, power: int = 0,
+    def __call__(self, which: np.ndarray, x: np.ndarray, power: int,
                  want: Optional[np.ndarray] = None) -> tuple:
         """S(x), f_max(x) = −(dS₁/ds)/x with s = ln(x/γ̄), and for power 1
-        or 2 ∫_x^∞ S(y)/y^power dy (where want, if given), of law which[i]
-        at x[i] >= 0; an element with no integral reads nan. f_max is 0
-        where S is flat, as below s_lo."""
+        or 2 ∫_x^∞ S(y)/y^power dy and its error estimate (where want, if
+        given), of law which[i] at x[i] >= 0; an element with no integral
+        reads nan. f_max is 0 where S is flat, as below s_lo."""
         if np.count_nonzero(x >= 0.0) < len(x):     # NaN fails it too
             raise ValueError(f"x must be numbers >= 0, got {x}")
         g = self._scale[which]
-        sf, slope, tail, _ = self._read("query", which, x / g, power, want)
+        sf, slope, tail, err = self._read("query", which, x / g, power, want)
+        if power == 2:
+            tail, err = tail / g, err / g
         return (sf, np.divide(-slope, x, out=np.zeros(len(x)),
-                              where=slope != 0.0),
-                tail / g if power == 2 else tail)
+                              where=slope != 0.0), tail, err)
 
     def sf_integral_inverse(self, which: np.ndarray,
                             value: np.ndarray) -> np.ndarray:

@@ -242,8 +242,8 @@ class SurvivalTable:
 
     The table of S = law(Q) reads the base Q from a node store that the
     tables of one batch share (_survival_tables), and is read through that
-    batch (_Batch), which answers many (table, τ) pairs at once; survival,
-    integral and inverse_g2 are its queries on this table alone. A table
+    batch (_Batch), which answers many (table, τ) pairs at once; the
+    program reads it only there, through mud.SurvivalQuery. A table
     of S = L·S₁ may end at a split s_c < s_hi, past which it reads its
     batch's table of S₁, its tail, times L; s_lo and s_hi stay its extent.
     """
@@ -268,27 +268,6 @@ class SurvivalTable:
         # where its tail (if any) takes over, and the factor on the tail
         self._split, self._tail, self._factor = self.s_hi, None, 1.0
 
-    def survival(self, tau, g2: bool = False):
-        """S(τ) and dS/ds (s = ln τ) at each of the points tau >= 0, and
-        G2(τ) too if g2 (_Batch.query)."""
-        tau = np.asarray(tau, dtype=float).reshape(-1)
-        out = self._batch.query(np.full(tau.shape, self._index), tau,
-                                2 if g2 else 0)
-        return out[:3] if g2 else out[:2]
-
-    def integral(self, tau: float, power: int) -> Tuple[float, float]:
-        """∫_τ^∞ S(y)/y^power dy for power 1 (G1) or 2 (G2), and its error
-        estimate."""
-        if power not in (1, 2):
-            raise ValueError(f"power must be 1 or 2, got {power}")
-        if math.isnan(tau):
-            raise ValueError("tau must be a number, got nan")
-        if tau <= 0.0:
-            return math.inf, 0.0
-        _, _, value, err = self._batch.query(np.array([self._index]),
-                                             np.array([tau]), power)
-        return float(value[0]), float(err[0])
-
     def _forms(self) -> np.ndarray:
         """The polynomials of every panel as the batch forms them, one row
         per panel (_Batch._poly, coefficient by coefficient); this forms
@@ -297,14 +276,6 @@ class SurvivalTable:
         j = b._first[self._index] + np.arange(n)
         b._form(j)
         return b._poly[:, b._slot[j]].transpose(1, 0, 2).reshape(n, -1)
-
-    def inverse_g2(self, value: float) -> float:
-        """The τ where G2 = value >= 0, estimated without a query
-        (_Batch.inverse_g2)."""
-        if not value >= 0.0:                    # NaN fails the comparison too
-            raise ValueError(f"value must be a number >= 0, got {value}")
-        return float(self._batch.inverse_g2(np.array([self._index]),
-                                            np.array([value]))[0])
 
 
 def _beyond(law, base, tau: float, power: int) -> Tuple[float, float]:
@@ -451,12 +422,13 @@ class _Batch:
             v += ci
         return v.reshape(-1, 4)
 
-    def query(self, t: np.ndarray, tau: np.ndarray, power: int = 0,
+    def query(self, t: np.ndarray, tau: np.ndarray, power: int,
               want: Optional[np.ndarray] = None) -> tuple:
-        """S(τ), dS/ds (s = ln τ), G_power(τ) and its error estimate at each
-        element, table t[i] at tau[i] >= 0. power is 1 or 2, or 0 for no
-        G; with the mask want, G is read only where it is set. An element
-        with no G reads nan.
+        """S(τ), dS/ds (s = ln τ), G_power(τ) >= 0 and its error estimate
+        at each element, table t[i] at tau[i] >= 0, for power 1 or 2; with
+        the mask want, G is read only where it is set. An element with no
+        G reads nan. G is clamped at 0, which rounding undercuts by a few
+        subnormals where S falls to 0.
 
         Below s_lo, S is 1, its slope 0 and G closed form; past a closed
         s_hi all are 0; past an open s_hi S is the law and its slope −m·S,
@@ -498,9 +470,8 @@ class _Batch:
             if i.size:
                 self._past(t, tau, power, want, i, v[i, :2], (b - a)[i],
                            sf, slope, g, err)
-        if not power:
-            g[:] = err[:] = math.nan
-        elif want is not None:
+        np.maximum(g, 0.0, out=g)
+        if want is not None:
             g[~want] = err[~want] = math.nan
         for out in (sf, slope, g, err):
             out *= factor
@@ -514,7 +485,7 @@ class _Batch:
             on = i[t[i] == table]
             sf[on] = self._laws[table](self._nodes.base(tau[on]))
         slope[i] = 2.0 * end[:, 1] / (end[:, 0] * width) * sf[i]
-        for k in (i if want is None else i[want[i]]).tolist() if power else ():
+        for k in (i if want is None else i[want[i]]).tolist():
             g[k], err[k] = _beyond(self._laws[t[k]], self._nodes.base,
                                    float(tau[k]), power)
 

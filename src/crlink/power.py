@@ -142,9 +142,9 @@ def _spent(query: SurvivalQuery, which: np.ndarray, x: np.ndarray,
     gs, nr = x[nw:], len(x) - nw
     want = np.zeros(nw + len(m) * nr, dtype=bool)
     want[:nw + nr] = True                       # G2 at the first edge only
-    sf, f, g2 = query(np.concatenate([which[:nw]] + [which[nw:]] * len(m)),
-                      np.concatenate([x[:nw] / k[:nw], (m * gs).ravel()]), 2,
-                      want)
+    sf, f, g2, _ = query(np.concatenate([which[:nw]] + [which[nw:]] * len(m)),
+                         np.concatenate([x[:nw] / k[:nw], (m * gs).ravel()]),
+                         2, want)
     val, slope = g2[:nw] / k[:nw], -sf[:nw] / x[:nw] ** 2
     kept = np.full((nw, len(m)), math.nan)
     if nr:

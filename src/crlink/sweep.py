@@ -236,8 +236,9 @@ def solve_points(dists, constraints, cset: ConstellationSet) -> list:
 def solve_point(dist: MudDistribution, constraint: ConstraintSpec,
                 cset: ConstellationSet) -> PointSolution:
     """The capacity, continuous-rate and discrete-rate policies of one
-    operating point and their three metrics: each a one-element
-    solve_points step, so the point gets the answer it gets in a group."""
+    operating point and their three metrics: each policy a one-element
+    _policies solve (power._alone), so the point gets the answer it gets
+    in a group."""
     cut = solve_cutoff(dist, constraint)
     cut_cr = solve_cutoff_cr(dist, constraint, cset.k)
     pol = solve_dr_policy(dist, constraint, cset)

@@ -6,6 +6,7 @@ import pytest
 import rayleigh
 from scipy import special as sp
 
+import crlink.cli as cli
 from crlink.fading import LinkKind, SnrDistribution, nakagami
 from crlink.metrics import (capacity, spectral_efficiency_cr,
                             spectral_efficiency_dr)
@@ -14,6 +15,7 @@ from crlink.oracle import McConfig, _accumulate, _bits_map, mc_capacity
 from crlink.power import (ConstellationSet, ConstraintSpec, CutoffSolution,
                           DrPolicy, power_loss_factor, solve_cutoff,
                           solve_cutoff_cr, solve_dr_policy)
+from crlink.sweep import build_point
 
 TX = ConstraintSpec(1.0)
 CSET = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
@@ -184,3 +186,15 @@ def test_validate_against_oracle_se_dr():
     est = _accumulate(dist, McConfig(samples=10 ** 6, seed=6),
                       [_bits_map(CSET)], pol)[0]
     assert abs(est.value - analytic) / analytic < 0.01
+
+
+@pytest.mark.parametrize("point", cli._VALIDATE_POINTS)
+def test_quadrature_error_estimate_is_small_and_positive(point):
+    # the error estimate of log₂e·G₁ read off the table, at the points that
+    # crlink validate checks
+    dist, constraint = build_point(*point)
+    cap = capacity(dist, solve_cutoff(dist, constraint))
+    se_cr = spectral_efficiency_cr(
+        dist, solve_cutoff_cr(dist, constraint, K), K)
+    for got in (cap, se_cr):
+        assert 0.0 < got.quadrature_error_estimate <= 1e-12 * got.value

@@ -97,4 +97,6 @@ def test_newton_derivatives_match_central_differences(link, m, L):
     # the water-filling derivative is −S(t)/γ₀² with S read from the
     # survival table, no quadrature involved
     assert math.isclose(_waterfill_spent(dist, 2.0, K)[1],
-                        -float(dist.sf_pdf(2.0 / K)[0][0]) / 4.0, rel_tol=1e-15)
+                        -float(SurvivalQuery([dist])(
+                            np.zeros(1, dtype=int), np.array([2.0 / K]),
+                            2)[0][0]) / 4.0, rel_tol=1e-15)

@@ -19,7 +19,8 @@ import rayleigh
 from crlink import numerics
 from crlink.exceptions import ConvergenceError
 from crlink.fading import FadingSpec, LinkKind, SnrDistribution
-from crlink.mud import MudDistribution, _best_of, _best_of_log, _unit_tables
+from crlink.mud import (MudDistribution, SurvivalQuery, _best_of, _best_of_log,
+                        _unit_tables)
 from crlink.numerics import _survival_tables, integrate, integrate_to_inf
 
 TAUS = [10.0 ** k for k in range(-20, 21, 4)] + [0.3, 3.0]
@@ -39,14 +40,36 @@ def _reference(dist, tau, power):
     return total
 
 
+def _survival(table, tau, g2=False):
+    """S(τ) and dS/ds of one table at the points tau, and G2(τ) too if g2
+    (_Batch.query)."""
+    tau = np.asarray(tau, dtype=float).reshape(-1)
+    out = table._batch.query(np.full(len(tau), table._index), tau, 2,
+                             np.full(len(tau), g2))
+    return out[:3] if g2 else out[:2]
+
+
+def _integral(table, tau, power):
+    """G_power(τ) of one table and its error estimate (_Batch.query)."""
+    out = table._batch.query(np.array([table._index]), np.array([tau]), power)
+    return float(out[2][0]), float(out[3][0])
+
+
+def _sf_integral(dist, t, power):
+    """∫_t^∞ S(x)/x^power dx of dist and its error estimate, read through a
+    one-law SurvivalQuery."""
+    out = SurvivalQuery([dist])(np.zeros(1, dtype=int), np.array([t]), power)
+    return float(out[2][0]), float(out[3][0])
+
+
 def _check(dist, taus):
-    dist.sf_integral(1.0, 1)                         # builds the table
+    dist._table()                                    # builds the table
     (table,) = dist.tables.values()
     for tau in taus:
         for power in (2, 1):
             ref = _reference(dist, tau, power)
             if ref > 1e-300:
-                got = table.integral(tau, power)[0]
+                got = _integral(table, tau, power)[0]
                 assert abs(got - ref) <= REL * ref, (tau, power, got, ref)
 
 
@@ -70,7 +93,7 @@ def test_rayleigh_table_matches_closed_form(L):
     dist = _unit(LinkKind.DIRECT, 1.0, L)
     for tau in (1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0):
         for power, ref in zip((1, 2), rayleigh.tails(tau, 1.0, L)):
-            got = dist.sf_integral(tau, power)[0]
+            got = _sf_integral(dist, tau, power)[0]
             assert abs(got - ref) <= REL * ref, (tau, power, got, ref)
 
 
@@ -79,7 +102,7 @@ def test_scale_enters_through_the_argument():
     dist = MudDistribution(base, 50)
     t = 0.7
     for power in (1, 2):
-        got = dist.sf_integral(t, power)[0]
+        got = _sf_integral(dist, t, power)[0]
         ref = integrate(lambda s: dist.sf(np.exp(s)) * np.exp((1 - power) * s),
                         math.log(t), math.log(1e6), 0.0, 1e-13)[0]
         ref += integrate_to_inf(lambda y: dist.sf(y) / y ** power, 1e6, 0.0,
@@ -91,31 +114,32 @@ def test_table_depends_on_its_law_alone():
     # two builds agree bit for bit, whatever was asked of the first
     sf = _unit(LinkKind.RATIO, 1.5, 5).sf
     first = _survival_tables(sf, [lambda q: q])[0]
-    answers = [first.integral(t, 2) + first.integral(t, 1)
+    answers = [_integral(first, t, 2) + _integral(first, t, 1)
                for t in (1e-3, 0.5, 7.0, 1e25)]
     second = _survival_tables(sf, [lambda q: q])[0]
-    assert [second.integral(t, 2) + second.integral(t, 1)
+    assert [_integral(second, t, 2) + _integral(second, t, 1)
             for t in (1e-3, 0.5, 7.0, 1e25)] == answers
     assert first._forms().tobytes() == second._forms().tobytes()
 
 
 def test_query_beyond_the_table_and_at_the_origin():
     dist = _unit(LinkKind.RATIO, 0.5, 1)
-    dist.sf_integral(1.0, 1)
+    dist._table()
     (table,) = dist.tables.values()
     tau = 10.0 * math.exp(table.s_hi)
     ref = integrate_to_inf(lambda y: dist.sf(y) / y, tau, 0.0, 1e-13)[0]
-    assert abs(table.integral(tau, 1)[0] - ref) <= REL * ref
-    assert table.integral(0.0, 2)[0] == table.integral(0.0, 1)[0] == math.inf
+    assert abs(_integral(table, tau, 1)[0] - ref) <= REL * ref
+    assert (_integral(table, 0.0, 2)[0] == _integral(table, 0.0, 1)[0]
+            == math.inf)
 
 
 @pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
 def test_query_at_infinity_and_at_nan(link):
     (table,) = _unit_tables(link, 2.0, [5]).values()
     for power in (1, 2):
-        assert table.integral(math.inf, power) == (0.0, 0.0)
+        assert _integral(table, math.inf, power) == (0.0, 0.0)
         with pytest.raises(ValueError, match="nan"):
-            table.integral(math.nan, power)
+            _integral(table, math.nan, power)
 
 
 def test_direct_table_past_its_end_is_zero_without_quadrature(monkeypatch):
@@ -126,7 +150,8 @@ def test_direct_table_past_its_end_is_zero_without_quadrature(monkeypatch):
         raise AssertionError("quadrature past a table that ends at S = 0")
     monkeypatch.setattr(numerics, "integrate_to_inf", refuse)
     for tau in (math.exp(table.s_hi), 1e30, 1e300):
-        assert table.integral(tau, 1) == table.integral(tau, 2) == (0.0, 0.0)
+        assert (_integral(table, tau, 1) == _integral(table, tau, 2)
+                == (0.0, 0.0))
 
 
 @pytest.mark.parametrize("m", [0.5, 2.0])
@@ -134,14 +159,14 @@ def test_ratio_table_far_past_its_end(m):
     # there S = c·y^{−m}(1 + O(1/y)) to double precision, so G1 = S(τ)/m and
     # G2 = S(τ)/(τ·(m + 1)); S/y² underflows long before these do
     dist = _unit(LinkKind.RATIO, m, 5)
-    dist.sf_integral(1.0, 1)
+    dist._table()
     (table,) = dist.tables.values()
     for tau in (1e60, 1e100, 1e150):
         sf = dist.sf(tau)
         for power, ref in ((1, sf / m), (2, sf / tau / (m + 1.0))):
-            got = table.integral(tau, power)[0]
+            got = _integral(table, tau, power)[0]
             assert abs(got - ref) <= REL * ref, (tau, power)
-    g1, err = table.integral(1e300, 1)
+    g1, err = _integral(table, 1e300, 1)
     assert math.isfinite(g1) and math.isfinite(err)
 
 
@@ -151,8 +176,8 @@ def test_distributions_share_a_tables_dict():
     near = MudDistribution(base, 5, tables)
     far = MudDistribution(SnrDistribution(FadingSpec(1e3, 2.0), LinkKind.RATIO),
                           5, tables)
-    near.sf_integral(1.0, 2)
-    far.sf_integral(1.0, 2)
+    near._table()
+    far._table()
     assert len(tables) == 1
     assert near == MudDistribution(base, 5)           # tables take no part
 
@@ -170,14 +195,6 @@ def test_the_panel_budget_stops_the_build(monkeypatch):
     sf = _unit(LinkKind.DIRECT, 1.5, 5).sf
     with pytest.raises(ConvergenceError, match="tolerance in 50 panels"):
         _survival_tables(sf, [lambda q: q])
-
-
-def test_only_powers_one_and_two_are_answered():
-    dist = _unit(LinkKind.DIRECT, 1.5, 5)
-    for power in (0, 3):
-        with pytest.raises(ValueError,
-                           match=f"^power must be 1 or 2, got {power}$"):
-            dist.sf_integral(1.0, power)
 
 
 @pytest.mark.parametrize("link, m, users", [
@@ -237,12 +254,12 @@ def test_past_its_split_a_table_is_its_tail_times_the_users(link, m):
                       <= 4.0 * np.spacing(exact)), L
         tau = math.exp(table._split) * np.array([1.0, 1.3, 2.0, 10.0, 1e3,
                                                  1e30])
-        for got, ref in zip(table.survival(tau, g2=True),
-                            tail.survival(tau, g2=True)):
+        for got, ref in zip(_survival(table, tau, g2=True),
+                            _survival(tail, tau, g2=True)):
             assert got.tolist() == (L * ref).tolist(), L
         for t in tau.tolist():
-            assert table.integral(t, 1) == tuple(
-                L * v for v in tail.integral(t, 1))
+            assert _integral(table, t, 1) == tuple(
+                L * v for v in _integral(tail, t, 1))
 
 
 def test_a_direct_batch_holds_one_tail():

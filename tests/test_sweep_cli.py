@@ -687,7 +687,7 @@ def test_workers_take_whole_shape_factor_groups():
 
 def test_sweep_falls_back_to_one_table_per_point(monkeypatch):
     # a batch that raises costs its group only the sharing: each point
-    # builds its own table through MudDistribution.sf_integral
+    # builds its own table through MudDistribution._table
     import crlink.sweep as sweep
     from crlink.exceptions import ConvergenceError
     cfg = small_cfg(num_users=(1, 5))
