@@ -76,7 +76,7 @@ def test_cdf_direct_is_positive_zero_at_origin(m):
 @pytest.mark.parametrize("n", [1, 64])
 def test_direct_laws_at_infinity(m, n):
     # x/γ̄ overflows to inf at a mean near 1e-300; the laws take their
-    # limits there on the scalar (n = 1) and the array (n = 64) loops alike
+    # limits there in a one-element and a 64-element array alike
     spec = FadingSpec(1.0, m)
     x = np.full(n, np.inf)
     assert sf_direct(spec, x).tolist() == [0.0] * n

@@ -42,8 +42,8 @@ def _integral(table, tau, power):
 @pytest.mark.parametrize("a", [0.5, 1.5, 2.5, 7.3, 13.1])
 def test_gamma_halves_is_elementwise(a):
     # each element of Q over an array from _gamma_halves is its value at
-    # that point alone, whatever array it comes in and wherever the array
-    # loops hand it to the scalar ones
+    # that point alone, whatever array it comes in and whenever its loop
+    # drops it as converged
     rng = np.random.default_rng(11)
     x = np.concatenate([[0.0, a + 1.0], rng.uniform(0.0, 3.0 * a + 3.0, 1500),
                         np.geomspace(1e-8, 800.0, 500)])

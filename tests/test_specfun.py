@@ -9,8 +9,9 @@ from scipy import integrate as sp_integrate
 from scipy import special as sp
 
 from crlink.exceptions import ConvergenceError
-from crlink.specfun import (EULER_GAMMA, _gamma_cf, _hyp2f1_series,
-                            _series_sum, exp_integral_e1, ln_beta)
+from crlink import specfun
+from crlink.specfun import (EULER_GAMMA, _gamma_cf, _gamma_halves,
+                            _hyp2f1_series, _series, exp_integral_e1, ln_beta)
 from incomplete_gamma import reg_lower_gamma, reg_upper_gamma, upper_gamma_many
 
 # frozen oracle values
@@ -32,8 +33,9 @@ def test_reg_lower_gamma_anchors():
 def test_reg_lower_gamma_dual_route():
     # series and continued fraction evaluated on each other's home turf
     # (x^a·e^{−x} over Γ(a+1) for the series, over Γ(a) for the fraction)
-    series = _series_sum(2.0, 2.0) * 4.0 * math.exp(-2.0) / 2.0
-    cf = 1.0 - _gamma_cf(2.0, 2.0) * 4.0 * math.exp(-2.0)
+    two = np.array([2.0])
+    series = float(_series(2.0, two)[0]) * 4.0 * math.exp(-2.0) / 2.0
+    cf = 1.0 - float(_gamma_cf(2.0, two)[0]) * 4.0 * math.exp(-2.0)
     assert abs(series - cf) < 1e-10
     assert abs(series - P_2_2) < 1e-10
     assert abs(reg_lower_gamma(2.0, 2.0) - P_2_2) < 1e-10
@@ -79,7 +81,7 @@ def test_gamma_halves_array_matches_scalar(a):
     assert np.all(np.abs(many - ref)[normal] <= 1e-12 * ref[normal])
     assert np.all(many[~normal] <= 1e-299)
     assert many[0] == 1.0
-    # a short array takes the scalar loop and its values exactly
+    # a short array gives its elements' values alone, exactly
     short = x[::500]
     assert upper_gamma_many(a, short).tolist() == [
         reg_upper_gamma(a, float(v)) for v in short]
@@ -114,12 +116,45 @@ def test_e1_domain():
         exp_integral_e1(-2.0)
 
 
+def test_e1_at_nan_and_infinity():
+    # NaN is refused as 0 is; +inf takes the limit 0, as the largest double
+    # does, where both once ran the fraction to ConvergenceError
+    with pytest.raises(ValueError, match="got nan"):
+        exp_integral_e1(math.nan)
+    assert exp_integral_e1(math.inf) == 0.0
+    assert exp_integral_e1(1.7976931348623157e308) == 0.0
+
+
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("n", [1, 200])
+def test_gamma_halves_raises_past_the_term_budget(monkeypatch, lower, n):
+    # an element that needs more than MAX_TERMS terms raises, naming a and
+    # x, on either side of a + 1 and at any array size
+    a = 2.5
+    x = np.linspace(1.0, 3.0, n) if lower else np.linspace(3.5, 6.0, n)
+    assert np.all((x < a + 1.0) == lower)
+    monkeypatch.setattr(specfun, "MAX_TERMS", 3)
+    route = "series" if lower else "continued fraction"
+    with pytest.raises(ConvergenceError, match=f"{route} did not converge: "
+                       f"a=2.5, x=[0-9.]+, max_terms=3$"):
+        _gamma_halves(a, x)
+
+
 def test_ln_beta_anchors():
     assert ln_beta(1.0, 1.0) == 0.0
     assert abs(ln_beta(2.0, 2.0) - math.log(1.0 / 6.0)) < 1e-14
     assert ln_beta(3.0, 5.0) == ln_beta(5.0, 3.0)
     with pytest.raises(ValueError):
         ln_beta(0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan),
+                                  (math.inf, 1.0), (1.0, math.inf),
+                                  (-math.inf, 1.0)])
+def test_ln_beta_refuses_non_finite(a, b):
+    # NaN and inf once slipped past a <= 0 and came back as a silent nan
+    with pytest.raises(ValueError, match="finite a, b > 0"):
+        ln_beta(a, b)
 
 
 def test_ln_beta_against_scipy():
