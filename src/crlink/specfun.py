@@ -2,8 +2,8 @@
 
 All routines are pure functions of their arguments and are safe to call
 concurrently. Every series and continued fraction stops at relative
-tolerance REL_TOL or raises ConvergenceError after MAX_TERMS terms; both are
-ample for double precision.
+tolerance REL_TOL, element by element over an array, or raises
+ConvergenceError after MAX_TERMS terms; both are ample for double precision.
 """
 
 from __future__ import annotations

@@ -114,13 +114,9 @@ def test_e1_domain():
         exp_integral_e1(0.0)
     with pytest.raises(ValueError):
         exp_integral_e1(-2.0)
-
-
-def test_e1_at_nan_and_infinity():
-    # NaN is refused as 0 is; +inf takes the limit 0, as the largest double
-    # does, where both once ran the fraction to ConvergenceError
     with pytest.raises(ValueError, match="got nan"):
         exp_integral_e1(math.nan)
+    # +inf takes the limit, as the largest double does
     assert exp_integral_e1(math.inf) == 0.0
     assert exp_integral_e1(1.7976931348623157e308) == 0.0
 
@@ -146,15 +142,10 @@ def test_ln_beta_anchors():
     assert ln_beta(3.0, 5.0) == ln_beta(5.0, 3.0)
     with pytest.raises(ValueError):
         ln_beta(0.0, 1.0)
-
-
-@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan),
-                                  (math.inf, 1.0), (1.0, math.inf),
-                                  (-math.inf, 1.0)])
-def test_ln_beta_refuses_non_finite(a, b):
-    # NaN and inf once slipped past a <= 0 and came back as a silent nan
-    with pytest.raises(ValueError, match="finite a, b > 0"):
-        ln_beta(a, b)
+    for a, b in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                 (1.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite a, b > 0"):
+            ln_beta(a, b)
 
 
 def test_ln_beta_against_scipy():
