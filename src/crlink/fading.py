@@ -11,7 +11,7 @@ ratio of the secondary and interference channel gains. With both gains
 Gamma(m) the unit-scale ratio follows a Beta-prime(m,m) law,
 
     f(x) = x^{m-1} / (B(m,m) (1+x)^{2m}),
-    F(x) = (1/B(m,m)) (x^m/m) 2F1(m, 2m; 1+m; -x),
+    F(x) = I_{x/(1+x)}(m, m), the regularized incomplete beta,
 
 and the configured mean_snr acts as the scale s: pdf_s(x) = pdf(x/s)/s.
 All evaluators accept scalars or numpy arrays.
@@ -26,10 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .specfun import _gamma_halves, _hyp2f1_series, ln_beta
-
-
-_PFAFF_MAX_M = 10.0     # _ratio_halves: larger m takes the positive series
+from .specfun import _gamma_halves, _reg_beta, ln_beta
 
 
 class LinkKind(enum.Enum):
@@ -148,42 +145,27 @@ def pdf_ratio(spec: FadingSpec, x):
 def _ratio_halves(spec: FadingSpec, x):
     """Unit-scale ratio CDF at v = min(y, 1/y), y = x/s, and the mask y <= 1.
 
-    F(v) = w^m · 2F1(m, 1−m; 1+m; w) / (m·B(m,m)) with w = v/(1+v) (the
-    Pfaff-transformed series; w <= 1/2 so it converges fast and terminates
-    for integer m). Its terms alternate in sign while n < m − 1 and grow
-    to about 1.5^m times the sum, so above m = 10 the cancellation would
-    cost more than 1e-12; there F(v) is taken from Euler's transformation
-    w^m·(1−w)^m · 2F1(1, 2m; 1+m; w) / (m·B(m,m)), whose terms are all
-    positive. The exact reflection F(y) = 1 − F(1/y) (exchangeability of
-    the two gains) covers y > 1, so F(v) is the CDF below the unit point
-    and the survival above it.
+    F(v) = I_w(m, m) at w = v/(1+v) <= 1/2, where its continued fraction
+    converges in a few terms at every m. The exact reflection F(y) =
+    1 − F(1/y) (exchangeability of the two gains) covers y > 1, so F(v) is
+    the CDF below the unit point and the survival above it.
     """
     arr, scalar = _prepare(x)
-    m = spec.shape
     y = arr / spec.mean_snr
     lower = y <= 1.0
     v = np.where(lower, y, 1.0 / np.where(lower, 1.0, y))
-    near = np.zeros_like(v)
-    pos = v > 0.0
-    w = v[pos] / (1.0 + v[pos])
-    if m <= _PFAFF_MAX_M:
-        series = _hyp2f1_series(m, 1.0 - m, 1.0 + m, w)
-        log_pre = m * np.log(w)
-    else:
-        series = _hyp2f1_series(1.0, 2.0 * m, 1.0 + m, w)
-        log_pre = m * (np.log(w) + np.log1p(-w))
-    near[pos] = np.exp(log_pre - math.log(m) - ln_beta(m, m)) * series
-    return np.clip(near, 0.0, 1.0), lower, scalar
+    near = _reg_beta(spec.shape, (v / (1.0 + v)).ravel()).reshape(v.shape)
+    return near, lower, scalar
 
 
 def cdf_ratio(spec: FadingSpec, x):
-    """Gain-ratio SNR CDF via the hypergeometric closed form."""
+    """Gain-ratio SNR CDF I_{y/(1+y)}(m, m) at y = x/s."""
     return _cdf(_ratio_halves(spec, x))
 
 
 def sf_ratio(spec: FadingSpec, x):
-    """Gain-ratio SNR survival 1 − CDF; above the unit point it is the
-    series itself, so the power-law tail keeps full relative precision."""
+    """Gain-ratio SNR survival 1 − CDF; above the unit point it is I_w(m, m)
+    itself, so the power-law tail keeps full relative precision."""
     return _sf(_ratio_halves(spec, x))
 
 

@@ -104,7 +104,7 @@ def test_c3_distribution_validity():
                                 abs_tol=1e-11, rel_tol=1e-10)
             assert abs(quad - cdf_ratio(spec, float(x))) <= 1e-8, (m, x)
     print("criterion 3 PASS: 24 selection densities integrate to 1 +- 1e-6; "
-          "hypergeometric ratio CDF matches quadrature to 1e-8 at 20 points x 4 shapes")
+          "incomplete-beta ratio CDF matches quadrature to 1e-8 at 20 points x 4 shapes")
 
 
 @pytest.fixture(scope="module")

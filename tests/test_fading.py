@@ -1,4 +1,4 @@
-"""Fading laws: closed-form anchors, normalization, the hypergeometric CDF
+"""Fading laws: closed-form anchors, normalization, the incomplete-beta CDF
 against quadrature, and sampling against the analytic shapes."""
 
 import math
@@ -245,19 +245,30 @@ def test_array_and_scalar_shapes():
     assert isinstance(d.cdf(1.0), float)
 
 
-@pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 15.0])
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.5, 2.0, 2.5, 7.3, 12.5, 15.0])
 def test_sf_ratio_against_mpmath(m):
-    # ss configs take m up to 15; the ratio-link survival holds 1e-11
-    # against mpmath, unit point included, where the alternating Pfaff
-    # series lost 2.3e-11 to cancellation at m = 15, and the per-element
-    # stop of the series at 1e-12 of its sum leaves about 1e-12
-    from crlink.fading import sf_ratio
+    # ss configs take m up to 15; the ratio-link survival holds 2e-13
+    # against mpmath, unit point included, at integer and non-integer m
+    # alike: one continued fraction of I_w(m, m) at w <= 1/2, stopped once
+    # a pair of its steps moves it by less than 1e-12, reads at most about
+    # 3e-14 here
     y = np.concatenate([np.geomspace(0.05, 1e3, 301), [0.95, 1.0, 1.05]])
     with mp.workdps(40):
         ref = np.array([float(mp.betainc(m, m, 0, 1 / (1 + mp.mpf(v)),
                                          regularized=True)) for v in y])
     got = sf_ratio(FadingSpec(1.0, m), y)
-    assert np.all(np.abs(got - ref) <= 1e-11 * ref)
+    assert np.all(np.abs(got - ref) <= 2e-13 * ref)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 12.5, 15.0])
+def test_sf_ratio_is_continuous_at_the_unit_point(m):
+    # below the unit point the survival is 1 − I_w(m, m), above it I_w(m, m)
+    # at the reflected w; across 1 ± δ it moves by the density's slope term
+    # alone, to 3e-13 of S(1) = 1/2
+    lo, hi = 1.0 - 1e-12, 1.0 + 1e-12
+    below, above, mid = sf_ratio(FadingSpec(1.0, m), np.array([lo, hi, 1.0]))
+    f1 = math.exp(math.lgamma(2.0 * m) - 2.0 * math.lgamma(m)) / 4.0 ** m
+    assert abs(below - above - (hi - lo) * f1) <= 3e-13 * mid
 
 
 @pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 13.1, 1.0, 2.0, 4.0, 30.0,

@@ -59,8 +59,8 @@ def test_gamma_halves_is_elementwise(a):
 
 @pytest.mark.parametrize("m", [0.5, 1.5, 2.5, 7.3, 12.5, 1.0, 2.0])
 def test_laws_are_elementwise(m):
-    # the incomplete-gamma loops and the non-terminating 2F1 series stop per
-    # element (12.5 takes the positive-term series)
+    # the incomplete-gamma loops and the incomplete-beta fraction stop per
+    # element (at 12.5 the fraction runs longest of these m)
     y = np.geomspace(1e-6, 1e6, 601)
     spec = FadingSpec(1.0, m)
     best = MudDistribution(SnrDistribution(spec, LinkKind.RATIO), 5)

@@ -10,8 +10,8 @@ from scipy import special as sp
 
 from crlink.exceptions import ConvergenceError
 from crlink import specfun
-from crlink.specfun import (EULER_GAMMA, _gamma_cf, _gamma_halves,
-                            _hyp2f1_series, _series, exp_integral_e1, ln_beta)
+from crlink.specfun import (EULER_GAMMA, _gamma_cf, _gamma_halves, _reg_beta,
+                            _series, exp_integral_e1, ln_beta)
 from incomplete_gamma import reg_lower_gamma, reg_upper_gamma, upper_gamma_many
 
 # frozen oracle values
@@ -19,10 +19,9 @@ P_2_2 = 0.5939941502901619          # 1 - 3e^{-2}, cross-checked below
 E1_1 = 0.2193839343955203           # adaptive quadrature of e^{-t}/t on [1, inf)
 
 
-def hyp2f1(a, b, c, z):
-    """₂F₁(a,b;c;z) for z <= 0: the Pfaff transformation
-    (1−z)^{−a} ₂F₁(a, c−b; c; z/(z−1)) onto the series, as cdf_ratio uses it."""
-    return (1.0 - z) ** (-a) * float(_hyp2f1_series(a, c - b, c, z / (z - 1.0)))
+def reg_beta(m, w):
+    """I_w(m, m) at one w in [0, 1/2], through the array kernel."""
+    return float(_reg_beta(m, np.array([w]))[0])
 
 
 def test_reg_lower_gamma_anchors():
@@ -155,54 +154,53 @@ def test_ln_beta_against_scipy():
         assert abs(ln_beta(a, b) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_hyp2f1_at_zero():
+def test_reg_beta_at_zero_and_half():
+    # I_0(m, m) = 0 and, by symmetry, I_{1/2}(m, m) = 1/2
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        a, b = rng.uniform(0.1, 4.0, size=2)
-        c = rng.uniform(0.5, 5.0)
-        assert hyp2f1(a, b, c, 0.0) == 1.0
+    for m in rng.uniform(0.5, 15.0, size=20):
+        assert reg_beta(m, 0.0) == 0.0
+        assert abs(reg_beta(m, 0.5) - 0.5) <= 1e-9
 
 
-def test_hyp2f1_log_identity():
-    # 2F1(1,1;2;-x) = ln(1+x)/x
-    for x in (0.25, 1.0, 3.0):
-        ref = math.log1p(x) / x
-        assert abs(hyp2f1(1.0, 1.0, 2.0, -x) - ref) <= 1e-9 * ref
+def test_reg_beta_arcsine_identity():
+    # I_w(1/2, 1/2) = (2/π)·asin(√w), the arcsine law
+    for w in (0.01, 0.25, 0.5):
+        ref = 2.0 / math.pi * math.asin(math.sqrt(w))
+        assert abs(reg_beta(0.5, w) - ref) <= 1e-9 * ref
 
 
-def test_hyp2f1_ratio_cdf_reduction():
-    # (1/B(1,1)) * x * 2F1(1,2;2;-x) must equal x/(1+x)
+def test_reg_beta_ratio_cdf_reduction():
+    # at m = 1, I_w(1, 1) = w: the Beta-prime(1,1) CDF x/(1+x)
     for x in (0.5, 1.0, 4.0):
-        lhs = math.exp(-ln_beta(1.0, 1.0)) * x * hyp2f1(1.0, 2.0, 2.0, -x)
-        assert abs(lhs - x / (1.0 + x)) < 1e-9
+        w = min(x, 1.0 / x) / (1.0 + min(x, 1.0 / x))
+        cdf = reg_beta(1.0, w) if x <= 1.0 else 1.0 - reg_beta(1.0, w)
+        assert abs(cdf - x / (1.0 + x)) < 1e-9
 
 
-def test_hyp2f1_symmetry_random_tuples():
+def test_reg_beta_array_matches_one_element_calls():
+    # each element's value depends on that element alone
     rng = np.random.default_rng(42)
-    for _ in range(50):
-        a, b = rng.uniform(0.1, 5.0, size=2)
-        c = rng.uniform(0.5, 6.0)
-        z = -rng.uniform(0.0, 12.0)
-        v1 = hyp2f1(a, b, c, z)
-        v2 = hyp2f1(b, a, c, z)
-        assert abs(v1 - v2) <= 1e-9 * max(abs(v1), 1e-30)
+    for m in rng.uniform(0.5, 15.0, size=50):
+        w = rng.uniform(0.0, 0.5, size=7)
+        many = _reg_beta(m, w)
+        assert many.tolist() == [reg_beta(m, v) for v in w]
 
 
-def test_hyp2f1_series_against_scipy():
-    # the series on [0, 1/2], the range cdf_ratio evaluates it on
+def test_reg_beta_against_scipy():
+    # the fraction on [0, 1/2], the range sf_ratio evaluates it on
     rng = np.random.default_rng(7)
     for _ in range(100):
-        a, b = rng.uniform(0.1, 5.0, size=2)
-        c = rng.uniform(0.5, 6.0)
+        m = rng.uniform(0.5, 15.0)
         w = rng.uniform(0.0, 0.5)
-        ref = sp.hyp2f1(a, b, c, w)
-        assert abs(_hyp2f1_series(a, b, c, w) - ref) <= 1e-9 * abs(ref)
+        ref = sp.betainc(m, m, w)
+        assert abs(reg_beta(m, w) - ref) <= 1e-9 * abs(ref)
 
 
-def test_hyp2f1_series_nonconvergence():
-    # z = −500 maps to w = 500/501, too close to 1 for the term budget
-    with pytest.raises(ConvergenceError):
-        _hyp2f1_series(0.5, 0.9, 1.2, 500.0 / 501.0)
+def test_reg_beta_nonconvergence():
+    # w = 1 − 1e-6 lies far outside [0, 1/2], too close to 1 for the term
+    # budget
+    with pytest.raises(ConvergenceError, match="m=0.5, w=0.999999, "):
+        reg_beta(0.5, 1.0 - 1e-6)
 
 
 def test_euler_gamma_constant():
