@@ -212,15 +212,21 @@ def _best_draws(dist: SnrDistribution, rng: np.random.Generator, users: int,
     numerators, then the denominators at θ = 1, then the redraws of zero
     denominators in row-major order until none is left. The direct link
     scales the maximum, which equals the maximum of the scaled draws
-    because rounding is monotone. The ratio link holds one (users, n)
-    array and draws the denominators one user row at a time. At m = 1 it
-    draws from rng.standard_exponential, numpy's shape-1 gamma, bit for bit.
+    because rounding is monotone; it draws one user row at a time into one
+    reused row and keeps a running maximum, so it holds two rows of n. The
+    ratio link holds one (users, n) array and draws the denominators one
+    user row at a time. At m = 1 it draws from rng.standard_exponential,
+    numpy's shape-1 gamma, bit for bit.
     """
     m = dist.spec.shape
     draw = (rng.standard_exponential if m == 1.0
             else partial(rng.standard_gamma, m))
     if dist.link is LinkKind.DIRECT:
-        best = draw((users, n)).max(axis=0)
+        best = draw(n)
+        if users > 1:
+            row = np.empty(n)
+            for _ in range(users - 1):
+                np.maximum(best, draw(out=row), out=best)
         return np.multiply(best, dist.spec.mean_snr / m, out=best)
     ratio = draw((users, n))
     np.multiply(ratio, dist.spec.mean_snr, out=ratio)
@@ -240,4 +246,5 @@ def _best_draws(dist: SnrDistribution, rng: np.random.Generator, users: int,
         drawn = fresh != 0.0
         flat[bad[drawn]] /= fresh[drawn]
         bad = bad[~drawn]
+    del den
     return ratio.max(axis=0)

@@ -5,7 +5,10 @@ quadrature or root finding is shared with the analytic side, so agreement
 is a genuine cross-check. Streams come from PCG64 seeded through
 SeedSequence; the totals of each chunk of a batch are combined with exact
 summation. One stream feeds every per-draw map of an operating point
-(mc_point), so the five estimates cost one set of draws.
+(mc_point), so the five estimates cost one set of draws. The calling
+thread draws the batches; one worker thread reduces each batch, in batch
+order, while the caller draws the next, so one batch of best-of-L draws is
+in flight and the sums are those of a sequential loop.
 """
 
 from __future__ import annotations
@@ -78,21 +81,29 @@ def _accumulate(dist: MudDistribution, cfg: McConfig, maps,
     out and returns it; every map's sum and sum of squares is taken per
     chunk.
 
+    The calling thread draws every batch (dist.sample); one worker thread
+    reduces it while the caller draws the next. Before handing over a
+    batch the caller waits for the reduction of the one before, so
+    reductions run one at a time, in batch order, on the same buffers, and
+    one batch of best-of-L draws is in flight: every chunk sum is the one a
+    sequential loop takes. An exception on either side propagates, and the
+    worker is joined before this returns.
+
     A map zeroes outage draws by a 0/1 factor rather than np.where, on
     operands kept finite at draws of 0 and +inf, so each value is the one
     the np.where form gives; an outage value may be −0, which no sum
     tells from 0."""
+    from concurrent.futures import ThreadPoolExecutor
+
     batch = min(_BATCH, max(1, _MAX_BASE_DRAWS // dist.num_users))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     out = np.empty(min(batch, _CHUNK))
     square = np.empty_like(out)
     sums = [[] for _ in maps]
     sqsums = [[] for _ in maps]
-    remaining = cfg.samples
-    while remaining > 0:
-        n = min(batch, remaining)
-        x = dist.sample(rng, n)
-        for lo in range(0, n, _CHUNK):
+
+    def reduce(x):
+        for lo in range(0, len(x), _CHUNK):
             chunk = x[lo:lo + _CHUNK]
             size = len(chunk)
             region = None if pol is None else _region_index(pol, chunk)
@@ -100,7 +111,15 @@ def _accumulate(dist: MudDistribution, cfg: McConfig, maps,
                 v = per_draw(chunk, region, out[:size])
                 s.append(float(v.sum()))
                 q.append(float(np.multiply(v, v, out=square[:size]).sum()))
-        remaining -= n
+
+    reduced = None
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for drawn in range(0, cfg.samples, batch):
+            x = dist.sample(rng, min(batch, cfg.samples - drawn))
+            if reduced is not None:
+                reduced.result()
+            reduced = worker.submit(reduce, x)
+        reduced.result()
     return [_estimate(s, q, cfg.samples) for s, q in zip(sums, sqsums)]
 
 

@@ -42,7 +42,11 @@ def _series(a: float, x):
         term *= x / denom
         total += term
         conv = term < REL_TOL * total
-        if conv.any():
+        done = np.count_nonzero(conv)
+        if done == conv.size:
+            out[idx] = total
+            return out
+        if done:
             out[idx[conv]] = total[conv]
             keep = ~conv
             # one array at a time, so at most one extra copy is alive
@@ -50,8 +54,6 @@ def _series(a: float, x):
             x = x[keep]
             term = term[keep]
             total = total[keep]
-        if not idx.size:
-            return out
     raise ConvergenceError(
         f"lower-gamma series did not converge: a={a}, x={float(x[0])}, "
         f"max_terms={MAX_TERMS}")
@@ -86,7 +88,11 @@ def _gamma_cf(a: float, x):
         h *= delta
         delta -= 1.0
         conv = np.abs(delta, out=delta) < REL_TOL
-        if conv.any():
+        done = np.count_nonzero(conv)
+        if done == conv.size:
+            out[idx] = h
+            return out
+        if done:
             out[idx[conv]] = h[conv]
             keep = ~conv
             idx = idx[keep]
@@ -95,8 +101,6 @@ def _gamma_cf(a: float, x):
             c = c[keep]
             d = d[keep]
             h = h[keep]
-        if not idx.size:
-            return out
     raise ConvergenceError(
         f"incomplete-gamma continued fraction did not converge: a={a}, "
         f"x={float(x[0])}, max_terms={MAX_TERMS}")
@@ -187,7 +191,11 @@ def _reg_beta(m: float, w):
             pair *= delta
         pair -= 1.0
         conv = np.abs(pair, out=pair) < REL_TOL
-        if conv.any():
+        done = np.count_nonzero(conv)
+        if done == conv.size:
+            out[idx] *= h
+            return out
+        if done:
             out[idx[conv]] *= h[conv]
             keep = ~conv
             idx = idx[keep]
@@ -195,7 +203,5 @@ def _reg_beta(m: float, w):
             c = c[keep]
             d = d[keep]
             h = h[keep]
-        if not idx.size:
-            return out
     raise ConvergenceError(f"incomplete-beta continued fraction did not "
                            f"converge: m={m}, w={float(w[0])}, max_terms={MAX_TERMS}")

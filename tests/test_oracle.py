@@ -1,12 +1,14 @@
 """Monte Carlo oracle: determinism, statistical agreement, stderr scaling."""
 
 import math
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import crlink.mud as mud
 import crlink.oracle as oracle
 from crlink.fading import LinkKind, SnrDistribution, nakagami
 from crlink.metrics import capacity, spectral_efficiency_dr
@@ -252,16 +254,126 @@ def test_maps_at_edge_draws():
         assert np.array_equal(values, want), i
 
 
-@pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
-def test_oracle_memory_bounded_at_many_users(link):
-    # a batch holds at most 4e6 base draws, one (L, batch) array of 32 MB;
-    # the ratio link must not hold a second one for its denominators
+@pytest.mark.parametrize("link, bound", [(LinkKind.DIRECT, 2 * 2 ** 20),
+                                         (LinkKind.RATIO, 1.1 * 32 * 2 ** 20)])
+def test_oracle_memory_bounded_at_many_users(link, bound):
+    # a batch holds at most 4e6 base draws. The ratio link holds one (L,
+    # batch) array of 32 MB and must not hold a second one for its
+    # denominators; the direct link holds two rows of a batch while the
+    # worker reduces the batch before, about 1.3 MB at L = 100. One draw
+    # first, so the trace leaves out what the first call imports.
     dist = MudDistribution(SnrDistribution(nakagami(1.0, 10.0), link), 100)
     cut = CutoffSolution(gamma0=0.1, residual=0.0, iterations=0)
+    mc_capacity(dist, cut, McConfig(samples=1))
     tracemalloc.start()
     try:
         mc_capacity(dist, cut, McConfig(samples=10 ** 5, seed=4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 32 * 2 ** 20
+    assert peak <= bound
+
+
+def _point(link, L):
+    """A solved operating point: its distribution, the capacity and
+    continuous-rate cutoffs and the discrete-rate policy."""
+    dist = MudDistribution(SnrDistribution(nakagami(2.0, 10.0), link), L)
+    constraint = TX if link is LinkKind.DIRECT else ConstraintSpec(0.1)
+    return (dist, solve_cutoff(dist, constraint),
+            solve_cutoff_cr(dist, constraint, CSET.k),
+            solve_dr_policy(dist, constraint, CSET))
+
+
+def _sequential(dist, cfg, maps, pol):
+    """The estimates of each map by a loop that draws a batch, reduces it
+    chunk by chunk, then draws the next."""
+    batch = min(oracle._BATCH,
+                max(1, oracle._MAX_BASE_DRAWS // dist.num_users))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    sums = [[] for _ in maps]
+    sqsums = [[] for _ in maps]
+    remaining = cfg.samples
+    while remaining > 0:
+        n = min(batch, remaining)
+        x = dist.sample(rng, n)
+        for lo in range(0, n, oracle._CHUNK):
+            chunk = x[lo:lo + oracle._CHUNK]
+            region = _region_index(pol, chunk)
+            for per_draw, s, q in zip(maps, sums, sqsums):
+                v = per_draw(chunk, region, np.empty(len(chunk)))
+                s.append(float(v.sum()))
+                q.append(float((v * v).sum()))
+        remaining -= n
+    return [oracle._estimate(s, q, cfg.samples) for s, q in zip(sums, sqsums)]
+
+
+@pytest.mark.parametrize("link", [LinkKind.DIRECT, LinkKind.RATIO])
+@pytest.mark.parametrize("L", [1, 5])
+def test_overlapped_reduction_equals_sequential_loop(link, L, monkeypatch):
+    # 3e5 draws in batches of 7919 are 38 batches, the last one partial, so
+    # every batch but the first is drawn while the one before is reduced
+    monkeypatch.setattr(oracle, "_BATCH", 7919)
+    dist, cut, cut_cr, pol = _point(link, L)
+    cfg = McConfig(samples=3 * 10 ** 5, seed=17)
+    est = mc_point(dist, cut, cut_cr, pol, CSET, cfg)
+    maps = [_rate_map(cut, 1.0), _rate_map(cut_cr, CSET.k), _bits_map(CSET),
+            _power_map(cut, 1.0), _dr_power_map(pol, CSET)]
+    want = _sequential(dist, cfg, maps, pol)
+    assert list(est) == list(oracle.ESTIMATES)
+    for name, w in zip(oracle.ESTIMATES, want):
+        got = est[name]
+        assert (got.value, got.stderr, got.samples) == \
+            (w.value, w.stderr, w.samples), name
+
+
+class _Raised(Exception):
+    pass
+
+
+def test_sampler_failure_propagates_and_leaves_no_thread(monkeypatch):
+    # the third batch's draw raises while the worker reduces the second
+    monkeypatch.setattr(oracle, "_BATCH", 7919)
+    dist, cut, cut_cr, pol = _point(LinkKind.DIRECT, 5)
+    drawn = []
+
+    def failing(d, rng, n):
+        drawn.append(n)
+        if len(drawn) == 3:
+            raise _Raised("draw")
+        return sample(d, rng, n)
+
+    sample = mud.mud_sample
+    monkeypatch.setattr(mud, "mud_sample", failing)
+    before = threading.active_count()
+    with pytest.raises(_Raised, match="draw"):
+        mc_point(dist, cut, cut_cr, pol, CSET, McConfig(samples=10 ** 5))
+    assert len(drawn) == 3
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("fail_at", [3, 13])
+def test_map_failure_propagates_and_leaves_no_thread(fail_at, monkeypatch):
+    # 1e5 draws are 13 batches of one chunk each; the power map raises in
+    # the worker on the third chunk, while the caller draws the next batch,
+    # or on the last, which only the final wait reads
+    monkeypatch.setattr(oracle, "_BATCH", 7919)
+    dist, cut, cut_cr, pol = _point(LinkKind.RATIO, 1)
+    calls = []
+
+    def failing_power_map(c, k):
+        per_draw = power_map(c, k)
+
+        def counted(x, region, out):
+            calls.append(len(x))
+            if len(calls) == fail_at:
+                raise _Raised("map")
+            return per_draw(x, region, out)
+        return counted
+
+    power_map = oracle._power_map
+    monkeypatch.setattr(oracle, "_power_map", failing_power_map)
+    before = threading.active_count()
+    with pytest.raises(_Raised, match="map"):
+        mc_point(dist, cut, cut_cr, pol, CSET, McConfig(samples=10 ** 5))
+    assert len(calls) == fail_at
+    assert threading.active_count() == before
