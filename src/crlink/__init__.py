@@ -8,7 +8,6 @@ from .fading import FadingSpec, LinkKind, SnrDistribution, nakagami
 from .metrics import (MetricResult, capacity, spectral_efficiency_cr,
                       spectral_efficiency_dr)
 from .mud import MudDistribution
-from .oracle import McConfig, McEstimate, mc_capacity
 from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
                     power_loss_factor, solve_cutoff, solve_cutoff_cr,
                     solve_dr_policy)
@@ -26,3 +25,12 @@ __all__ = [
     "run_sweep", "solve_cutoff", "solve_cutoff_cr", "solve_dr_policy",
     "spectral_efficiency_cr", "spectral_efficiency_dr",
 ]
+
+
+def __getattr__(name):
+    """The oracle's names, imported on first use: a sweep without
+    mc_validate never runs the oracle."""
+    if name in ("McConfig", "McEstimate", "mc_capacity"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,13 +10,12 @@ import sys
 from . import __version__
 from .fading import cdf_ratio, nakagami
 from .metrics import capacity, spectral_efficiency_cr
-from .oracle import MIN_SAMPLES, McConfig, mc_point
 from .power import (ConstellationSet, power_loss_factor, solve_cutoff,
                     solve_cutoff_cr)
 from .specfun import exp_integral_e1
-from .sweep import (SweepConfig, _check_output, _yaml_loader, build_point,
-                    emit_csv, load_config, render_csv, run_sweep,
-                    solve_point)
+from .sweep import (MIN_SAMPLES, SweepConfig, _check_output, _yaml_loader,
+                    build_point, emit_csv, load_config, render_csv,
+                    run_sweep, solve_point)
 
 
 def _parse_set(values):
@@ -97,6 +96,7 @@ _CSET = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
 
 
 def cmd_validate(args) -> int:
+    from .oracle import McConfig, mc_point
     try:
         cfg = McConfig(samples=args.samples, seed=args.seed)
     except ValueError as exc:
@@ -196,6 +196,7 @@ def cmd_selftest(args) -> int:
         _check(results, f"region probabilities sum to one at {mode} m={m:g}",
                abs(sum(pol.region_probs) + float(d.cdf(pol.boundaries[0])) - 1.0) < 1e-9)
 
+    from .oracle import McConfig, mc_point
     sol = solve_point(dist, c1, _CSET)
     mc = mc_point(dist, sol.cut, sol.cut_cr, sol.pol, _CSET,
                   McConfig(samples=200_000, seed=1))["power"]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -171,24 +170,24 @@ def _log_cdf(q):
         return np.log1p(-q)
 
 
-def _best_of_log(log_cdf, users: int):
-    """_best_of from ln F: −expm1(L·ln F)."""
+def _best_of_log(log_cdf, users):
+    """_best_of from ln F: −expm1(L·ln F), L a number or an array."""
     return -np.expm1(users * log_cdf)
 
 
 def _unit_tables(link: LinkKind, m: float, users: Iterable[int]) -> dict:
     """The survival tables of the unit-scale best-of-L law for every L in
     users, keyed (link, m, L) as MudDistribution.tables is. They are built
-    in one batch on ln F = log1p(−Q) of the base survival Q, which is
-    evaluated once per node for all of them; each table equals its one-L
-    build bit for bit. Where L·S₁ <= 2⁻⁵⁴, S = −expm1(L·ln F) is L·S₁ to
-    rounding, so there each reads one table of S₁ times L
+    in one batch on ln F = log1p(−Q) of the base survival Q, evaluated once
+    per node for all of them, and one law, S = −expm1(L·ln F)
+    (_best_of_log), whose parameter is each table's L; each table equals
+    its one-L build bit for bit. Where L·S₁ <= 2⁻⁵⁴, S is L·S₁ to
+    rounding, so there each reads one table of S₁ (L = 1) times L
     (_survival_tables)."""
     users = list(users)
     sf = SnrDistribution(FadingSpec(1.0, m), link).sf
-    tables = _survival_tables(lambda y: _log_cdf(sf(y)),
-                              [partial(_best_of_log, users=L) for L in users],
-                              (partial(_best_of_log, users=1), users))
+    tables = _survival_tables(lambda y: _log_cdf(sf(y)), _best_of_log, users,
+                              tail=True)
     return {(link, m, L): t for L, t in zip(users, tables)}
 
 

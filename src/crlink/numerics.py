@@ -6,8 +6,9 @@ return a (value, error_estimate) pair. A semi-infinite range [t, ∞) is
 mapped onto (0, 1] by the single substitution x = t/u (with u = v⁴), which
 turns the power-law tails of the gain-ratio distributions into smooth
 endpoint behavior without a hand-derived truncation bound. SurvivalTable
-answers the two tail integrals of one survival function at any lower
-limit from panels built once.
+answers the two tail integrals of one survival function S = law(Q, p) at
+any lower limit from panels built once; the tables of a batch share the
+base Q, the law and every law call, and differ in the parameter p.
 """
 
 from __future__ import annotations
@@ -212,12 +213,12 @@ class _Nodes:
                 for i in range(0, len(y), _TABLE_CALL)])
         return row[inverse[known:]]
 
-    def values(self, law, rows: np.ndarray) -> np.ndarray:
-        """Both integrands in s, S·e^{−s} and S with S = law(base), at the
-        nodes of the panels in rows: an array (2, panels, 15)."""
+    def values(self, law, rows: np.ndarray, param: np.ndarray) -> np.ndarray:
+        """Both integrands in s, S·e^{−s} and S with S = law(base, param[i]),
+        at the nodes of each panel rows[i], in one law call: (2, panel, 15)."""
         q = self.q[rows]
         f = np.empty((2,) + q.shape)
-        f[1] = law(q)
+        f[1] = law(q, param[:, None])
         np.divide(f[1], self.y[rows], out=f[0])
         return f
 
@@ -240,12 +241,11 @@ class SurvivalTable:
     G7/K15 difference is at most 1e-13 of the integral from its left edge
     to infinity (or 1e-313 where that underflows).
 
-    The table of S = law(Q) reads the base Q from a node store that the
-    tables of one batch share (_survival_tables), and is read through that
-    batch (_Batch), which answers many (table, τ) pairs at once; the
-    program reads it only there, through mud.SurvivalQuery. A table
-    of S = L·S₁ may end at a split s_c < s_hi, past which it reads its
-    batch's table of S₁, its tail, times L; s_lo and s_hi stay its extent.
+    The table of S = law(Q, p) at its parameter p is a view of its batch's
+    arrays (_Batch), which answers many (table, τ) pairs at once; the
+    program reads it only there, through mud.SurvivalQuery. A table of
+    S = L·S₁ may end at a split s_c < s_hi, past which it reads its batch's
+    table of S₁, its tail, times L; s_lo and s_hi stay its extent.
     """
 
     # its panels' node rows, edges and right sums (G2, G1 from each panel
@@ -253,20 +253,15 @@ class SurvivalTable:
     _rows, _lo, _hi, _right, _right_err = (
         property(lambda self, k=k: self._batch.arrays(self._index)[k])
         for k in range(5))
+    # its extent, where its tail (if any) takes over and the factor on it
+    s_lo, s_hi, _split, _factor, _open = (
+        property(lambda self, k=k: getattr(self._batch, k)[self._index].item())
+        for k in ("_s_lo", "_s_hi", "_split", "_factor", "_open"))
+    _nodes = property(lambda self: self._batch._nodes)
 
-    def __init__(self, nodes: _Nodes, law: Callable[[np.ndarray], np.ndarray]):
-        self._nodes, self._law = nodes, law
-        at = law(nodes.grid)
-        ones = np.flatnonzero(at == 1.0)
-        zeros = np.flatnonzero(at == 0.0)
-        edges = _TABLE_GRID[ones[-1] if ones.size else 0:
-                            zeros[0] + 1 if zeros.size else len(at)]
-        if len(edges) < 2:
-            raise ValueError("survival function has no transition on the grid")
-        self.s_lo, self.s_hi = float(edges[0]), float(edges[-1])
-        self._open = not zeros.size         # S > 0 at s_hi
-        # where its tail (if any) takes over, and the factor on the tail
-        self._split, self._tail, self._factor = self.s_hi, None, 1.0
+    def __init__(self, batch: "_Batch", index: int, tail=None):
+        # the batch holds no table, so a table lives as long as its user
+        self._batch, self._index, self._tail = batch, index, tail
 
     def _forms(self) -> np.ndarray:
         """The polynomials of every panel as the batch forms them, one row
@@ -276,20 +271,6 @@ class SurvivalTable:
         j = b._first[self._index] + np.arange(n)
         b._form(j)
         return b._poly[:, b._slot[j]].transpose(1, 0, 2).reshape(n, -1)
-
-
-def _beyond(law, base, tau: float, power: int) -> Tuple[float, float]:
-    """∫_τ^∞ S(y)/y^power dy of S = law(base) at τ past an open table's
-    s_hi, and its error estimate, as τ^(1−power)·∫_1^∞ S(τz)/z^power dz,
-    taken in y/τ so that S/y² does not underflow before S does (S counts as
-    0 past the largest double)."""
-    if tau == math.inf:
-        return 0.0, 0.0
-    scale = tau ** (1 - power)
-    with np.errstate(over="ignore"):    # τ·z = inf, where S is 0
-        val, err = integrate_to_inf(
-            lambda z: law(base(tau * z)) / z ** power, 1.0, 0.0, _TABLE_REL)
-    return val * scale, err * scale
 
 
 def _keys(t: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -304,8 +285,9 @@ class _Batch:
     """The survival tables of one build, read together: element i of a
     query is table t[i] at τ[i].
 
-    The build hands each table's panels over as it finishes (_parts). The
-    first read joins them into one array ordered by (table, s), so one
+    Table t is that of S = law(base, param[t]) (_survival_tables). The
+    build hands over the tables that finish in a round together (_parts).
+    The first read joins them into one array ordered by (table, s), so one
     searchsorted on the keys table + i·lo finds the panel of every element
     at once, a knot taking the panel to its left. Table t's n panels start
     at _first[t], and its n + 1 right sums at column _first[t] + t; a
@@ -321,32 +303,44 @@ class _Batch:
     element answers as a query of many.
     """
 
-    def __init__(self, nodes: _Nodes, tables: list):
-        self._nodes = nodes
-        self._laws = [t._law for t in tables]
-        self._parts = [None] * len(tables)
-        self._s_lo, self._s_hi, self._split, self._factor = (
-            np.array([getattr(t, name) for t in tables])
-            for name in ("s_lo", "s_hi", "_split", "_factor"))
-        self._exp_lo = np.array([math.exp(-t.s_lo) for t in tables])
-        self._exp_hi = np.array([math.exp(t.s_hi) for t in tables])
-        self._open = np.array([t._open for t in tables])
-        for i, t in enumerate(tables):
-            t._batch, t._index = self, i
+    def __init__(self, nodes: _Nodes, law, param: np.ndarray, tail: bool):
+        self._nodes, self._law = nodes, law
+        at = law(nodes.grid, param[:, None])        # (table, grid point)
+        # the last grid point where S rounds to 1 and the first where it is 0
+        zeros, i = at == 0.0, np.arange(len(_TABLE_GRID))
+        lo, hi = ((at == 1.0) * i).max(1), np.where(zeros, i, i[-1]).min(1)
+        if (hi <= lo).any():
+            raise ValueError("survival function has no transition on the grid")
+        s_lo, s_hi = _TABLE_GRID[lo], _TABLE_GRID[hi]
         # from its split on, table t reads table host[t] times factor[t]:
         # its tail, or itself past s_hi
-        self._host = np.array([(t._tail or t)._index for t in tables])
+        split, host, n = s_hi.copy(), np.arange(len(param)), len(param)
+        if tail:
+            s = _splits(nodes, law, at[-1], param)
+            head = np.flatnonzero(s[:-1] < s_hi[:-1])
+            split[head], host[head], s_lo[-1] = s[head], n - 1, s[-1]
+            n -= not head.size
+        self._param, self._s_lo, self._s_hi, self._split, self._host = (
+            v[:n] for v in (param, s_lo, s_hi, split, host))
+        self._open = ~zeros[:n].any(axis=1)         # S > 0 at s_hi
+        self._factor = np.where(self._host == np.arange(n), 1.0, self._param)
+        self._exp_lo = np.array([math.exp(-s) for s in self._s_lo.tolist()])
+        self._exp_hi = np.array([math.exp(s) for s in self._s_hi.tolist()])
+        self._parts = []
 
     def _join(self) -> None:
-        """One array of each kind for all tables, from their parts."""
-        parts, self._parts = self._parts, None
-        n = np.array([len(p[0]) for p in parts])
+        """One array of each kind for all tables, from the parts."""
+        tab, rows, lo, hi, right, err = (np.concatenate(v, axis=-1)
+                                         for v in zip(*self._parts))
+        self._parts = None
+        n = np.bincount(tab, minlength=len(self._host))
+        handed = tab[np.flatnonzero(tab != np.concatenate(([-1], tab[:-1])))]
+        panels = np.argsort(tab, kind="stable")
+        edges = np.argsort(np.repeat(handed, n[handed] + 1), kind="stable")
         self._first = np.cumsum(n) - n
         self._last = self._first + n - 1
-        self._rows, self._lo, self._hi = (np.concatenate([p[k] for p in parts])
-                                          for k in range(3))
-        self._right, self._right_err = (
-            np.concatenate([p[k] for p in parts], axis=1) for k in (3, 4))
+        self._rows, self._lo, self._hi = rows[panels], lo[panels], hi[panels]
+        self._right, self._right_err = right[:, edges], err[:, edges]
         tables = np.arange(len(n))
         self._key = _keys(np.repeat(tables, n), self._lo)
         self._slot = np.full(len(self._lo), -1)
@@ -388,9 +382,7 @@ class _Batch:
         new[j[missing]] = True
         new = np.flatnonzero(new)               # by table, then by s
         tab = np.searchsorted(self._first, new, side="right") - 1
-        f = np.concatenate([self._nodes.values(self._laws[t],
-                                               self._rows[new[tab == t]])
-                            for t in dict.fromkeys(tab.tolist())], axis=1)
+        f = self._nodes.values(self._law, self._rows[new], self._param[tab])
         f = f.transpose(1, 0, 2).copy()         # (panels, G2 or G1, nodes)
         # where S >= 1/2 on the panel, S − 1 is exact, and its polynomial
         # keeps the digits of the slope that the one of S would round off
@@ -481,13 +473,24 @@ class _Batch:
               err) -> None:
         """Fill in the elements i, past an open s_hi, with end the last
         panel's interpolant of S and its slope in u at s_hi."""
-        for table in dict.fromkeys(t[i].tolist()):
-            on = i[t[i] == table]
-            sf[on] = self._laws[table](self._nodes.base(tau[on]))
+        sf[i] = self._law(self._nodes.base(tau[i]), self._param[t[i]])
         slope[i] = 2.0 * end[:, 1] / (end[:, 0] * width) * sf[i]
         for k in (i if want is None else i[want[i]]).tolist():
-            g[k], err[k] = _beyond(self._laws[t[k]], self._nodes.base,
-                                   float(tau[k]), power)
+            g[k], err[k] = self._beyond(t[k], float(tau[k]), power)
+
+    def _beyond(self, t: int, tau: float, power: int) -> Tuple[float, float]:
+        """∫_τ^∞ S(y)/y^power dy of table t at τ past its open s_hi, and its
+        error estimate, as τ^(1−power)·∫_1^∞ S(τz)/z^power dz, taken in y/τ
+        so that S/y² does not underflow before S does (S counts as 0 past
+        the largest double)."""
+        if tau == math.inf:
+            return 0.0, 0.0
+        law, base, p = self._law, self._nodes.base, self._param[t]
+        scale = tau ** (1 - power)
+        with np.errstate(over="ignore"):    # τ·z = inf, where S is 0
+            val, err = integrate_to_inf(lambda z: law(base(tau * z), p)
+                                        / z ** power, 1.0, 0.0, _TABLE_REL)
+        return val * scale, err * scale
 
     def inverse_g2(self, t: np.ndarray, value: np.ndarray) -> np.ndarray:
         """The τ where G2 of table t[i] is value[i] >= 0, estimated without
@@ -522,106 +525,102 @@ class _Batch:
         return out
 
 
-def _splits(nodes: _Nodes, law, factors) -> np.ndarray:
+def _splits(nodes: _Nodes, law, grid: np.ndarray, factors) -> np.ndarray:
     """s_c(L) for each factor L: the first point of a lattice of step 1/4
-    in s where L·S₁ <= 2⁻⁵⁴, S₁ = law(base), searched in the grid step up
-    to the first grid point where that holds (inf where none does), so it
-    depends on the law and L alone."""
+    in s where L·S₁ <= 2⁻⁵⁴, S₁ = law(base, 1) and grid its values at the
+    grid, searched in the grid step up to the first grid point where that
+    holds (inf where none does), so it depends on the law and L alone."""
     factors = np.asarray(factors, dtype=float)[:, None]
-    k = (factors * law(nodes.grid) <= _TAIL_SF).argmax(axis=1)  # 0: none
+    k = (factors * grid <= _TAIL_SF).argmax(axis=1)     # 0: none
     out, on = np.full(len(k), math.inf), k > 0
     if on.any():
         steps, row = np.unique(k[on], return_inverse=True)
         # the lattice points of each step, the last one grid[k], which holds
         s = _TABLE_GRID[steps - 1, None] + _SPLIT_STEPS
-        sf = law(nodes.base(np.exp(s.ravel()))).reshape(s.shape)[row]
+        sf = law(nodes.base(np.exp(s.ravel())), 1.0).reshape(s.shape)[row]
         out[on] = s[row, (factors[on] * sf <= _TAIL_SF).argmax(axis=1)]
     return out
 
 
-def _survival_tables(base: Callable[[np.ndarray], np.ndarray],
-                     laws, tail=None) -> list:
-    """One SurvivalTable of S = law(base(y)) per law, all on one node
-    store, built in rounds (_build_round) over blocks of about _TABLE_BLOCK
-    panels, and read together through one _Batch. Every law must map base
-    values to S elementwise; provided the base is elementwise too, a table
-    is the same, bit for bit, whatever else is in its batch.
+def _survival_tables(base: Callable[[np.ndarray], np.ndarray], law, params,
+                     tail: bool = False) -> list:
+    """One SurvivalTable of S = law(base(y), p) per parameter p in params,
+    all on one node store, built in rounds (_build_round) over blocks of
+    about _TABLE_BLOCK panels, and read together through one _Batch. The
+    law maps base values and a column of parameters to S elementwise, and
+    each step of a build calls it once for all tables; provided the base
+    is elementwise too, a table is the same, bit for bit, whatever else is
+    in its batch.
 
-    With tail = (law, factors), laws[i] is L = factors[i] times S₁ = law
-    to rounding wherever that is at most 2⁻⁵⁴, as the best of L users is.
+    With tail, params are user counts L, and law(Q, L) is L·law(Q, 1) to
+    rounding wherever that is at most 2⁻⁵⁴, as the best of L users is.
     Table i is then a head that ends at s_c(L) < s_hi (_splits) and reads
-    one more table, of S₁ from s_c(1) on, past it; that tail is built in
-    the same rounds. A head is refined as if its tail were 0, a lower bound
-    on its sums to the right, and then adds L times the tail's (_join)."""
-    nodes = _Nodes(base)
-    tables = [SurvivalTable(nodes, law) for law in laws]
-    built = list(tables)
-    if tail is not None:
-        law, factors = tail[0], list(tail[1])
-        split = _splits(nodes, law, [1.0, *factors])
-        rest = SurvivalTable(nodes, law)
-        rest.s_lo = float(split[0])
-        for t, factor, s in zip(tables, factors, split[1:].tolist()):
-            if s < t.s_hi:
-                t._split, t._tail, t._factor = s, rest, float(factor)
-        if any(t._tail for t in tables):
-            built.append(rest)
-    batch = _Batch(nodes, built)
+    one more table, of S₁ = law(Q, 1) from s_c(1) on, past it; that tail
+    is built in the same rounds. A head is refined as if its tail were 0, a
+    lower bound on its sums to the right, and then adds L times the
+    tail's (_Batch._join)."""
+    batch = _Batch(_Nodes(base), law, np.array(
+        [*params, 1.0] if tail else params, dtype=float), tail)
     # the integrals past the split: (tables, G2 or G1, value or error)
-    ends = np.array([[_beyond(t._law, base, math.exp(t.s_hi), p)
-                      if t._open and t._tail is None else (0.0, 0.0)
-                      for p in (2, 1)] for t in built])
-    # the first partition: the grid within [s_lo, split] and, from an end
-    # off the grid, panels of width 2, 1, 1/2 and 1/4 aligned as [0, 4] is,
-    # so that panels split from them in different tables meet at equal
-    # floats (sorted(set()): np.unique's first call here cost 1 MB of RSS)
-    grid = [np.array(sorted(set(np.concatenate([
-        [t.s_lo, t._split], np.ceil(t.s_lo / _ALIGNED) * _ALIGNED,
-        np.floor(t._split / _ALIGNED) * _ALIGNED,
-        _TABLE_GRID[(_TABLE_GRID > t.s_lo) & (_TABLE_GRID < t._split)]
-    ]).tolist()))) for t in built]
-    rows = nodes.rows(np.concatenate([g[:-1] for g in grid]),
-                      np.concatenate([g[1:] for g in grid]))
-    # per live table: node rows, which panels are new, and sums (4, panels):
-    # the K15 values of the G2 and G1 integrands, then their G7/K15 errors
-    state = {t: (r, np.ones(len(r), bool), np.empty((4, len(r))))
-             for t, r in enumerate(np.split(
-                 rows, np.cumsum([len(g) - 1 for g in grid])[:-1]))}
-    while state:
-        live = np.array(list(state))
-        size = np.array([len(state[t][0]) for t in live])
-        for block in np.split(live, np.flatnonzero(np.diff(
-                (np.cumsum(size) - size) // _TABLE_BLOCK)) + 1):
-            _build_round(nodes, batch, ends[block], block, state)
-    return tables
+    ends = np.array([[batch._beyond(t, math.exp(s), p) if batch._open[t]
+                      and batch._host[t] == t else (0.0, 0.0) for p in (2, 1)]
+                     for t, s in enumerate(batch._s_hi.tolist())])
+    # the first partitions, a row of points per table: the grid within
+    # [s_lo, split] (s_lo stands in for the rest) and, from an end off the
+    # grid, panels of width 2, 1, 1/2 and 1/4 aligned as [0, 4] is, so that
+    # panels split from them in different tables meet at equal floats
+    lo, cut = batch._s_lo[:, None], batch._split[:, None]
+    points = np.hstack([lo, cut, np.ceil(lo / _ALIGNED) * _ALIGNED,
+                        np.floor(cut / _ALIGNED) * _ALIGNED, np.where(
+                            (_TABLE_GRID > lo) & (_TABLE_GRID < cut),
+                            _TABLE_GRID, lo)])
+    # sorted(set()): np.unique's first call here cost 1 MB of RSS
+    grid = np.array(sorted(set(points.ravel().tolist())))
+    on = np.zeros((len(points), len(grid)), dtype=bool)
+    on[np.arange(len(points))[:, None], np.searchsorted(grid, points)] = True
+    tab, k = np.nonzero(on)
+    edge = np.flatnonzero(tab[1:] == tab[:-1])
+    # per panel of the live tables, by (table, s): table, node row, new or
+    # not, and sums: K15 values of the G2 and G1 integrands, G7/K15 errors
+    rows = batch._nodes.rows(grid[k[edge]], grid[k[edge + 1]])
+    live = tab[edge], rows, np.ones(len(rows), bool), np.empty((4, len(rows)))
+    while len(live[0]):
+        # blocks of whole tables, of about _TABLE_BLOCK panels
+        first = np.flatnonzero(live[0] != np.concatenate(([-1], live[0][:-1])))
+        cuts = [0, *first[np.flatnonzero(np.diff(first // _TABLE_BLOCK))
+                          + 1].tolist(), len(live[0])]
+        live = [np.concatenate(v, axis=-1) for v in zip(*(
+            _build_round(batch, ends, *(v[..., a:b] for v in live))
+            for a, b in zip(cuts, cuts[1:])))]
+    tail = SurvivalTable(batch, len(batch._host) - 1)   # read by any heads
+    return [SurvivalTable(batch, t, tail if h != t else None)
+            for t, h in enumerate(batch._host[:len(params)].tolist())]
 
 
-def _build_round(nodes: _Nodes, batch: _Batch, ends: np.ndarray,
-                 block: np.ndarray, state: dict) -> None:
-    """One round for the tables in block: their partitions, taken from
-    state into one array ordered by (table, s), get the sums of their new
-    panels, _TABLE_EVAL at a time with one call of each law, and the sums
-    from every panel on. A table with no panel over its bound hands its
-    partition and sums to the batch; in the others each such panel is
-    split in place."""
-    parts = [state.pop(t) for t in block]
-    n = np.array([len(p[0]) for p in parts])
-    rows, new, sums = (np.concatenate(p, axis=-1) for p in zip(*parts))
-    lo, hi, end, tab = (nodes.lo[rows], nodes.hi[rows], np.cumsum(n),
-                        np.repeat(np.arange(len(n)), n))
-    new = np.flatnonzero(new)
-    for c in range(0, len(new), _TABLE_EVAL):
-        p = new[c:c + _TABLE_EVAL]
-        e = [0, *(np.flatnonzero(np.diff(tab[p])) + 1).tolist(), len(p)]
-        f = np.concatenate([nodes.values(batch._laws[block[tab[p[i]]]],
-                                         rows[p[i:j]])
-                            for i, j in zip(e, e[1:])], axis=1)
+def _build_round(batch: _Batch, ends: np.ndarray, tab: np.ndarray,
+                 rows: np.ndarray, new: np.ndarray, sums: np.ndarray) -> tuple:
+    """One round for a block of whole tables, given by their panels ordered
+    by (table, s) and the table of each, tab: the sums of their new panels,
+    _TABLE_EVAL at a time with one call of the law, and the sums from every
+    panel on. The tables with no panel over its bound hand their partitions
+    and sums to the batch together; in the others each such panel is split
+    in place, and their panels are returned as they came."""
+    nodes = batch._nodes
+    start = np.flatnonzero(tab != np.concatenate(([-1], tab[:-1])))
+    n = np.concatenate((start[1:], [len(tab)])) - start
+    local, ends = np.repeat(np.arange(len(n)), n), ends[tab[start]]
+    lo, hi = nodes.lo[rows], nodes.hi[rows]
+    fresh = np.flatnonzero(new)
+    for c in range(0, len(fresh), _TABLE_EVAL):
+        p = fresh[c:c + _TABLE_EVAL]
+        f = nodes.values(batch._law, rows[p], batch._param[tab[p]])
         sums[:, p] = np.concatenate(_panel_sums(f, lo[p], hi[p]))
     # the sums from each panel on: one cumsum along zero-padded rows that
     # hold a table's integrals past its end and then its panels from the
     # last one down, the order in which the table's own cumsum would add them
     width = n.max() + 1
-    at = np.repeat(np.arange(len(n)) * width + end, n) - np.arange(len(rows))
+    at = np.repeat(np.arange(len(n)) * width + start + n, n) \
+        - np.arange(len(rows))
     pad = np.zeros((2, len(n) * width))
     pad[:, ::width] = ends[:, :, 0].T
     pad[0, at], pad[1, at] = sums[:2]
@@ -634,21 +633,26 @@ def _build_round(nodes: _Nodes, batch: _Batch, ends: np.ndarray,
     # resolve it finely enough in a single round
     k = np.clip(np.ceil(excess[bad] ** (1.0 / 10.0)), 2,
                 _TABLE_MAX_SPLIT).astype(int)
-    more = np.bincount(tab[bad], k, len(n))
+    more = np.bincount(local[bad], k, len(n))
     if (n + more > _TABLE_MAX_PANELS).any():
         raise ConvergenceError(
             f"survival table did not reach tolerance in "
             f"{_TABLE_MAX_PANELS} panels")
-    for t in np.flatnonzero(more == 0):     # the partition is final
-        cut = slice(end[t] - n[t], end[t])
-        batch._parts[block[t]] = (
-            *(v[cut].copy() for v in (rows, lo, hi)),
-            right[:, t, n[t]::-1].copy(),
-            np.cumsum(np.concatenate([ends[t, :, 1:], sums[2:, cut][:, ::-1]],
-                                     1), axis=1)[:, ::-1])
-    if not more.any():
-        return
-    copies = (more > 0)[tab].astype(int)    # 1 per panel kept, k per split
+    done = np.flatnonzero(more == 0)        # their partitions are final
+    if done.size:
+        # the sums of each from its first edge on, columns n, ..., 0 of its
+        # row, and the error sums likewise
+        pad[:, ::width] = ends[:, :, 1].T
+        pad[0, at], pad[1, at] = sums[2:]
+        err = np.cumsum(pad.reshape(2, len(n), width)[:, done], axis=2)
+        m, keep = n[done] + 1, more[local] == 0
+        back = np.repeat(np.cumsum(m) - 1, m) - np.arange(m.sum())
+        batch._parts.append((tab[keep], rows[keep], lo[keep], hi[keep], *(
+            c.reshape(2, -1)[:, np.repeat(r * width, m) + back]
+            for c, r in ((right, done), (err, np.arange(len(done)))))))
+        if done.size == len(n):
+            return tab[:0], rows[:0], new[:0], sums[:, :0]
+    copies = (more > 0)[local].astype(int)  # 1 per panel kept, k per split
     copies[bad] = k
     at = np.repeat(np.arange(len(rows)), copies)
     i = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
@@ -656,10 +660,7 @@ def _build_round(nodes: _Nodes, batch: _Batch, ends: np.ndarray,
     new, rows, sums, tab = bad[at], rows[at], sums.take(at, axis=1), tab[at]
     rows[new] = nodes.rows(a + (b - a) * (i / kk), np.where(
         i + 1 == kk, b, a + (b - a) * ((i + 1) / kk)))
-    size = np.bincount(tab, minlength=len(n))
-    for t, stop in zip(np.flatnonzero(more), np.cumsum(size)[more > 0]):
-        cut = slice(stop - size[t], stop)
-        state[block[t]] = rows[cut], new[cut], sums[:, cut]
+    return tab, rows, new, sums
 
 
 def _apart(fn: Callable[[np.ndarray], tuple], idx: np.ndarray):

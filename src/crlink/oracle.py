@@ -23,10 +23,6 @@ from .mud import MudDistribution, _whole_number
 from .power import ConstellationSet, CutoffSolution, DrPolicy
 
 
-# fewest draws per estimate accepted from a user: below this a 3-sigma band
-# is too loose to check anything
-MIN_SAMPLES = 10 ** 5
-
 # draws per batch, fewer where the batch would exceed _MAX_BASE_DRAWS
 _BATCH = 200_000
 

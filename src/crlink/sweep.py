@@ -23,7 +23,6 @@ from .metrics import (_LOG2E, capacity, spectral_efficiency_cr,
 from .mud import (MudDistribution, SurvivalQuery, _is_number, _unit_tables,
                   _whole_number, _whole_numbers)
 from .numerics import _apart
-from .oracle import MIN_SAMPLES, McConfig, mc_point
 from .power import (ConstellationSet, ConstraintSpec, CutoffSolution, DrPolicy,
                     _DR, _policies, solve_cutoff, solve_cutoff_cr,
                     solve_dr_policy)
@@ -36,6 +35,9 @@ _LINKS = {"osa": LinkKind.DIRECT, "ss": LinkKind.RATIO}
 # series runs out of terms inside the grid
 _SS_MAX_M = 15.0
 _OSA_MAX_M = 1000.0
+# fewest draws per oracle estimate accepted from a user: below this a
+# 3-sigma band is too loose to check anything
+MIN_SAMPLES = 10 ** 5
 
 
 def db_to_linear(db: float) -> float:
@@ -282,6 +284,7 @@ def evaluate_point(cfg: SweepConfig, axis_value: float, ns: int, m: float,
         row.gamma0_cap, row.gamma0_cr, row.gamma_star_dr = (
             sol.cut.gamma0, sol.cut_cr.gamma0, sol.pol.gamma_star)
         if cfg.mc_validate:
+            from .oracle import McConfig, mc_point
             est = mc_point(dist, sol.cut, sol.cut_cr, sol.pol, cset,
                            McConfig(samples=cfg.mc_samples, seed=mc_seed),
                            ("capacity", "se_cr", "se_dr"))

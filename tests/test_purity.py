@@ -33,6 +33,11 @@ def _every_panel(table) -> np.ndarray:
                             table._right[:, 1:].T])
 
 
+def _as_is(q, p):
+    """The base itself as the law: S = p·Q at p = 1."""
+    return p * q
+
+
 def _integral(table, tau, power):
     """G_power(τ) of one table and its error estimate (_Batch.query)."""
     out = table._batch.query(np.array([table._index]), np.array([tau]), power)
@@ -111,9 +116,7 @@ def test_batch_evaluates_the_base_once_per_node():
         calls.append(np.array(y, copy=True))
         return base(y)
     users = range(1, 21)
-    tables = numerics._survival_tables(
-        counted, [partial(_best_of, users=L) for L in users],
-        (partial(_best_of, users=1), users))
+    tables = numerics._survival_tables(counted, _best_of, users, tail=True)
     tail = tables[0]._tail
     assert all(t._tail is tail for t in tables)
     for t in tables + [tail]:
@@ -139,7 +142,7 @@ def test_a_tail_of_zeros_is_not_integrated(m, monkeypatch):
     calls = []
     monkeypatch.setattr(numerics, "integrate_to_inf",
                         lambda *args: calls.append(args) or real(*args))
-    table = numerics._survival_tables(dist.sf, [lambda q: q])[0]
+    table = numerics._survival_tables(dist.sf, _as_is, [1.0])[0]
     assert calls == []
     start = math.exp(table.s_hi)
     assert dist.sf(start) == 0.0

@@ -168,7 +168,9 @@ def _legendre_panel(table, tau):
         return tuple(table._factor * v
                      for v in _legendre_panel(table._tail, tau))
     j = max(int(np.searchsorted(table._lo, s)) - 1, 0)
-    f = table._nodes.values(table._law, table._rows[j:j + 1])[:, 0]
+    b = table._batch
+    f = b._nodes.values(b._law, table._rows[j:j + 1],
+                        b._param[[table._index]])[:, 0]
     lead = 1.0 if f[1].min() >= 0.5 else 0.0
     f[1] -= lead
     c = f @ numerics._LEG_FROM_NODES

@@ -27,6 +27,11 @@ TAUS = [10.0 ** k for k in range(-20, 21, 4)] + [0.3, 3.0]
 REL = 1e-12
 
 
+def _as_is(q, p):
+    """The base itself as the law: S = p·Q at p = 1."""
+    return p * q
+
+
 def _unit(link, m, L):
     return MudDistribution(SnrDistribution(FadingSpec(1.0, m), link), L)
 
@@ -113,10 +118,10 @@ def test_scale_enters_through_the_argument():
 def test_table_depends_on_its_law_alone():
     # two builds agree bit for bit, whatever was asked of the first
     sf = _unit(LinkKind.RATIO, 1.5, 5).sf
-    first = _survival_tables(sf, [lambda q: q])[0]
+    first = _survival_tables(sf, _as_is, [1.0])[0]
     answers = [_integral(first, t, 2) + _integral(first, t, 1)
                for t in (1e-3, 0.5, 7.0, 1e25)]
-    second = _survival_tables(sf, [lambda q: q])[0]
+    second = _survival_tables(sf, _as_is, [1.0])[0]
     assert [_integral(second, t, 2) + _integral(second, t, 1)
             for t in (1e-3, 0.5, 7.0, 1e25)] == answers
     assert first._forms().tobytes() == second._forms().tobytes()
@@ -186,7 +191,7 @@ def test_a_law_without_transition_is_refused():
     # S = 1 at every grid point leaves no panel between its 1s and 0s
     with pytest.raises(ValueError,
                        match="^survival function has no transition on the grid$"):
-        _survival_tables(np.ones_like, [lambda q: q])
+        _survival_tables(np.ones_like, _as_is, [1.0])
 
 
 def test_the_panel_budget_stops_the_build(monkeypatch):
@@ -194,41 +199,80 @@ def test_the_panel_budget_stops_the_build(monkeypatch):
     monkeypatch.setattr(numerics, "_TABLE_MAX_PANELS", 50)
     sf = _unit(LinkKind.DIRECT, 1.5, 5).sf
     with pytest.raises(ConvergenceError, match="tolerance in 50 panels"):
-        _survival_tables(sf, [lambda q: q])
+        _survival_tables(sf, _as_is, [1.0])
 
 
 @pytest.mark.parametrize("link, m, users", [
     (LinkKind.DIRECT, 1.5, range(1, 21)), (LinkKind.RATIO, 0.5, (1, 5, 15, 200))])
 def test_a_batch_evaluates_each_panel_of_a_table_once(link, m, users):
-    # the law of a head, and the one-user law of the tail the heads share,
-    # sees the 15 node values of every panel it ever held once, whatever
-    # else is in its batch; built alone, a table's node store holds exactly
-    # the panels of its head and its tail (none on the ratio link at
-    # m = 0.5, whose tables are whole)
+    # the law sees the 15 node values of every panel that a table of each
+    # parameter ever held once, whatever else is in its batch, where the
+    # one-user tail that the heads share counts with parameter 1; built
+    # alone, a table's node store holds exactly the panels of its head and
+    # its tail (none on the ratio link at m = 0.5, whose tables are whole)
     sf = SnrDistribution(FadingSpec(1.0, m), link).sf
 
-    def counted(L, elems, key=None):
-        def law(q):
+    def counted(elems):
+        def law(q, users):
             if np.ndim(q) == 2:     # panels; the grid and lattice are 1-D
                 assert np.shape(q)[1] == 15
-                elems[key or L] = elems.get(key or L, 0) + np.size(q)
-            return _best_of(q, L)
+                for L in np.unique(users).tolist():
+                    elems[L] = elems.get(L, 0) + np.size(q[users[:, 0] == L])
+            return _best_of(q, users)
         return law
 
     def build(users, elems):
-        return _survival_tables(sf, [counted(L, elems) for L in users],
-                                (counted(1, elems, "tail"), users))
+        return _survival_tables(sf, counted(elems), users, tail=True)
     batch = {}
     build(users, batch)
-    tails = set()
+    tails, shared = set(), set()
     for L in users:
         alone = {}
         (table,) = build([L], alone)
         assert batch[L] == alone[L]
-        assert batch.get("tail") == alone.get("tail")
-        assert 15 * len(table._nodes.lo) == alone[L] + alone.get("tail", 0), L
+        if L != 1:
+            shared.add(alone.get(1))
+        assert 15 * len(table._nodes.lo) == sum(alone.values()), L
         tails.add(table._tail is None)
     assert tails == {link == LinkKind.RATIO}
+    assert len(shared) == 1
+
+
+def test_a_batch_calls_its_law_once_per_build_step(monkeypatch):
+    # built and with every panel formed, a direct m = 1.5 batch calls its
+    # law once per evaluation chunk of _TABLE_EVAL panels, once per _form,
+    # once for the grid extents and once for the split lattice, however many
+    # tables it holds (once per table in each, 110 calls for L = 1..20 and
+    # 19 for L = 1..2, when each table had a law of its own)
+    sf = SnrDistribution(FadingSpec(1.0, 1.5), LinkKind.DIRECT).sf
+    sums, form = numerics._panel_sums, numerics._Batch._form
+
+    def count(users):
+        calls = {"law": 0, "chunks": 0, "forms": 0}
+
+        def law(q, users):
+            calls["law"] += 1
+            return _best_of(q, users)
+
+        def chunk(*args):
+            calls["chunks"] += 1
+            return sums(*args)
+
+        def forming(batch, j):      # a _form with panels left to form
+            calls["forms"] += bool(np.any(batch._slot[j] < 0))
+            return form(batch, j)
+        monkeypatch.setattr(numerics, "_panel_sums", chunk)
+        monkeypatch.setattr(numerics._Batch, "_form", forming)
+        batch = _survival_tables(sf, law, users, tail=True)[0]._batch
+        batch.arrays(0)
+        batch._form(np.arange(len(batch._lo)))
+        assert np.all(batch._slot >= 0)
+        return calls
+    many, few = count(range(1, 21)), count(range(1, 3))
+    for calls in (many, few):
+        assert calls["law"] <= calls["chunks"] + calls["forms"] + 2, calls
+        assert calls["forms"] <= 2, calls
+    assert many["law"] - few["law"] <= many["chunks"] - few["chunks"]
 
 
 @pytest.mark.parametrize("link, m", [

@@ -249,12 +249,13 @@ def test_cli_point_stdout_matches_sweep(tmp_path):
 
 
 def test_cli_import_leaves_yaml_and_process_pool_out():
-    # only a config load needs yaml and only --workers > 1 a process pool;
-    # a fresh interpreter shows what importing the CLI pulls in
+    # only a config load needs yaml, only --workers > 1 a process pool and
+    # only validate, selftest or mc_validate the oracle; a fresh interpreter
+    # shows what importing the CLI pulls in
     code = ("import sys, crlink.cli as cli; "
             "cli.build_parser().parse_args(['validate']); "
-            "print(sorted(m for m in ('yaml', 'concurrent.futures') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('yaml', 'concurrent.futures', "
+            "'crlink.oracle') if m in sys.modules))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -412,13 +413,13 @@ def test_cli_validate_rejects_too_few_samples(capsys):
 
 def test_cli_validate_zero_stderr_passes_only_exact_match(monkeypatch):
     # a zero stderr used to read as sigma 0 and pass whatever the gap
-    import crlink.cli as cli
+    import crlink.oracle as oracle
     from crlink.oracle import McEstimate
 
     def constant(dist, cut, cut_cr, pol, cset, cfg):
         names = ("capacity", "se_cr", "se_dr", "power", "power_dr")
         return dict.fromkeys(names, McEstimate(0.1, 0.0, cfg.samples))
-    monkeypatch.setattr(cli, "mc_point", constant)
+    monkeypatch.setattr(oracle, "mc_point", constant)
     with redirect_stdout(io.StringIO()) as out:
         rc = main(["validate", "--samples", "100000"])
     assert rc == 1
@@ -602,9 +603,9 @@ def test_each_sweep_builds_its_own_tables(monkeypatch):
     built = []
     real = mud._survival_tables
 
-    def counted(base, laws, *tail):
-        built.append(len(laws))
-        return real(base, laws, *tail)
+    def counted(base, law, users, **tail):
+        built.append(len(users))
+        return real(base, law, users, **tail)
     monkeypatch.setattr(mud, "_survival_tables", counted)
     cfg = small_cfg(axis_range=(0.0, 4.0, 2.0), num_users=(1, 5))
     first = render_csv(run_sweep(cfg))
