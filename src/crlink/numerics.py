@@ -257,7 +257,6 @@ class SurvivalTable:
     s_lo, s_hi, _split, _factor, _open = (
         property(lambda self, k=k: getattr(self._batch, k)[self._index].item())
         for k in ("_s_lo", "_s_hi", "_split", "_factor", "_open"))
-    _nodes = property(lambda self: self._batch._nodes)
 
     def __init__(self, batch: "_Batch", index: int, tail=None):
         # the batch holds no table, so a table lives as long as its user
@@ -589,9 +588,10 @@ def _survival_tables(base: Callable[[np.ndarray], np.ndarray], law, params,
         first = np.flatnonzero(live[0] != np.concatenate(([-1], live[0][:-1])))
         cuts = [0, *first[np.flatnonzero(np.diff(first // _TABLE_BLOCK))
                           + 1].tolist(), len(live[0])]
-        live = [np.concatenate(v, axis=-1) for v in zip(*(
-            _build_round(batch, ends, *(v[..., a:b] for v in live))
-            for a, b in zip(cuts, cuts[1:])))]
+        parts = [_build_round(batch, ends, *(v[..., a:b] for v in live))
+                 for a, b in zip(cuts, cuts[1:])]
+        live = parts[0] if len(parts) == 1 else [
+            np.concatenate(v, axis=-1) for v in zip(*parts)]
     tail = SurvivalTable(batch, len(batch._host) - 1)   # read by any heads
     return [SurvivalTable(batch, t, tail if h != t else None)
             for t, h in enumerate(batch._host[:len(params)].tolist())]

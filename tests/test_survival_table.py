@@ -232,7 +232,7 @@ def test_a_batch_evaluates_each_panel_of_a_table_once(link, m, users):
         assert batch[L] == alone[L]
         if L != 1:
             shared.add(alone.get(1))
-        assert 15 * len(table._nodes.lo) == sum(alone.values()), L
+        assert 15 * len(table._batch._nodes.lo) == sum(alone.values()), L
         tails.add(table._tail is None)
     assert tails == {link == LinkKind.RATIO}
     assert len(shared) == 1
@@ -286,7 +286,8 @@ def test_past_its_split_a_table_is_its_tail_times_the_users(link, m):
     tables = _unit_tables(link, m, users)
     tail = tables[link, m, 1]._tail
     rows = tail._rows
-    q, s = tail._nodes.q[rows], np.log(tail._nodes.y[rows])
+    nodes = tail._batch._nodes
+    q, s = nodes.q[rows], np.log(nodes.y[rows])
     for L in users:
         table = tables[link, m, L]
         assert table._tail is tail and table._factor == L
