@@ -480,16 +480,23 @@ class _Batch:
     def _beyond(self, t: int, tau: float, power: int) -> Tuple[float, float]:
         """∫_τ^∞ S(y)/y^power dy of table t at τ past its open s_hi, and its
         error estimate, as τ^(1−power)·∫_1^∞ S(τz)/z^power dz, taken in y/τ
-        so that S/y² does not underflow before S does (S counts as 0 past
-        the largest double)."""
+        so that S/y² does not underflow before S does, up to the largest
+        double y_max, and in closed form beyond it."""
         if tau == math.inf:
             return 0.0, 0.0
         law, base, p = self._law, self._nodes.base, self._param[t]
-        scale = tau ** (1 - power)
-        with np.errstate(over="ignore"):    # τ·z = inf, where S is 0
+        scale, y_max = tau ** (1 - power), np.finfo(float).max
+        with np.errstate(over="ignore"):    # τ·z = inf, where S reads 0
             val, err = integrate_to_inf(lambda z: law(base(tau * z), p)
                                         / z ** power, 1.0, 0.0, _TABLE_REL)
-        return val * scale, err * scale
+            top = law(base(y_max / np.array([1.0, 2.0, 4.0])), p)
+        # past y_max an open table's S is c·y^(−m), as L·Q is far below 1,
+        # so that part is S(y_max)·y_max^(1−p)/(m + p − 1), m read from S at
+        # y_max/2 and y_max; read from y_max/4 and y_max/2, m moves by the
+        # bend of ln S and the rounding of S, which estimates the error
+        m = np.log2(top[1:] / top[:-1]) if top[0] > 0.0 else np.ones(2)
+        far = top[0] * y_max ** (1 - power) / (m + (power - 1.0))
+        return val * scale + far[0], err * scale + abs(far[0] - far[1])
 
     def inverse_g2(self, t: np.ndarray, value: np.ndarray) -> np.ndarray:
         """The τ where G2 of table t[i] is value[i] >= 0, estimated without
@@ -685,16 +692,16 @@ def _apart(fn: Callable[[np.ndarray], tuple], idx: np.ndarray):
 
 
 class Roots(NamedTuple):
-    """solve_decreasing's answer per element: x and residual g(x) − target,
-    evals the evaluations each took, kept the extra output of g at x (or
-    None) and errors the exception of each element that has no root (or
-    None); calls counts the evaluations of g, one per round."""
+    """solve_decreasing's answer per element: the root x and its residual
+    g(x) − target, evals the evaluations each took and errors the exception
+    of each element that has no root (or None); calls counts the
+    evaluations of g, one per round. A caller that wants more of g at the
+    root evaluates it there."""
 
     x: np.ndarray
     residual: np.ndarray
     calls: int
     evals: np.ndarray
-    kept: Optional[np.ndarray]
     errors: list
 
 
@@ -705,11 +712,11 @@ def solve_decreasing(g: Callable[[np.ndarray, np.ndarray], tuple], target,
     [1e-14, 1e14], all in lockstep.
 
     g(x, i) evaluates the elements i at x, returning (value, derivative)
-    arrays and, optionally, a third array whose row at the root is kept.
-    Per element, Newton steps act on ln g against ln x, which is exact for
-    power laws such as 1/x. The tightest bracket seen is kept; a step that
-    leaves it is replaced by the geometric midpoint, and any step moves x
-    by at most a factor of 100. An element stops when
+    arrays; the answer is the roots alone (Roots). Per element, Newton
+    steps act on ln g against ln x, which is exact for power laws such as
+    1/x. The tightest bracket seen is kept; a step that leaves it is
+    replaced by the geometric midpoint, and any step moves x by at most a
+    factor of 100. An element stops when
     |g(x) − target| <= 1e-10·target, or at the closest point seen once its
     bracket is exhausted at floating-point resolution. It gets
     NoSolutionError when its root lies outside the domain, ConvergenceError
@@ -720,7 +727,7 @@ def solve_decreasing(g: Callable[[np.ndarray, np.ndarray], tuple], target,
     target = np.array(target, dtype=float).reshape(-1)
     n = len(target)
     out_x, out_res = np.full((2, n), math.nan)
-    evals, errors, out_kept = np.zeros(n, dtype=int), [None] * n, None
+    evals, errors = np.zeros(n, dtype=int), [None] * n
     # per element still solving (i): x, the bracket, the target and the
     # closest point seen with its residual; rows of one array, so that
     # dropping the elements that stop is one step
@@ -728,12 +735,11 @@ def solve_decreasing(g: Callable[[np.ndarray, np.ndarray], tuple], target,
     state[0] = np.minimum(np.maximum(x0, _X_MIN), _X_MAX)
     state[1:] = np.array([0.0, math.inf, 0.0, math.nan, math.nan])[:, None]
     state[3] = target
-    best_kept, calls = None, 0
+    calls = 0
 
     def keep(go):
-        nonlocal i, state, best_kept
+        nonlocal i, state
         i, state = i[go], state[:, go]
-        best_kept = None if best_kept is None else best_kept[go]
 
     while i.size and calls < _MAX_EVALS:
         calls += 1
@@ -749,16 +755,10 @@ def solve_decreasing(g: Callable[[np.ndarray, np.ndarray], tuple], target,
             if got is None:
                 break
         x, lo, hi, tgt, best_x, best_res = state
-        val, slope = got[:2]
-        kept = got[2] if len(got) > 2 else None
+        val, slope = got
         res = val - tgt
         better = abs(res) < abs(best_res) if calls > 1 else np.ones(len(i), bool)
         best_x[better], best_res[better] = x[better], res[better]
-        if kept is not None:
-            best_kept = kept if best_kept is None else np.where(
-                better[:, None], kept, best_kept)
-            if out_kept is None:
-                out_kept = np.full((n,) + kept.shape[1:], math.nan)
         up = res > 0.0
         lo[up], hi[~up] = x[up], x[~up]
         found = abs(res) <= _SOLVE_REL * tgt
@@ -769,9 +769,6 @@ def solve_decreasing(g: Callable[[np.ndarray, np.ndarray], tuple], target,
             done = i[stop]
             out_x[done] = np.where(found, x, best_x)[stop]
             out_res[done] = np.where(found, res, best_res)[stop]
-            if kept is not None:
-                out_kept[done] = np.where(found[:, None], kept,
-                                          best_kept)[stop]
             go = ~stop
             keep(go)
             val, slope, res = val[go], slope[go], res[go]
@@ -808,4 +805,4 @@ def solve_decreasing(g: Callable[[np.ndarray, np.ndarray], tuple], target,
             f"root refinement did not reach |residual| <= {_SOLVE_REL}·"
             f"{float(state[3, k])} in {_MAX_EVALS} evaluations; last "
             f"x={float(state[0, k])}, residual={float(state[5, k])}")
-    return Roots(out_x, out_res, calls, evals, out_kept, errors)
+    return Roots(out_x, out_res, calls, evals, errors)

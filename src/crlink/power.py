@@ -18,7 +18,9 @@ and the derivative for the Newton step is closed-form, with S, f_max and
 where the table's inverse puts the water-filling root. Any number of
 policies, of any laws and budgets, are solved in lockstep (_policies):
 one array Newton solve whose every evaluation reads all their tables in
-one query; the public solvers are its one-element case.
+one query, and then one more query of S at the discrete-rate edges of the
+roots for the region probabilities; the public solvers are its
+one-element case.
 """
 
 from __future__ import annotations
@@ -121,10 +123,9 @@ _DR = 0.0
 
 def _spent(query: SurvivalQuery, which: np.ndarray, x: np.ndarray,
            k: np.ndarray, cset: Optional[ConstellationSet]) -> tuple:
-    """The average power that each element's policy spends at x, its
-    derivative in x, and S at the region edges of cset (rows of nan for
-    water-filling), for law which[i], from one query of the tables. The
-    water-filling elements come first.
+    """The average power that each element's policy spends at x and its
+    derivative in x, two arrays, for law which[i], from one query of the
+    tables. The water-filling elements come first.
 
     Water-filling at penalty k (k = 1: capacity; x = γ₀): the power
     ∫_t^∞ (1/γ₀ − 1/(y·k)) f_max(y) dy with t = γ₀/k, which by parts is
@@ -146,7 +147,6 @@ def _spent(query: SurvivalQuery, which: np.ndarray, x: np.ndarray,
                          np.concatenate([x[:nw] / k[:nw], (m * gs).ravel()]),
                          2, want)
     val, slope = g2[:nw] / k[:nw], -sf[:nw] / x[:nw] ** 2
-    kept = np.full((nw, len(m)), math.nan)
     if nr:
         kr = cset.k
         sf, f, g2 = (v[nw:].reshape(-1, nr) for v in (sf, f, g2))
@@ -163,21 +163,18 @@ def _spent(query: SurvivalQuery, which: np.ndarray, x: np.ndarray,
         tail = sf[0] / (m[0] * gs) - g2[0]
         val = np.concatenate([val, spent - tail / kr])
         slope = np.concatenate([slope, dspent + mf[0] / (m[0] * kr * gs)])
-        kept = np.concatenate([kept, sf.T])
-    return val, slope, kept
+    return val, slope
 
 
 def _policies(query: SurvivalQuery, which: np.ndarray, budget: np.ndarray,
               k: np.ndarray, cset: Optional[ConstellationSet] = None) -> list:
     """The policy of each element, law which[i] at budget[i]: the
     water-filling cutoff at penalty k[i], or where k[i] is _DR the
-    discrete-rate policy of cset. All are solved in one lockstep solve,
-    and each evaluation reads the tables once (_spent). Each answer is a
-    CutoffSolution, a DrPolicy or the exception that its element met; the
-    region probabilities come from S at the edges of the root's
-    evaluation."""
-    order = np.argsort(k == _DR, kind="stable")     # water-filling first
-    which, budget, k = which[order], budget[order], k[order]
+    discrete-rate policy of cset; the water-filling elements come first.
+    All are solved in one lockstep solve, and each evaluation reads the
+    tables once (_spent). Each answer is a CutoffSolution, a DrPolicy or
+    the exception that its element met; the region probabilities come from
+    one more query, of S at the edges M_j·g* of every root."""
     dr = k == _DR
     kk = np.where(dr, cset.k if cset else 1.0, k)
     # water-filling solves ∫_{γ₀/k}^∞ S/x² = k·budget, which the table
@@ -191,16 +188,23 @@ def _policies(query: SurvivalQuery, which: np.ndarray, budget: np.ndarray,
         np.minimum(start, 1.0 / budget))
     roots = solve_decreasing(
         lambda x, i: _spent(query, which[i], x, k[i], cset), budget, start)
-    probs = (-np.diff(roots.kept, axis=1, append=0.0)).tolist()
-    out = [None] * len(order)
-    for o, err, x, res, evals, p, d in zip(
-            order.tolist(), roots.errors, roots.x.tolist(),
-            roots.residual.tolist(), roots.evals.tolist(), probs, dr.tolist()):
-        out[o] = err or (DrPolicy(
-            gamma_star=x, boundaries=tuple(mj * x for mj in cset.sizes[1:]),
-            region_probs=tuple(p), residual=res, iterations=evals) if d else
-            CutoffSolution(gamma0=x, residual=res, iterations=evals))
-    return out
+    # S at the edges of each discrete-rate root, G not wanted: region j
+    # lies between edges j and j + 1, and the last one ends where S is 0
+    i, probs = np.flatnonzero(dr & np.isfinite(roots.x)), {}
+    if i.size:
+        m = np.array(cset.sizes[1:], dtype=float)
+        edges = np.outer(roots.x[i], m).ravel()
+        sf = query(np.repeat(which[i], len(m)), edges, 2,
+                   np.zeros(len(edges), dtype=bool))[0].reshape(-1, len(m))
+        probs = dict(zip(i.tolist(),
+                         (-np.diff(sf, axis=1, append=0.0)).tolist()))
+    return [err or (DrPolicy(
+        gamma_star=x, boundaries=tuple(mj * x for mj in cset.sizes[1:]),
+        region_probs=tuple(probs[e]), residual=res, iterations=evals) if d else
+        CutoffSolution(gamma0=x, residual=res, iterations=evals))
+        for e, (err, x, res, evals, d) in enumerate(zip(
+            roots.errors, roots.x.tolist(), roots.residual.tolist(),
+            roots.evals.tolist(), dr.tolist()))]
 
 
 def _alone(dist: MudDistribution, budget: float, k: float,

@@ -249,35 +249,18 @@ def solve_point(dist: MudDistribution, constraint: ConstraintSpec,
                          spectral_efficiency_dr(dist, pol, cset).value)
 
 
-def _solve_group_points(cfg: SweepConfig, m: float, points, tables: dict) -> list:
-    """(dist, cset, PointSolution or exception) of each (axis value, users)
-    point of one (link, m) group, solved together on the tables dict."""
-    built, where = [], []
-    for v, ns in points:
-        p_db = v if cfg.axis == "p_av_db" else cfg.p_av_db
-        q_db = v if cfg.axis == "q_av_db" else cfg.q_av_db
-        try:
-            built.append(build_point(cfg.mode, m, ns, p_db, q_db, tables))
-            where.append(len(built) - 1)
-        except Exception as exc:
-            where.append(exc)
-    cset = ConstellationSet(cfg.constellations, cfg.ber_target)
-    sols = solve_points([d for d, _ in built], [c for _, c in built], cset)
-    return [(None, cset, w) if isinstance(w, Exception)
-            else (built[w][0], cset, sols[w]) for w in where]
-
-
 def evaluate_point(cfg: SweepConfig, axis_value: float, ns: int, m: float,
-                   mc_seed: int = 0, tables: Optional[dict] = None,
-                   solved: Optional[tuple] = None) -> SweepRow:
+                   mc_seed: int = 0, solved: Optional[tuple] = None
+                   ) -> SweepRow:
     """The row of one grid point from solved, its (dist, cset, solution)
-    as _solve_group solves it with the rest of its group; without solved
-    the point is solved alone, on tables as in build_point. The oracle
+    as _solve solves it with the other points of its sweep; without solved
+    the point is solved alone, as the one point of a grid. The oracle
     columns, if asked for, are estimated here."""
+    if solved is None:
+        return _solve((cfg, [(axis_value, ns, m, mc_seed)]))[0]
     row = SweepRow(axis_value=axis_value, ns=ns, m=m)
     try:
-        dist, cset, sol = solved or _solve_group_points(
-            cfg, m, [(axis_value, ns)], tables)[0]
+        dist, cset, sol = solved
         if isinstance(sol, Exception):
             raise sol
         row.capacity, row.se_cr, row.se_dr = sol.capacity, sol.se_cr, sol.se_dr
@@ -300,53 +283,68 @@ def _rel_gap(value: float, analytic: float) -> float:
     return abs(value - analytic) / max(analytic, 1e-300)
 
 
-def _solve_group(task) -> List[SweepRow]:
-    """The rows of one (link, m) group's points, in the order given.
+def _solve(task) -> List[SweepRow]:
+    """The rows of the (axis value, users, m, oracle seed) points of task,
+    in the order given.
 
-    The group's survival tables are built in one batch, every point is
-    solved on them in lockstep (solve_points), and they are released
-    before the rows are assembled (evaluate_point). Should the batch fail,
-    each point builds its own table and reports the failure in its row."""
-    cfg, m, points = task
-    users = sorted({ns for _, _, ns, _ in points})
-    try:
-        tables = _unit_tables(_LINKS[cfg.mode], m, users)
-    except Exception:       # each point records its own failure
-        tables = {}
-    solved = _solve_group_points(cfg, m, [(v, ns) for _, v, ns, _ in points],
-                                 tables)
+    The survival tables of each m are built in one batch, every point is
+    solved on them in one lockstep solve (solve_points), and they are
+    released before the rows are assembled (evaluate_point). Should a
+    batch fail, each point of its m builds its own table and reports the
+    failure in its row."""
+    cfg, points = task
+    users: dict = {}
+    for _, ns, m, _ in points:
+        users.setdefault(m, set()).add(ns)
+    tables: dict = {}
+    for m, ns in users.items():
+        try:
+            tables.update(_unit_tables(_LINKS[cfg.mode], m, sorted(ns)))
+        except Exception:   # each point records its own failure
+            pass
+    built, where = [], []
+    for v, ns, m, _ in points:
+        p_db = v if cfg.axis == "p_av_db" else cfg.p_av_db
+        q_db = v if cfg.axis == "q_av_db" else cfg.q_av_db
+        try:
+            built.append(build_point(cfg.mode, m, ns, p_db, q_db, tables))
+            where.append(len(built) - 1)
+        except Exception as exc:
+            where.append(exc)
+    cset = ConstellationSet(cfg.constellations, cfg.ber_target)
+    sols = solve_points([d for d, _ in built], [c for _, c in built], cset)
+    solved = [(None, cset, w) if isinstance(w, Exception)
+              else (built[w][0], cset, sols[w]) for w in where]
     tables.clear()
-    return [evaluate_point(cfg, v, ns, m, seed, None, s)
-            for (_, v, ns, seed), s in zip(points, solved)]
+    return [evaluate_point(cfg, v, ns, m, seed, s)
+            for (v, ns, m, seed), s in zip(points, solved)]
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Evaluate the whole grid; row order is (axis, ns, m) regardless of
     worker scheduling, and per-point oracle streams derive from the config
-    seed and the point index only. The points of one m form a (link, m)
-    group, solved as one task on one batch of survival tables
-    (_solve_group); with workers > 1 the groups are spread over up to that
-    many worker processes. A table depends on (link, m, L) alone, so
-    neither the grouping nor the scheduling changes a row."""
-    points = _grid(cfg)
+    seed and the point index only. One worker solves every point in one
+    lockstep solve on one batch of survival tables per m (_solve); with
+    workers > 1 each m's points form a (link, m) group, solved as one
+    such task, and the groups are spread over up to that many worker
+    processes. A table depends on (link, m, L) alone and every solve is
+    elementwise, so neither the grouping nor the scheduling changes a
+    row."""
+    grid = _grid(cfg)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(
-        max(len(points), 1), dtype=np.uint64)
-    groups: dict = {}
-    for i, (v, ns, m) in enumerate(points):
-        groups.setdefault(m, []).append((i, v, ns, int(seeds[i])))
-    tasks = [(cfg, m, group) for m, group in groups.items()]
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_solve_group, tasks))
-    else:
-        solved = list(map(_solve_group, tasks))
-    rows = [None] * len(points)
-    for (_, _, group), group_rows in zip(tasks, solved):
-        for (i, *_), row in zip(group, group_rows):
-            rows[i] = row
-    return SweepResult(config=cfg, rows=rows)
+        max(len(grid), 1), dtype=np.uint64)
+    points = [(v, ns, m, int(seed)) for (v, ns, m), seed in zip(grid, seeds)]
+    ms = list(dict.fromkeys(cfg.m_values))
+    workers = min(workers, len(ms))
+    if workers <= 1:
+        return SweepResult(config=cfg, rows=_solve((cfg, points)))
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        solved = [iter(rows) for rows in pool.map(
+            _solve, [(cfg, [p for p in points if p[2] == m]) for m in ms])]
+    # a group's rows come in grid order: each point takes its group's next
+    return SweepResult(config=cfg, rows=[next(solved[ms.index(m)])
+                                         for _, _, m, _ in points])
 
 
 def _fmt(v) -> str:

@@ -1,7 +1,11 @@
 """The four shipped sweeps still give the figures frozen in tests/data.
 
 tests/data/fig1..4.csv were written by `crlink sweep configs/figN.cfg`
-before the survival-table solver replaced the per-call adaptive integrals.
+before the survival-table solver replaced the per-call adaptive integrals,
+and tests/data/osa_users.csv by `crlink sweep
+perfbench/configs/osa_users.cfg` before a sweep's (link, m) groups were
+solved together. That grid is the one here with non-integer direct-link m
+and with several m solved in one lockstep pass; fig1-4 use integer m only.
 A fresh sweep must render them byte for byte, or else agree with every
 analytic cell at 1e-8 relative. The fresh values are compared at full
 precision, so the 9-digit rounding of the frozen cells (at most 5e-9
@@ -29,10 +33,15 @@ ANALYTIC = ("capacity", "se_cr", "se_dr", "gamma0_cap", "gamma0_cr",
 REL = 1e-8
 
 
-@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+CONFIGS = {"fig1": ROOT / "configs", "fig2": ROOT / "configs",
+           "fig3": ROOT / "configs", "fig4": ROOT / "configs",
+           "osa_users": ROOT / "perfbench" / "configs"}
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
 def test_figure_matches_frozen_csv(name):
     frozen = (DATA / f"{name}.csv").read_text()
-    res = run_sweep(load_config(str(ROOT / "configs" / f"{name}.cfg")))
+    res = run_sweep(load_config(str(CONFIGS[name] / f"{name}.cfg")))
     if render_csv(res) == frozen:
         return
     rows = list(csv.DictReader(io.StringIO(frozen)))

@@ -1,26 +1,31 @@
-"""Every point of a (link, m) group is solved in lockstep.
+"""Every point of a sweep is solved in lockstep.
 
-A sweep group solves the three policies of all its points in one array
-solve that reads the tables in one array query per evaluation. A point's
-answer must not depend on that: it is the one solve_point gives for the
-point alone, and the one a two-worker sweep gives. A point that cannot be
-solved fails alone, with the message it fails with alone, and the number
-of table queries of a group does not grow with its number of points.
+A one-worker sweep solves the three policies of all its points, of every
+(link, m) group, in one array solve that reads the tables in one array
+query per evaluation; with two workers each group is one such solve. A
+point's answer must not depend on that: it is the one solve_point gives
+for the point alone, and the one a two-worker sweep gives. A point that
+cannot be solved fails alone, with the message it fails with alone, and
+the number of table queries of a solve does not grow with its number of
+points.
 """
 
 import csv
 import io
+from pathlib import Path
 
 import pytest
 
 import crlink.numerics as numerics
+import crlink.power as power
 from crlink.cli import main
 from crlink.fading import LinkKind
 from crlink.mud import _unit_tables
 from crlink.power import ConstellationSet
-from crlink.sweep import (SweepConfig, build_point, run_sweep, solve_point,
-                          solve_points)
+from crlink.sweep import (SweepConfig, build_point, load_config, run_sweep,
+                          solve_point, solve_points)
 
+ROOT = Path(__file__).resolve().parent.parent
 CSET = ConstellationSet((0, 4, 8, 16, 64), 1e-3)
 FIG4 = SweepConfig(mode="ss", axis="q_av_db", axis_range=(-10.0, 10.0, 10.0),
                    num_users=(5, 15), m_values=(1.0, 2.0), p_av_db=10.0)
@@ -73,7 +78,8 @@ def test_a_point_that_cannot_be_solved_fails_alone(capsys):
 
 def test_table_queries_do_not_grow_with_the_points_of_a_group(monkeypatch):
     # the 22 points of one fig4 group: the solve reads the tables once per
-    # lockstep evaluation, and the rates once more
+    # lockstep evaluation, then once at the discrete-rate roots for S at
+    # their edges, and the rates once more
     calls = []
     real = numerics._Batch.query
 
@@ -90,3 +96,18 @@ def test_table_queries_do_not_grow_with_the_points_of_a_group(monkeypatch):
     assert len(points) == 22 and evals >= 3
     assert len(calls) <= 3 * evals + 2
     assert max(calls) >= 22 * 4         # the discrete-rate edges of all points
+
+
+def test_a_one_worker_sweep_is_one_solve(monkeypatch):
+    # osa_users has three m groups, 60 points in all: one solve for them
+    calls = []
+    real = power.solve_decreasing
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(power, "solve_decreasing", counted)
+    cfg = load_config(str(ROOT / "perfbench" / "configs" / "osa_users.cfg"))
+    rows = run_sweep(cfg).rows
+    assert len(rows) == 60 and all(r.error == "" for r in rows)
+    assert calls == [3 * 60]

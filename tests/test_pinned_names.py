@@ -38,3 +38,10 @@ def test_pinned_name_exists(module, name):
 
 def test_fading_spec_has_a_shape():
     assert fading.FadingSpec(1.0, 2.5).shape == 2.5
+
+
+def test_roots_keep_the_round_count_third():
+    # perfbench/tracer.py reads res[2] of solve_decreasing as the solver's
+    # round count
+    assert numerics.Roots._fields == ("x", "residual", "calls", "evals",
+                                      "errors")

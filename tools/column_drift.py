@@ -1,13 +1,13 @@
 """Print the largest relative drift of each analytic sweep column between
-two source trees.
+two source trees, for each of one or more sweep configs.
 
-Each tree runs `run_sweep` on CONFIG in a subprocess of its own, with
+Each tree runs `run_sweep` on each CONFIG in a subprocess of its own, with
 that tree first on the import path, and hands back every analytic cell at
-full precision. For each column the script prints the largest relative
-difference |new − old|/|old| over the rows, with both values in repr, and
-counts the rows whose `error` cell differs.
+full precision. For each config and column the script prints the largest
+relative difference |new − old|/|old| over the rows, with both values in
+repr, and counts the rows whose `error` cell differs.
 
-    python tools/column_drift.py OLD_SRC NEW_SRC CONFIG
+    python tools/column_drift.py OLD_SRC NEW_SRC CONFIG [CONFIG ...]
 
 OLD_SRC and NEW_SRC are the `src` directories of the two trees, for
 instance of a `git archive` copy of the parent commit and of this tree.
@@ -41,13 +41,18 @@ def rows(src: str, config: str) -> list:
 
 
 def main(argv) -> int:
-    if len(argv) != 3:
+    if len(argv) < 3:
         print(__doc__.strip().split("\n\n")[2].strip(), file=sys.stderr)
         return 2
-    old_src, new_src, config = argv
+    old_src, new_src, *configs = argv
+    return max(drift(old_src, new_src, config) for config in configs)
+
+
+def drift(old_src: str, new_src: str, config: str) -> int:
+    """Print the drift of config's columns; 1 if the grids differ."""
     old, new = rows(old_src, config), rows(new_src, config)
     if [r[:3] for r in old] != [r[:3] for r in new]:
-        print("the two trees give different grids")
+        print(f"{config}: the two trees give different grids")
         return 1
     errors = sum(a[3] != b[3] for a, b in zip(old, new))
     print(f"{config}: {len(old)} rows, {errors} with a different error cell")
